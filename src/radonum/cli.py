@@ -166,7 +166,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_exact(args) -> int:
     eq = RadoEquation(args.m, args.a)
-    outcome = exact_rado_number(eq, n_max=args.n_max, threads=_resolve_threads(args))
+    outcome = exact_rado_number(
+        eq, n_max=args.n_max, threads=_resolve_threads(args), timeout=args.timeout
+    )
     print(
         f"# deepest_valid={outcome.deepest_valid} nodes={outcome.stats.nodes} "
         f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f}",
@@ -279,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=24, dest="n_max")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: RADO_THREADS or 1)")
+    p.add_argument("--timeout", type=float, default=None, help="search timeout in seconds")
     p.add_argument("--cert", help="write a validity certificate for the deepest coloring")
     p.set_defaults(func=_cmd_exact)
 

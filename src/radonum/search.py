@@ -7,6 +7,14 @@ once depth deepest_valid + 1 has been refuted exhaustively. Element 1 is
 pinned red: swapping the two colors preserves validity, so the red half of
 the tree suffices.
 
+Each DFS node carries, per color class, the state (layers, targets):
+layers[k-1] is the bitset of sums of exactly k class elements (repetition
+allowed, k = 1..m-1) and targets is the bitset {a*t : t in class}, all
+truncated at a*n_max, the largest target. Coloring element x folds it into
+one class with m-1 shifts (see _add_element), and the child is pruned iff
+the folded last layer meets the folded targets. The other class keeps its
+parent state by reference.
+
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
 that order. Worker fan-out replays the same order; results never depend on
@@ -31,38 +39,35 @@ _POLL_MASK = 127  # poll abort/deadline every this many expanded nodes
 
 SWEEP_N_MAX_LIMIT = 32
 
+_ClassState = tuple[tuple[int, ...], int]  # (layers, targets), see the module docstring
 
-def _class_has_solution(class_bits: int, m: int, a: int) -> bool:
-    """Whether one color class alone solves L(m, a).
 
-    Layered sumset pass over just this class: start from the single-element
-    sums and fold in one more element m-2 times, then intersect with the
-    scaled targets {a*t : t in class}. Sums are truncated at a*max(class),
-    the largest scaled target, which cannot lose a reachable target.
+def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassState:
+    """Class state after adding element x: one shift per layer.
+
+    A sum of k elements of S + {x} either avoids x (layer k of S) or is x
+    plus a sum of k-1 elements of S + {x}, so with L'_0 = {0} the new layers
+    are L'_k = L_k | (L'_{k-1} << x), built from k = 1 upwards. Adding an
+    element already in the class leaves the state unchanged.
     """
-    if not class_bits:
-        return False
-    lo = (class_bits & -class_bits).bit_length() - 1
-    hi = class_bits.bit_length() - 1
-    if (m - 1) * lo > a * hi:
-        return False
-    cap = a * hi
-    capmask = (1 << (cap + 1)) - 1
-    elements = list(iter_bits(class_bits))
-    layer = class_bits & capmask
-    for _ in range(m - 2):
-        acc = 0
-        for e in elements:
-            acc |= layer << e
-        layer = acc & capmask
-        if not layer:
-            return False
-    targets = 0
-    for t in elements:
-        scaled = a * t
-        if scaled <= cap:
-            targets |= 1 << scaled
-    return bool(layer & targets)
+    layers, targets = state
+    prev = 1
+    layers = tuple([prev := (layer | (prev << x)) & capmask for layer in layers])
+    return layers, targets | (1 << (a * x))
+
+
+def _class_state(class_bits: int, m: int, a: int, capmask: int) -> _ClassState:
+    """State of a class built by folding in its elements one at a time."""
+    state = ((0,) * (m - 1), 0)
+    for x in iter_bits(class_bits):
+        state = _add_element(state, x, a, capmask)
+    return state
+
+
+def _has_solution(state: _ClassState) -> bool:
+    """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
+    layers, targets = state
+    return bool(layers[-1] & targets)
 
 
 def prefix_is_solution_free(col: Coloring, eq: RadoEquation, last_changed: int) -> bool:
@@ -76,7 +81,8 @@ def prefix_is_solution_free(col: Coloring, eq: RadoEquation, last_changed: int) 
     if col.n == 0:
         return True
     bits = col.class_bits(col.color_of(last_changed))
-    return not _class_has_solution(bits, eq.m, eq.a)
+    capmask = (1 << (eq.a * col.n + 1)) - 1
+    return not _has_solution(_class_state(bits, eq.m, eq.a, capmask))
 
 
 @dataclass(frozen=True)
@@ -118,32 +124,31 @@ class _ExploreResult:
 
 
 def _explore(
-    m: int,
     a: int,
-    red: int,
-    blue: int,
-    depth: int,
+    capmask: int,
+    root: tuple,
     limit: int,
     collect_at: int | None = None,
-    tasks: list[tuple[int, int]] | None = None,
+    tasks: list[tuple] | None = None,
     should_abort=None,
     deadline: float | None = None,
     skip_root_count: bool = False,
 ) -> _ExploreResult:
     """Preorder DFS from one validated node, red child before blue.
 
-    Stops at the first node of depth == limit (in preorder that node carries
-    the lexicographically least red set among deepest colorings). When
+    A node is (red_bits, depth, red_state, blue_state). Stops at the first
+    node of depth == limit (in preorder that node carries the
+    lexicographically least red set among deepest colorings). When
     collect_at is set, nodes reaching that depth are appended to tasks
     instead of being expanded. skip_root_count keeps a handed-off subtree
     root from being counted twice, once by the collector and once here.
     """
-    best_depth, best_red = depth, red
+    best_depth, best_red = root[1], root[0]
     nodes = -1 if skip_root_count else 0
     checks = 0
     reached = False
     timed = False
-    stack = [(red, blue, depth)]
+    stack = [root]
     while stack:
         if (nodes & _POLL_MASK) == 0:
             if should_abort is not None and should_abort():
@@ -151,7 +156,8 @@ def _explore(
             if deadline is not None and time.perf_counter() > deadline:
                 timed = True
                 break
-        red, blue, depth = stack.pop()
+        node = stack.pop()
+        red, depth, red_state, blue_state = node
         nodes += 1
         if depth > best_depth:
             best_depth, best_red = depth, red
@@ -159,17 +165,17 @@ def _explore(
             reached = True
             break
         if collect_at is not None and depth >= collect_at:
-            tasks.append((red, blue))
+            tasks.append(node)
             continue
-        bit = 1 << (depth + 1)
-        new_blue = blue | bit
+        x = depth + 1
         checks += 1
-        if not _class_has_solution(new_blue, m, a):
-            stack.append((red, new_blue, depth + 1))
-        new_red = red | bit
+        child = _add_element(blue_state, x, a, capmask)
+        if not _has_solution(child):
+            stack.append((red, x, red_state, child))
         checks += 1
-        if not _class_has_solution(new_red, m, a):
-            stack.append((new_red, blue, depth + 1))
+        child = _add_element(red_state, x, a, capmask)
+        if not _has_solution(child):
+            stack.append((red | 1 << x, x, child, blue_state))
     return _ExploreResult(best_depth, best_red, max(nodes, 0), checks, reached, timed)
 
 
@@ -194,6 +200,7 @@ def exact_rado_number(
     m, a = eq.m, eq.a
     start = time.perf_counter()
     deadline = start + timeout if timeout is not None else None
+    capmask = (1 << (a * n_max + 1)) - 1  # a*n_max is the largest target
 
     best_depth, best_red = 0, 0  # the empty coloring is always solution-free
     nodes, checks = 1, 1
@@ -201,21 +208,21 @@ def exact_rado_number(
     timed_out = False
     results: list[_ExploreResult] = []
 
-    pinned = 0b10  # element 1 red; sufficient by color-swap symmetry
-    if not _class_has_solution(pinned, m, a):
+    # element 1 red; sufficient by color-swap symmetry
+    pinned = _class_state(0b10, m, a, capmask)
+    if not _has_solution(pinned):
+        root = (0b10, 1, pinned, _class_state(0, m, a, capmask))
         split = min(_SPLIT_DEPTH, n_max)
         if split >= n_max:
-            results.append(_explore(m, a, pinned, 0, 1, n_max, deadline=deadline))
+            results.append(_explore(a, capmask, root, n_max, deadline=deadline))
         else:
-            tasks: list[tuple[int, int]] = []
+            tasks: list[tuple] = []
             prefix = _explore(
-                m, a, pinned, 0, 1, n_max, collect_at=split, tasks=tasks, deadline=deadline
+                a, capmask, root, n_max, collect_at=split, tasks=tasks, deadline=deadline
             )
             results.append(prefix)
             if not prefix.timed_out:
-                results.extend(
-                    _run_tasks(m, a, tasks, split, n_max, threads, deadline)
-                )
+                results.extend(_run_tasks(a, capmask, tasks, n_max, threads, deadline))
 
     for res in results:
         nodes += res.nodes
@@ -234,10 +241,9 @@ def exact_rado_number(
 
 
 def _run_tasks(
-    m: int,
     a: int,
-    tasks: list[tuple[int, int]],
-    split: int,
+    capmask: int,
+    tasks: list[tuple],
     n_max: int,
     threads: int,
     deadline: float | None,
@@ -254,10 +260,9 @@ def _run_tasks(
         return []
     if threads == 1:
         out: list[_ExploreResult] = []
-        for red, blue in tasks:
+        for task in tasks:
             res = _explore(
-                m, a, red, blue, split, n_max,
-                deadline=deadline, skip_root_count=True,
+                a, capmask, task, n_max, deadline=deadline, skip_root_count=True
             )
             out.append(res)
             if res.reached_limit or res.timed_out:
@@ -274,10 +279,9 @@ def _run_tasks(
 
         return should_abort
 
-    def run_one(index: int, state: tuple[int, int]) -> _ExploreResult:
-        red, blue = state
+    def run_one(index: int, task: tuple) -> _ExploreResult:
         res = _explore(
-            m, a, red, blue, split, n_max,
+            a, capmask, task, n_max,
             should_abort=make_abort(index), deadline=deadline, skip_root_count=True,
         )
         if res.reached_limit:

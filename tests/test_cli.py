@@ -149,6 +149,16 @@ def test_exact_threads_flag_and_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_exact_timeout_flag(capsys):
+    assert run(["exact", "--m", "3", "--a", "3"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["exact", "--m", "3", "--a", "3", "--timeout", "1"]) == 0
+    assert capsys.readouterr().out == plain == "9\n"
+    # an expired deadline reaches the search and turns the answer into a cutoff
+    assert run(["exact", "--m", "5", "--a", "1", "--timeout", "0"]) == 1
+    assert capsys.readouterr().out.startswith("cutoff deepest_valid=")
+
+
 def test_sweep_output_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run([

@@ -87,6 +87,31 @@ def test_thread_count_does_not_change_results():
         assert single.certificate == pooled.certificate
 
 
+# (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
+PINNED_TREES = [
+    ((14, 2, 54), (EXACT, 46, 920, 1839, 126)),
+    ((16, 2, 68), (EXACT, 60, 2281, 4561, 254)),
+    ((20, 3, 53), (EXACT, 45, 646, 1291, 126)),
+    ((25, 3, 72), (EXACT, 64, 1684, 3367, 254)),
+    ((45, 6, 67), (EXACT, 59, 1237, 2473, 254)),
+    ((18, 2, 40), (CUTOFF, None, 98, 131, 510)),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(("params", "want"), PINNED_TREES)
+def test_search_tree_is_pinned(params, want, threads):
+    m, a, n_max = params
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max, threads=threads)
+    got = (out.status, out.rado_number, out.stats.nodes, out.stats.checks,
+           out.certificate.red_bits)
+    if threads > 1 and out.status == CUTOFF:
+        # later tasks may expand a few nodes before they see the earlier
+        # finder, so only the results are thread-count independent here
+        got, want = got[:2] + got[4:], want[:2] + want[4:]
+    assert got == want
+
+
 def test_timeout_reports_cutoff():
     out = exact_rado_number(RadoEquation(5, 1), n_max=24, timeout=0.0)
     assert out.status == CUTOFF
