@@ -104,6 +104,12 @@ def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None
     return Coloring.from_dict(data), None
 
 
+_THREADS_HELP = (
+    "accepted for compatibility (>= 1, default: RADO_THREADS or 1); "
+    "the search runs on one thread"
+)
+
+
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -148,8 +154,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if (args.m is None) != (args.a is None):
+        print("error: pass both --m and --a, or neither", file=sys.stderr)
+        return 2
     col, embedded_eq = _load_coloring_file(args.file)
-    if args.m is not None and args.a is not None:
+    if args.m is not None:
         eq = RadoEquation(args.m, args.a)
     elif embedded_eq is not None:
         eq = embedded_eq
@@ -279,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n-max", type=int, default=24, dest="n_max")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: RADO_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--timeout", type=float, default=None, help="search timeout in seconds")
     p.add_argument("--cert", help="write a validity certificate for the deepest coloring")
     p.set_defaults(func=_cmd_exact)
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-from", type=int, required=True, dest="m_from")
     p.add_argument("--m-to", type=int, required=True, dest="m_to")
     p.add_argument("--n-max", type=int, default=24, dest="n_max")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--timeout", type=float, default=None, help="per-entry timeout in seconds")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_sweep)

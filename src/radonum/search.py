@@ -17,15 +17,15 @@ parent state by reference.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
-that order. Worker fan-out replays the same order; results never depend on
-the thread count (stats such as node counts may, wall time always does).
+that order. The search runs on one thread: the pure-Python DFS holds the
+interpreter lock, so threads cannot speed it up. The threads argument is
+validated and accepted for compatibility; no reported value or count
+depends on it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import Coloring, RadoEquation, iter_bits
@@ -34,10 +34,7 @@ from .formula import KnownNumber, known_rado_number
 EXACT = "exact"
 CUTOFF = "cutoff"
 
-_SPLIT_DEPTH = 6  # fixed fan-out depth; fixed so results cannot drift with threads
-_POLL_MASK = 127  # poll abort/deadline every this many expanded nodes
-
-SWEEP_N_MAX_LIMIT = 32
+_POLL_MASK = 127  # poll the deadline every this many expanded nodes
 
 _ClassState = tuple[tuple[int, ...], int]  # (layers, targets), see the module docstring
 
@@ -113,60 +110,31 @@ class SearchOutcome:
         return self.status == EXACT
 
 
-@dataclass
-class _ExploreResult:
-    best_depth: int
-    best_red: int
-    nodes: int
-    checks: int
-    reached_limit: bool
-    timed_out: bool
-
-
 def _explore(
-    a: int,
-    capmask: int,
-    root: tuple,
-    limit: int,
-    collect_at: int | None = None,
-    tasks: list[tuple] | None = None,
-    should_abort=None,
-    deadline: float | None = None,
-    skip_root_count: bool = False,
-) -> _ExploreResult:
+    a: int, capmask: int, root: tuple, limit: int, deadline: float | None
+) -> tuple[int, int, int, int, bool]:
     """Preorder DFS from one validated node, red child before blue.
 
     A node is (red_bits, depth, red_state, blue_state). Stops at the first
     node of depth == limit (in preorder that node carries the
-    lexicographically least red set among deepest colorings). When
-    collect_at is set, nodes reaching that depth are appended to tasks
-    instead of being expanded. skip_root_count keeps a handed-off subtree
-    root from being counted twice, once by the collector and once here.
+    lexicographically least red set among deepest colorings) or once the
+    deadline has passed. Returns (best_depth, best_red, nodes, checks,
+    exhausted); exhausted is True iff neither stop happened, so no
+    coloring below root reaches limit.
     """
     best_depth, best_red = root[1], root[0]
-    nodes = -1 if skip_root_count else 0
-    checks = 0
-    reached = False
-    timed = False
+    nodes = checks = 0
     stack = [root]
     while stack:
-        if (nodes & _POLL_MASK) == 0:
-            if should_abort is not None and should_abort():
+        if (nodes & _POLL_MASK) == 0 and deadline is not None:
+            if time.perf_counter() > deadline:
                 break
-            if deadline is not None and time.perf_counter() > deadline:
-                timed = True
-                break
-        node = stack.pop()
-        red, depth, red_state, blue_state = node
+        red, depth, red_state, blue_state = stack.pop()
         nodes += 1
         if depth > best_depth:
             best_depth, best_red = depth, red
         if depth >= limit:
-            reached = True
             break
-        if collect_at is not None and depth >= collect_at:
-            tasks.append(node)
-            continue
         x = depth + 1
         checks += 1
         child = _add_element(blue_state, x, a, capmask)
@@ -176,7 +144,9 @@ def _explore(
         child = _add_element(red_state, x, a, capmask)
         if not _has_solution(child):
             stack.append((red | 1 << x, x, child, blue_state))
-    return _ExploreResult(best_depth, best_red, max(nodes, 0), checks, reached, timed)
+    else:  # the stack emptied without a break
+        return best_depth, best_red, nodes, checks, True
+    return best_depth, best_red, nodes, checks, False
 
 
 def exact_rado_number(
@@ -190,8 +160,8 @@ def exact_rado_number(
     Exhausts colorings up to n_max elements. Reports "exact" with the Rado
     number when the refutation completes below n_max, otherwise "cutoff".
     An optional timeout (seconds) also yields "cutoff"; only then can
-    deepest_valid fall short of n_max. threads > 1 fans independent subtrees
-    out to a thread pool without changing any reported value.
+    deepest_valid fall short of n_max. The search runs on one thread;
+    threads must be >= 1 and is accepted for compatibility only.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -204,94 +174,24 @@ def exact_rado_number(
 
     best_depth, best_red = 0, 0  # the empty coloring is always solution-free
     nodes, checks = 1, 1
-    reached = False
-    timed_out = False
-    results: list[_ExploreResult] = []
+    exhausted = True
 
     # element 1 red; sufficient by color-swap symmetry
     pinned = _class_state(0b10, m, a, capmask)
     if not _has_solution(pinned):
         root = (0b10, 1, pinned, _class_state(0, m, a, capmask))
-        split = min(_SPLIT_DEPTH, n_max)
-        if split >= n_max:
-            results.append(_explore(a, capmask, root, n_max, deadline=deadline))
-        else:
-            tasks: list[tuple] = []
-            prefix = _explore(
-                a, capmask, root, n_max, collect_at=split, tasks=tasks, deadline=deadline
-            )
-            results.append(prefix)
-            if not prefix.timed_out:
-                results.extend(_run_tasks(a, capmask, tasks, n_max, threads, deadline))
-
-    for res in results:
-        nodes += res.nodes
-        checks += res.checks
-        reached = reached or res.reached_limit
-        timed_out = timed_out or res.timed_out
-        if res.best_depth > best_depth:
-            best_depth, best_red = res.best_depth, res.best_red
+        best_depth, best_red, sub_nodes, sub_checks, exhausted = _explore(
+            a, capmask, root, n_max, deadline
+        )
+        nodes += sub_nodes
+        checks += sub_checks
 
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis)
     certificate = Coloring(best_depth, best_red)
-    if timed_out or reached:
+    if not exhausted:
         return SearchOutcome(CUTOFF, None, best_depth, certificate, stats)
     return SearchOutcome(EXACT, best_depth + 1, best_depth, certificate, stats)
-
-
-def _run_tasks(
-    a: int,
-    capmask: int,
-    tasks: list[tuple],
-    n_max: int,
-    threads: int,
-    deadline: float | None,
-) -> list[_ExploreResult]:
-    """Explore the split-depth subtrees, in task order, optionally in parallel.
-
-    A task whose subtree reaches n_max makes every later task irrelevant:
-    later subtrees can only tie on depth and lose the lexicographic
-    tie-break. Sequential mode therefore stops after such a task; parallel
-    mode lets later tasks abort once an earlier finder is recorded. Results
-    are merged in task order, so the outcome is thread-count independent.
-    """
-    if not tasks:
-        return []
-    if threads == 1:
-        out: list[_ExploreResult] = []
-        for task in tasks:
-            res = _explore(
-                a, capmask, task, n_max, deadline=deadline, skip_root_count=True
-            )
-            out.append(res)
-            if res.reached_limit or res.timed_out:
-                break
-        return out
-
-    finder_lock = threading.Lock()
-    finder_index: list[int | None] = [None]
-
-    def make_abort(index: int):
-        def should_abort() -> bool:
-            found = finder_index[0]
-            return found is not None and found < index
-
-        return should_abort
-
-    def run_one(index: int, task: tuple) -> _ExploreResult:
-        res = _explore(
-            a, capmask, task, n_max,
-            should_abort=make_abort(index), deadline=deadline, skip_root_count=True,
-        )
-        if res.reached_limit:
-            with finder_lock:
-                if finder_index[0] is None or index < finder_index[0]:
-                    finder_index[0] = index
-        return res
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, range(len(tasks)), tasks))
 
 
 @dataclass(frozen=True)
@@ -335,13 +235,12 @@ def sweep(
 ) -> list[SweepEntry]:
     """Run exact searches for m in [m_from, m_to] and compare with known values.
 
-    A per-entry timeout turns into a cutoff entry; the sweep itself never
-    aborts. n_max is capped because the worst-case tree has 2^n_max leaves.
+    A per-entry timeout turns into a cutoff entry and bounds the cost of a
+    large n_max; the sweep itself never aborts. Like exact_rado_number, each
+    search runs on one thread and threads is accepted for compatibility only.
     """
     if m_from < 2 or m_to < m_from:
         raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")
-    if n_max > SWEEP_N_MAX_LIMIT:
-        raise ValueError(f"sweep refuses n_max > {SWEEP_N_MAX_LIMIT}, got {n_max}")
     entries = []
     for m in range(m_from, m_to + 1):
         eq = RadoEquation(m, a)

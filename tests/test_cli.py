@@ -100,6 +100,21 @@ def test_check_needs_equation(tmp_path, capsys):
     assert "equation" in capsys.readouterr().err
 
 
+def test_check_lone_equation_flag_exits_2(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["exact", "--m", "3", "--a", "3", "--cert", str(cert_path)]) == 0
+    capsys.readouterr()
+    # the (3, 3) coloring has a (5, 3) witness, so a lone --m must not fall
+    # back to the embedded equation and print VALID
+    for flag in (["--m", "5"], ["--a", "3"]):
+        assert run(["check", "--file", str(cert_path), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--m and --a" in captured.err
+    assert run(["check", "--file", str(cert_path), "--m", "5", "--a", "3"]) == 1
+    capsys.readouterr()
+
+
 def test_check_missing_file(tmp_path, capsys):
     assert run(["check", "--file", str(tmp_path / "nope.json"), "--m", "3", "--a", "3"]) == 2
     capsys.readouterr()
@@ -179,6 +194,12 @@ def test_sweep_unknown_regime_prints_dashes(capsys):
     assert run(["sweep", "--a", "4", "--m-from", "6", "--m-to", "6", "--n-max", "8"]) == 0
     line = capsys.readouterr().out.strip()
     assert "formula=- agree=-" in line
+
+
+def test_sweep_n_max_above_32(capsys):
+    code = run(["sweep", "--a", "3", "--m-from", "19", "--m-to", "19", "--n-max", "40"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("m=19 a=3 exact=36 formula=36 agree=yes")
 
 
 def test_certificate_round_trip_bytes(tmp_path):
