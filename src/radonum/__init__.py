@@ -9,7 +9,6 @@ exactly by exhaustive search with machine-checkable certificates.
 __version__ = "0.1.0"
 
 from .checker import (
-    SumsetTable,
     find_mono_solution,
     is_valid_coloring,
     naive_find_mono_solution,
@@ -43,7 +42,6 @@ from .search import (
     SearchStats,
     SweepEntry,
     exact_rado_number,
-    prefix_is_solution_free,
     sweep,
 )
 
@@ -57,7 +55,6 @@ __all__ = [
     "SearchOutcome",
     "SearchStats",
     "SolutionTemplate",
-    "SumsetTable",
     "SweepEntry",
     "Witness",
     "ceil_div",
@@ -73,7 +70,6 @@ __all__ = [
     "known_rado_number",
     "lower_bound_coloring",
     "naive_find_mono_solution",
-    "prefix_is_solution_free",
     "small_case_coloring",
     "solution_values_fit",
     "sweep",

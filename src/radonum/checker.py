@@ -9,7 +9,6 @@ enumeration oracle provides an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .core import (
@@ -25,51 +24,35 @@ from .core import (
 NAIVE_GUARD = 1_000_000
 
 
-@dataclass
-class SumsetTable:
-    """Layered reachable-sum bitsets for one color class.
+def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
+    """Layered sumset table of one color class, built a layer at a time.
 
-    layers[k-1] holds the sums of exactly k class elements (repetition
-    allowed) as a bitmask, every layer truncated to sums <= cap. Sums only
-    grow, so truncation never loses a reachable value below the cap.
+    Entry k-1 holds the sums of exactly k class elements (repetition
+    allowed, k = 1..depth) as a bitmask, every layer truncated to capmask.
+    Sums only grow, so truncation never loses a reachable value below the cap.
     """
-
-    cap: int
-    layers: list[int]
-
-    @classmethod
-    def build(cls, class_bits: int, depth: int, cap: int) -> SumsetTable:
-        if depth < 1:
-            raise ValueError(f"need at least one layer, got depth={depth}")
-        capmask = (1 << (cap + 1)) - 1
-        elements = list(iter_bits(class_bits))
-        layers = [class_bits & capmask]
-        for _ in range(depth - 1):
-            acc = 0
-            prev = layers[-1]
-            for e in elements:
-                acc |= prev << e
-            layers.append(acc & capmask)
-        return cls(cap, layers)
-
-    def contains(self, k: int, total: int) -> bool:
-        """Whether total is a sum of exactly k class elements (and <= cap)."""
-        if not 1 <= k <= len(self.layers) or not 0 <= total <= self.cap:
-            return False
-        return bool((self.layers[k - 1] >> total) & 1)
+    elements = list(iter_bits(class_bits))
+    layers = [class_bits & capmask]
+    for _ in range(depth - 1):
+        acc = 0
+        prev = layers[-1]
+        for e in elements:
+            acc |= prev << e
+        layers.append(acc & capmask)
+    return layers
 
 
-def _greedy_left_side(table: SumsetTable, elements: list[int], total: int, count: int) -> list[int]:
+def _greedy_left_side(layers: list[int], elements: list[int], total: int, count: int) -> list[int]:
     """Backtrack a sum of `count` class elements, smallest element first.
 
-    Always succeeds when table.contains(count, total) holds; the result is
+    Always succeeds when total is in layers[count - 1]; the result is
     non-decreasing because picking the minimum feasible element at each step
     keeps every smaller element infeasible later on.
     """
     remaining = total
     out: list[int] = []
     for k in range(count, 0, -1):
-        prev = table.layers[k - 2] if k >= 2 else 1  # bit 0 is the empty sum
+        prev = layers[k - 2] if k >= 2 else 1  # bit 0 is the empty sum
         for e in elements:
             rest = remaining - e
             if rest >= 0 and (prev >> rest) & 1:
@@ -91,20 +74,21 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     if col.n == 0:
         return None
     cap = eq.a * col.n
+    capmask = (1 << (cap + 1)) - 1
     depth = eq.m - 1
     for color in (Color.RED, Color.BLUE):
         bits = col.class_bits(color)
         if not bits:
             continue
-        table = SumsetTable.build(bits, depth, cap)
-        final = table.layers[-1]
+        layers = _sumset_layers(bits, depth, capmask)
+        final = layers[-1]
         if not final:
             continue
         elements = list(iter_bits(bits))
         for t in elements:
             scaled = eq.a * t
             if scaled <= cap and (final >> scaled) & 1:
-                left = _greedy_left_side(table, elements, scaled, depth)
+                left = _greedy_left_side(layers, elements, scaled, depth)
                 template = SolutionTemplate.from_slots([*left, t])
                 return Witness(template, color)
     return None

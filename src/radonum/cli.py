@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,18 +103,6 @@ def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None
     return Coloring.from_dict(data), None
 
 
-_THREADS_HELP = (
-    "accepted for compatibility (>= 1, default: RADO_THREADS or 1); "
-    "the search runs on one thread"
-)
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("RADO_THREADS", "1"))
-
-
 def _cmd_formula(args) -> int:
     eq = RadoEquation(args.m, args.a)
     print(ceiling_formula(eq))
@@ -175,9 +162,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_exact(args) -> int:
     eq = RadoEquation(args.m, args.a)
-    outcome = exact_rado_number(
-        eq, n_max=args.n_max, threads=_resolve_threads(args), timeout=args.timeout
-    )
+    outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
     print(
         f"# deepest_valid={outcome.deepest_valid} nodes={outcome.stats.nodes} "
         f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f}",
@@ -210,10 +195,7 @@ def _format_entry(row: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    entries = sweep(
-        args.a, args.m_from, args.m_to,
-        n_max=args.n_max, threads=_resolve_threads(args), timeout=args.timeout,
-    )
+    entries = sweep(args.a, args.m_from, args.m_to, n_max=args.n_max, timeout=args.timeout)
     rows = [entry.to_report_dict() for entry in entries]
     for row in rows:
         print(_format_entry(row))
@@ -288,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n-max", type=int, default=24, dest="n_max")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--timeout", type=float, default=None, help="search timeout in seconds")
     p.add_argument("--cert", help="write a validity certificate for the deepest coloring")
     p.set_defaults(func=_cmd_exact)
@@ -298,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-from", type=int, required=True, dest="m_from")
     p.add_argument("--m-to", type=int, required=True, dest="m_to")
     p.add_argument("--n-max", type=int, default=24, dest="n_max")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--timeout", type=float, default=None, help="per-entry timeout in seconds")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_sweep)
@@ -318,8 +298,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
-        # bad parameters, bad files, malformed JSON documents
+    except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
+        # bad parameters, bad files, malformed or wrongly shaped JSON documents
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

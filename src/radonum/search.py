@@ -18,9 +18,9 @@ parent state by reference.
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
 that order. The search runs on one thread: the pure-Python DFS holds the
-interpreter lock, so threads cannot speed it up. The threads argument is
-validated and accepted for compatibility; no reported value or count
-depends on it.
+interpreter lock, so threads cannot speed it up. The library keyword
+threads= is validated (>= 1) and otherwise ignored; no reported value or
+count depends on it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Coloring, RadoEquation, iter_bits
+from .core import Coloring, RadoEquation
 from .formula import KnownNumber, known_rado_number
 
 EXACT = "exact"
@@ -53,33 +53,10 @@ def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassStat
     return layers, targets | (1 << (a * x))
 
 
-def _class_state(class_bits: int, m: int, a: int, capmask: int) -> _ClassState:
-    """State of a class built by folding in its elements one at a time."""
-    state = ((0,) * (m - 1), 0)
-    for x in iter_bits(class_bits):
-        state = _add_element(state, x, a, capmask)
-    return state
-
-
 def _has_solution(state: _ClassState) -> bool:
     """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
     layers, targets = state
     return bool(layers[-1] & targets)
-
-
-def prefix_is_solution_free(col: Coloring, eq: RadoEquation, last_changed: int) -> bool:
-    """Incremental validity check after coloring element last_changed.
-
-    Only the class containing last_changed is rechecked: a new solution must
-    use the new element, hence lives entirely in its class. The caller must
-    guarantee the other class was already solution-free, as holds along any
-    DFS path. The empty coloring is vacuously free.
-    """
-    if col.n == 0:
-        return True
-    bits = col.class_bits(col.color_of(last_changed))
-    capmask = (1 << (eq.a * col.n + 1)) - 1
-    return not _has_solution(_class_state(bits, eq.m, eq.a, capmask))
 
 
 @dataclass(frozen=True)
@@ -110,30 +87,55 @@ class SearchOutcome:
         return self.status == EXACT
 
 
-def _explore(
-    a: int, capmask: int, root: tuple, limit: int, deadline: float | None
-) -> tuple[int, int, int, int, bool]:
-    """Preorder DFS from one validated node, red child before blue.
+def exact_rado_number(
+    eq: RadoEquation,
+    n_max: int = 24,
+    threads: int = 1,
+    timeout: float | None = None,
+) -> SearchOutcome:
+    """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
-    A node is (red_bits, depth, red_state, blue_state). Stops at the first
-    node of depth == limit (in preorder that node carries the
-    lexicographically least red set among deepest colorings) or once the
-    deadline has passed. Returns (best_depth, best_red, nodes, checks,
-    exhausted); exhausted is True iff neither stop happened, so no
-    coloring below root reaches limit.
+    Exhausts colorings up to n_max elements by a preorder DFS, red child
+    before blue; a node is (red_bits, depth, red_state, blue_state). Reports
+    "exact" with the Rado number when the stack empties, otherwise "cutoff":
+    the search stops at the first node of depth n_max (in preorder it carries
+    the lexicographically least red set among deepest colorings) or once the
+    optional timeout (seconds, >= 0) has passed; only then can deepest_valid
+    fall short of n_max. threads must be >= 1 and has no effect.
     """
-    best_depth, best_red = root[1], root[0]
-    nodes = checks = 0
-    stack = [root]
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    if timeout is not None and not timeout >= 0:  # also rejects NaN
+        raise ValueError(f"need timeout >= 0 seconds, got {timeout}")
+    m, a = eq.m, eq.a
+    start = time.perf_counter()
+    deadline = start + timeout if timeout is not None else None
+    capmask = (1 << (a * n_max + 1)) - 1  # a*n_max is the largest target
+
+    # the empty coloring is always solution-free; it counts as one node, and
+    # checking its pinned child (element 1 red, by color-swap symmetry) as one check
+    best_depth, best_red = 0, 0
+    nodes = checks = 1
+    empty = ((0,) * (m - 1), 0)
+    pinned = _add_element(empty, 1, a, capmask)
+    stack = []
+    if not _has_solution(pinned):
+        best_depth, best_red = 1, 0b10
+        stack.append((0b10, 1, pinned, empty))
+
+    status = CUTOFF
     while stack:
-        if (nodes & _POLL_MASK) == 0 and deadline is not None:
+        # nodes - 1 nodes expanded so far: poll before the first and every 128th
+        if (nodes & _POLL_MASK) == 1 and deadline is not None:
             if time.perf_counter() > deadline:
                 break
         red, depth, red_state, blue_state = stack.pop()
         nodes += 1
         if depth > best_depth:
             best_depth, best_red = depth, red
-        if depth >= limit:
+        if depth >= n_max:
             break
         x = depth + 1
         checks += 1
@@ -144,54 +146,13 @@ def _explore(
         child = _add_element(red_state, x, a, capmask)
         if not _has_solution(child):
             stack.append((red | 1 << x, x, child, blue_state))
-    else:  # the stack emptied without a break
-        return best_depth, best_red, nodes, checks, True
-    return best_depth, best_red, nodes, checks, False
-
-
-def exact_rado_number(
-    eq: RadoEquation,
-    n_max: int = 24,
-    threads: int = 1,
-    timeout: float | None = None,
-) -> SearchOutcome:
-    """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
-
-    Exhausts colorings up to n_max elements. Reports "exact" with the Rado
-    number when the refutation completes below n_max, otherwise "cutoff".
-    An optional timeout (seconds) also yields "cutoff"; only then can
-    deepest_valid fall short of n_max. The search runs on one thread;
-    threads must be >= 1 and is accepted for compatibility only.
-    """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
-    m, a = eq.m, eq.a
-    start = time.perf_counter()
-    deadline = start + timeout if timeout is not None else None
-    capmask = (1 << (a * n_max + 1)) - 1  # a*n_max is the largest target
-
-    best_depth, best_red = 0, 0  # the empty coloring is always solution-free
-    nodes, checks = 1, 1
-    exhausted = True
-
-    # element 1 red; sufficient by color-swap symmetry
-    pinned = _class_state(0b10, m, a, capmask)
-    if not _has_solution(pinned):
-        root = (0b10, 1, pinned, _class_state(0, m, a, capmask))
-        best_depth, best_red, sub_nodes, sub_checks, exhausted = _explore(
-            a, capmask, root, n_max, deadline
-        )
-        nodes += sub_nodes
-        checks += sub_checks
+    else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
+        status = EXACT
 
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis)
-    certificate = Coloring(best_depth, best_red)
-    if not exhausted:
-        return SearchOutcome(CUTOFF, None, best_depth, certificate, stats)
-    return SearchOutcome(EXACT, best_depth + 1, best_depth, certificate, stats)
+    rado_number = best_depth + 1 if status == EXACT else None
+    return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 
 
 @dataclass(frozen=True)
@@ -236,8 +197,8 @@ def sweep(
     """Run exact searches for m in [m_from, m_to] and compare with known values.
 
     A per-entry timeout turns into a cutoff entry and bounds the cost of a
-    large n_max; the sweep itself never aborts. Like exact_rado_number, each
-    search runs on one thread and threads is accepted for compatibility only.
+    large n_max; the sweep itself never aborts. threads must be >= 1 and has
+    no effect, as in exact_rado_number.
     """
     if m_from < 2 or m_to < m_from:
         raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")

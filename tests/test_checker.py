@@ -9,7 +9,6 @@ from radonum import (
     Coloring,
     RadoEquation,
     SolutionTemplate,
-    SumsetTable,
     Witness,
     evaluate_template,
     find_mono_solution,
@@ -17,6 +16,7 @@ from radonum import (
     naive_find_mono_solution,
     verify_witness,
 )
+from radonum.checker import _sumset_layers
 
 
 def all_colorings(n):
@@ -24,37 +24,37 @@ def all_colorings(n):
         yield Coloring(n, bits << 1)
 
 
+def capmask(cap):
+    return (1 << (cap + 1)) - 1
+
+
 def test_sumset_table_layer_one_is_the_class():
-    table = SumsetTable.build(0b10110, 3, 12)  # class {1, 2, 4}
-    assert table.layers[0] == 0b10110
-    assert table.contains(1, 2)
-    assert not table.contains(1, 3)
+    layers = _sumset_layers(0b10110, 3, capmask(12))  # class {1, 2, 4}
+    assert len(layers) == 3
+    assert layers[0] == 0b10110
+    assert (layers[0] >> 2) & 1
+    assert not (layers[0] >> 3) & 1
 
 
 def test_sumset_table_recurrence_and_support():
-    class_bits = 0b101010  # {1, 3, 5}
     elements = [1, 3, 5]
     cap = 18
-    table = SumsetTable.build(class_bits, 4, cap)
-    capmask = (1 << (cap + 1)) - 1
+    layers = _sumset_layers(0b101010, 4, capmask(cap))  # class {1, 3, 5}
     for k in range(1, 4):
         expected = 0
         for e in elements:
-            expected |= table.layers[k - 1] << e
-        assert table.layers[k] == expected & capmask
+            expected |= layers[k - 1] << e
+        assert layers[k] == expected & capmask(cap)
     for k in range(1, 5):
-        layer = table.layers[k - 1]
+        layer = layers[k - 1]
         low = (layer & -layer).bit_length() - 1
         assert low == k * 1  # k copies of the least element
         assert layer.bit_length() - 1 <= k * 5
 
 
 def test_sumset_table_truncates_at_cap():
-    table = SumsetTable.build(0b1000, 3, 5)  # class {3}, cap 5
-    assert table.layers[0] == 0b1000
-    assert table.layers[1] == 0  # 6 > cap
-    assert table.layers[2] == 0
-    assert not table.contains(2, 6)
+    layers = _sumset_layers(0b1000, 3, capmask(5))  # class {3}, cap 5
+    assert layers == [0b1000, 0, 0]  # 6 and 9 exceed the cap
 
 
 def test_all_red_interval_has_solution():

@@ -152,16 +152,14 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     assert cert.verify()
 
 
-def test_exact_threads_flag_and_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RADO_THREADS", "2")
+def test_exact_threads_flag_and_env(capsys, monkeypatch):
+    # the search runs on one thread: there is no --threads flag and no RADO_THREADS
+    assert run(["exact", "--m", "3", "--a", "3", "--threads", "1"]) == 2
+    assert run(["sweep", "--a", "3", "--m-from", "3", "--m-to", "3", "--threads", "1"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("RADO_THREADS", "not-a-number")
     assert run(["exact", "--m", "3", "--a", "3"]) == 0
     assert capsys.readouterr().out == "9\n"
-    monkeypatch.setenv("RADO_THREADS", "not-a-number")
-    assert run(["exact", "--m", "3", "--a", "3"]) == 2
-    capsys.readouterr()
-    # an explicit flag beats the environment
-    assert run(["exact", "--m", "3", "--a", "3", "--threads", "1"]) == 0
-    capsys.readouterr()
 
 
 def test_exact_timeout_flag(capsys):
@@ -172,6 +170,18 @@ def test_exact_timeout_flag(capsys):
     # an expired deadline reaches the search and turns the answer into a cutoff
     assert run(["exact", "--m", "5", "--a", "1", "--timeout", "0"]) == 1
     assert capsys.readouterr().out.startswith("cutoff deepest_valid=")
+
+
+@pytest.mark.parametrize("command", [
+    ["exact", "--m", "3", "--a", "3"],
+    ["sweep", "--a", "3", "--m-from", "3", "--m-to", "4"],
+])
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_timeout_must_be_a_nonnegative_number(command, timeout, capsys):
+    assert run([*command, "--timeout", timeout]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "timeout" in captured.err
 
 
 def test_sweep_output_and_report(tmp_path, capsys):
@@ -240,6 +250,22 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert run(["check", "--file", str(path), "--m", "3", "--a", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("document", [
+    [1, 2],
+    "hello",
+    {"n": 3, "red": 5},
+    {"n": 3, "red": ["1"]},
+    {"coloring": {"n": 3, "red": [1]}, "equation": [3, 3]},
+])
+def test_wrongly_shaped_json_exits_2(tmp_path, capsys, document):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(document))
+    assert run(["check", "--file", str(path), "--m", "3", "--a", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_selftest_passes(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from radonum import (
+    Color,
     Coloring,
     RadoEquation,
     ceiling_formula,
@@ -10,10 +11,18 @@ from radonum import (
     is_valid_coloring,
     known_rado_number,
     lower_bound_coloring,
-    prefix_is_solution_free,
     sweep,
 )
-from radonum.search import CUTOFF, EXACT
+from radonum.search import CUTOFF, EXACT, _add_element, _has_solution
+
+
+def fold(eq, n, elements):
+    """State of the class holding `elements`, folded in order, capped at a*n."""
+    capmask = (1 << (eq.a * n + 1)) - 1
+    state = ((0,) * (eq.m - 1), 0)
+    for x in elements:
+        state = _add_element(state, x, eq.a, capmask)
+    return state
 
 
 def test_exact_values_a3_small():
@@ -113,6 +122,8 @@ def test_timeout_reports_cutoff():
     assert out.status == CUTOFF
     assert out.rado_number is None
     assert is_valid_coloring(out.certificate, RadoEquation(5, 1))
+    # the deadline is polled before the pinned root is expanded
+    assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (1, 1, 1)
 
 
 def test_validates_parameters():
@@ -120,33 +131,41 @@ def test_validates_parameters():
         exact_rado_number(RadoEquation(3, 3), n_max=0)
     with pytest.raises(ValueError):
         exact_rado_number(RadoEquation(3, 3), n_max=10, threads=0)
+    for timeout in (float("nan"), -1.0):  # NaN would never expire
+        with pytest.raises(ValueError):
+            exact_rado_number(RadoEquation(3, 3), n_max=10, timeout=timeout)
 
 
 def test_prefix_check_on_lower_bound_prefixes():
+    # the DFS path to the lower-bound coloring red {1, 2} of [6]: every fold stays free
     eq = RadoEquation(8, 3)
-    col = lower_bound_coloring(eq)  # red {1, 2} of [6]
+    col = lower_bound_coloring(eq)
+    capmask = (1 << (eq.a * col.n + 1)) - 1
+    states = {Color.RED: fold(eq, col.n, []), Color.BLUE: fold(eq, col.n, [])}
     for k in range(1, col.n + 1):
-        prefix = Coloring(k, col.red_bits & ((1 << (k + 1)) - 2))
-        assert prefix_is_solution_free(prefix, eq, k), k
+        color = col.color_of(k)
+        states[color] = _add_element(states[color], k, eq.a, capmask)
+        assert not _has_solution(states[color]), k
 
 
 def test_prefix_check_sees_new_solutions():
     # all-red [k] with k = max(a, m-1) has the generic solution
     for m, a in [(3, 3), (4, 2), (5, 3), (3, 1)]:
+        eq = RadoEquation(m, a)
         k = max(a, m - 1)
-        col = Coloring.from_red(k, range(1, k + 1))
-        assert not prefix_is_solution_free(col, RadoEquation(m, a), k)
+        assert _has_solution(fold(eq, k, range(1, k + 1)))
 
 
 def test_prefix_check_only_looks_at_the_changed_class():
-    # red {1, 2} solves (3, 3) via 1+2=3*1, but element 3 just joined blue
-    col = Coloring.from_red(3, [1, 2])
-    assert prefix_is_solution_free(col, RadoEquation(3, 3), 3)
-    assert not prefix_is_solution_free(col, RadoEquation(3, 3), 2)
+    # red {1, 2} solves (3, 3) via 1+2=3*1; blue {3} alone does not
+    eq = RadoEquation(3, 3)
+    assert _has_solution(fold(eq, 3, [1, 2]))
+    assert not _has_solution(fold(eq, 3, [3]))
 
 
 def test_prefix_check_empty():
-    assert prefix_is_solution_free(Coloring(0), RadoEquation(3, 3), 1)
+    for m, a in [(3, 3), (2, 1), (6, 2)]:
+        assert not _has_solution(fold(RadoEquation(m, a), 4, []))
 
 
 def test_sweep_agreement_a3():
@@ -193,6 +212,9 @@ def test_sweep_validates_parameters():
         sweep(3, 5, 4, n_max=10)
     with pytest.raises(ValueError):
         sweep(3, 3, 4, n_max=10, threads=0)
+    for timeout in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            sweep(3, 3, 4, n_max=10, timeout=timeout)
 
 
 def test_sweep_confirms_values_past_n_max_32():
