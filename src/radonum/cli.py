@@ -25,7 +25,7 @@ from typing import Sequence
 from . import __version__
 from .checker import find_mono_solution, is_valid_coloring, naive_find_mono_solution, verify_witness
 from .construction import lower_bound_coloring, small_case_coloring
-from .core import Coloring, RadoEquation, Witness
+from .core import Coloring, RadoEquation, Witness, json_int
 from .formula import ceiling_formula, closed_form, decompose, known_rado_number
 from .search import exact_rado_number, sweep
 
@@ -33,6 +33,10 @@ from .search import exact_rado_number, sweep
 def dumps(obj) -> str:
     """Canonical JSON encoding used for every file and stdout document."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _equation_from_dict(data: dict) -> RadoEquation:
+    return RadoEquation(json_int(data["m"], "m"), json_int(data["a"], "a"))
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class CertificateFile:
     def from_dict(cls, data: dict) -> CertificateFile:
         witness = Witness.from_dict(data["witness"]) if "witness" in data else None
         return cls(
-            RadoEquation(int(data["equation"]["m"]), int(data["equation"]["a"])),
+            _equation_from_dict(data["equation"]),
             Coloring.from_dict(data["coloring"]),
             data["claim"],
             witness,
@@ -98,7 +102,7 @@ def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None
     if "coloring" in data:
         eq = None
         if "equation" in data:
-            eq = RadoEquation(int(data["equation"]["m"]), int(data["equation"]["a"]))
+            eq = _equation_from_dict(data["equation"])
         return Coloring.from_dict(data["coloring"]), eq
     return Coloring.from_dict(data), None
 

@@ -27,6 +27,19 @@ def check64(value: int, what: str = "value") -> int:
     return value
 
 
+def json_int(value, what: str) -> int:
+    """An integer field read from a JSON document.
+
+    JSON has one number type, so an integral float such as 3.0 reads as 3;
+    a bool, a non-integral number or any other type raises ValueError.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a nonnegative mask in ascending order."""
     while mask:
@@ -118,7 +131,8 @@ class Coloring:
 
     @classmethod
     def from_dict(cls, data: dict) -> Coloring:
-        return cls.from_red(int(data["n"]), data["red"])
+        red = [json_int(x, "red element") for x in data["red"]]
+        return cls.from_red(json_int(data["n"], "n"), red)
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,9 @@ class SolutionTemplate:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> SolutionTemplate:
-        return cls(tuple((int(c), int(v)) for c, v in pairs))
+        return cls(
+            tuple((json_int(c, "group count"), json_int(v, "group value")) for c, v in pairs)
+        )
 
     @classmethod
     def from_slots(cls, values: Sequence[int]) -> SolutionTemplate:

@@ -15,6 +15,20 @@ one class with m-1 shifts (see _add_element), and the child is pruned iff
 the folded last layer meets the folded targets. The other class keeps its
 parent state by reference.
 
+Lookahead: a popped node of depth d < best_depth is skipped, its children
+unchecked, when some y in d+2 .. best_depth+1 is blocked in both classes
+(_blocks: adding y to the class closes a solution). This is sound: every
+descendant's classes contain the node's, so a solution that y closes at the
+node stays closed below it, and no descendant can color y; the subtree thus
+holds only colorings of depth <= y-1 <= best_depth. best_depth never falls,
+so none of them could have become the best, and since the DFS pops in
+preorder, every node that can set a new best is still visited in the same
+order. The status, rado_number, deepest_valid and certificate are therefore
+those of the search without lookahead; only the node and check counts fall.
+(y = d+1 is left to the child checks, which are exact.) This is the
+forced-element pruning of exhaustive van der Waerden searches (Kouril and
+Paul, The van der Waerden number W(2,6) is 1132, Exp. Math. 2008).
+
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
 that order. The search runs on one thread: the pure-Python DFS holds the
@@ -59,6 +73,27 @@ def _has_solution(state: _ClassState) -> bool:
     return bool(layers[-1] & targets)
 
 
+def _blocks(state: _ClassState, y: int, a: int) -> bool:
+    """Whether adding a future element y to the class would close a solution.
+
+    Reads only the class state (layers of S, targets a*S); y itself need not
+    be folded in. Sound but incomplete: it finds the solutions in S + {y}
+    where y appears at most once on the left side, namely
+      a*y in L_{m-1}               y only on the right,
+      y + s = a*t, s in L_{m-2}    y once on the left, some t in S on the right,
+      (a-1)*y in L_{m-2}           y once on the left and on the right,
+    with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
+    loses nothing while y <= n_max.
+    """
+    layers, targets = state
+    below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
+    return bool(
+        layers[-1] >> (a * y) & 1
+        or (below << y) & targets
+        or below >> ((a - 1) * y) & 1
+    )
+
+
 @dataclass(frozen=True)
 class SearchStats:
     nodes: int
@@ -96,7 +131,8 @@ def exact_rado_number(
     """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
     Exhausts colorings up to n_max elements by a preorder DFS, red child
-    before blue; a node is (red_bits, depth, red_state, blue_state). Reports
+    before blue, with the lookahead of the module docstring; a node is
+    (red_bits, depth, red_state, blue_state). Reports
     "exact" with the Rado number when the stack empties, otherwise "cutoff":
     the search stops at the first node of depth n_max (in preorder it carries
     the lexicographically least red set among deepest colorings) or once the
@@ -137,6 +173,12 @@ def exact_rado_number(
             best_depth, best_red = depth, red
         if depth >= n_max:
             break
+        # lookahead: no extension colors y, so none goes deeper than y - 1 <= best_depth
+        if any(
+            _blocks(red_state, y, a) and _blocks(blue_state, y, a)
+            for y in range(depth + 2, best_depth + 2)
+        ):
+            continue
         x = depth + 1
         checks += 1
         child = _add_element(blue_state, x, a, capmask)

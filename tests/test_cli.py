@@ -258,6 +258,12 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     {"n": 3, "red": 5},
     {"n": 3, "red": ["1"]},
     {"coloring": {"n": 3, "red": [1]}, "equation": [3, 3]},
+    {"n": 3.7, "red": [1]},
+    {"n": True, "red": [1]},
+    {"n": 3, "red": [True]},
+    {"n": 3, "red": [1.5]},
+    {"coloring": {"n": 3, "red": [1]}, "equation": {"m": 3.5, "a": 3}},
+    {"coloring": {"n": 3, "red": [1]}, "equation": {"m": 3, "a": True}},
 ])
 def test_wrongly_shaped_json_exits_2(tmp_path, capsys, document):
     path = tmp_path / "shape.json"
@@ -266,6 +272,15 @@ def test_wrongly_shaped_json_exits_2(tmp_path, capsys, document):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_integral_json_numbers_are_integers(tmp_path, capsys):
+    # JSON has one number type: 8.0 and 2.0 are read as 8 and 2
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"coloring": {"n": 6.0, "red": [1, 2.0]},
+                                "equation": {"m": 8.0, "a": 3}}))
+    assert run(["check", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
 
 
 def test_selftest_passes(capsys):

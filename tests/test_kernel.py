@@ -1,4 +1,11 @@
-"""The search's incremental sumset fold, against the checker and the naive oracle."""
+"""The search's kernels against the checker and brute force.
+
+The incremental sumset fold and the lookahead test _blocks are compared with
+the layer-at-a-time checker, the naive oracle and plain enumeration, and
+exact_rado_number with a search that tries every coloring.
+"""
+
+import itertools
 
 import pytest
 
@@ -7,10 +14,32 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radonum import Coloring, RadoEquation, naive_find_mono_solution
+from radonum import Coloring, RadoEquation, find_mono_solution, naive_find_mono_solution
 from radonum.checker import _sumset_layers
 from radonum.core import Color, iter_bits
-from radonum.search import _add_element, _has_solution
+from radonum.search import CUTOFF, EXACT, _add_element, _blocks, _has_solution, exact_rado_number
+
+# solution shapes _blocks covers: (copies of y on the left side, whether x_m = y)
+Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
+
+
+def fold(elements, m, a, n):
+    capmask = (1 << (a * n + 1)) - 1
+    state = ((0,) * (m - 1), 0)
+    for x in elements:
+        state = _add_element(state, x, a, capmask)
+    return state
+
+
+def shapes_closed_by(members, y, m, a):
+    """Shapes of the solutions in members + {y} that use y, by enumeration."""
+    pool = sorted(set(members) | {y})
+    found = set()
+    for left in itertools.combinations_with_replacement(pool, m - 1):
+        for right in pool:
+            if sum(left) == a * right and (y in left or right == y):
+                found.add((left.count(y), right == y))
+    return found
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,3 +81,70 @@ def test_prefix_check_matches_oracle(m, a, n, data):
     # the oracle searches red first, so its witness color settles the red class alone
     witness = naive_find_mono_solution(Coloring.from_red(n, members), RadoEquation(m, a))
     assert _has_solution(state) == (witness is not None and witness.color is Color.RED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    a=st.integers(1, 5),
+    n=st.integers(0, 8),
+    data=st.data(),
+)
+def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
+    # a future element y, as in the search: above every member, at most n_max = n + 4
+    members = data.draw(st.sets(st.integers(1, n))) if n else set()
+    y = data.draw(st.integers(n + 1, n + 4))
+    state = fold(sorted(members), m, a, n + 4)
+    blocked = _blocks(state, y, a)
+    if blocked:  # sound: y really closes a solution
+        assert _has_solution(_add_element(state, y, a, (1 << (a * (n + 4) + 1)) - 1))
+    # and it finds every solution with y at most once on the left
+    covered = shapes_closed_by(members, y, m, a) & {Y_RIGHT, Y_LEFT, Y_BOTH}
+    assert blocked == bool(covered)
+
+
+# one example per case, where y closes solutions of that shape only
+@pytest.mark.parametrize(
+    ("m", "a", "members", "y", "shape"),
+    [
+        (3, 1, {1, 3}, 4, Y_RIGHT),  # 1 + 3 = 4
+        (3, 3, {1, 3}, 6, Y_LEFT),  # 6 + 3 = 3*3
+        (2, 3, {2}, 6, Y_LEFT),  # 6 = 3*2, L_0 = {0}
+        (4, 2, {1, 3}, 6, Y_BOTH),  # 6 + 3 + 3 = 2*6
+    ],
+)
+def test_blocks_covers_each_case(m, a, members, y, shape):
+    assert shapes_closed_by(members, y, m, a) == {shape}
+    state = fold(sorted(members), m, a, y)
+    assert not _has_solution(state)
+    assert _blocks(state, y, a)
+
+
+def brute_force_search(eq, n_max):
+    """exact_rado_number's answer from every coloring of [n] with 1 red, n <= n_max.
+
+    Colorings of [n] are tried red-first on 2, then on 3, and so on: the DFS's
+    preorder, so the first valid one is the certificate the search reports.
+    """
+    deepest = Coloring(0)
+    for n in range(1, n_max + 1):
+        colorings = (
+            Coloring(n, sum(bit << x for x, bit in enumerate(reds, start=1)))
+            for reds in itertools.product((1, 0), repeat=n)
+            if reds[0]
+        )
+        valid = next((col for col in colorings if find_mono_solution(col, eq) is None), None)
+        if valid is None:
+            return EXACT, n, deepest
+        deepest = valid
+    return CUTOFF, None, deepest
+
+
+@pytest.mark.parametrize("n_max", [5, 11])
+@pytest.mark.parametrize(("m", "a"), [(2, 2), (3, 1), (3, 3), (3, 4), (4, 1), (4, 3), (5, 2), (5, 3)])
+def test_exact_rado_number_matches_brute_force(m, a, n_max):
+    eq = RadoEquation(m, a)
+    out = exact_rado_number(eq, n_max=n_max)
+    status, rado_number, certificate = brute_force_search(eq, n_max)
+    assert (out.status, out.rado_number, out.certificate) == (status, rado_number, certificate)
+    assert out.deepest_valid == certificate.n

@@ -98,11 +98,11 @@ def test_thread_count_does_not_change_results():
 
 # (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
 PINNED_TREES = [
-    ((14, 2, 54), (EXACT, 46, 920, 1839, 126)),
-    ((16, 2, 68), (EXACT, 60, 2281, 4561, 254)),
-    ((20, 3, 53), (EXACT, 45, 646, 1291, 126)),
-    ((25, 3, 72), (EXACT, 64, 1684, 3367, 254)),
-    ((45, 6, 67), (EXACT, 59, 1237, 2473, 254)),
+    ((14, 2, 54), (EXACT, 46, 77, 121, 126)),
+    ((16, 2, 68), (EXACT, 60, 99, 157, 254)),
+    ((20, 3, 53), (EXACT, 45, 92, 147, 126)),
+    ((25, 3, 72), (EXACT, 64, 120, 197, 254)),
+    ((45, 6, 67), (EXACT, 59, 269, 479, 254)),
     ((18, 2, 40), (CUTOFF, None, 41, 79, 510)),
 ]
 
@@ -115,6 +115,17 @@ def test_search_tree_is_pinned(params, want, threads):
     got = (out.status, out.rado_number, out.stats.nodes, out.stats.checks,
            out.certificate.red_bits)
     assert got == want
+
+
+@pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3)])
+def test_ladder_points_reach_the_ceiling_formula(m, a):
+    # the largest ROADMAP ladder points, refuted at n_max = C(m, a) itself
+    eq = RadoEquation(m, a)
+    c = ceiling_formula(eq)
+    out = exact_rado_number(eq, n_max=c)
+    assert (out.status, out.rado_number, out.deepest_valid) == (EXACT, c, c - 1)
+    assert out.certificate.n == c - 1
+    assert is_valid_coloring(out.certificate, eq)
 
 
 def test_timeout_reports_cutoff():
