@@ -7,27 +7,38 @@ once depth deepest_valid + 1 has been refuted exhaustively. Element 1 is
 pinned red: swapping the two colors preserves validity, so the red half of
 the tree suffices.
 
-Each DFS node carries, per color class, the state (layers, targets):
+Each DFS node carries, per color class, the state (layers, targets, blocked):
 layers[k-1] is the bitset of sums of exactly k class elements (repetition
-allowed, k = 1..m-1) and targets is the bitset {a*t : t in class}, all
+allowed, k = 1..m-1) and targets is the bitset {a*t : t in class}, both
 truncated at a*n_max, the largest target. Coloring element x folds it into
 one class with m-1 shifts (see _add_element), and the child is pruned iff
 the folded last layer meets the folded targets. The other class keeps its
 parent state by reference.
 
+blocked is the bitset of the y that would close a solution if added to the
+class, as far as these shapes go, with L_0 = {0}:
+  a*y in L_{m-1}               y only on the right,
+  y + s = a*t, s in L_{m-2}    y once on the left, some t in the class on the right,
+  (a-1)*y in L_{m-2}           y once on the left and on the right.
+Solutions with y twice or more on the left are not looked for. Every value
+involved is at most a*y, so the cap at a*n_max loses nothing for y <= n_max.
+Since a class only grows, blocked only grows: _add_element ORs the new y into
+the parent's mask with whole-integer operations, for children that survive
+the solution check.
+
 Lookahead: a popped node of depth d < best_depth is skipped, its children
-unchecked, when some y in d+2 .. best_depth+1 is blocked in both classes
-(_blocks: adding y to the class closes a solution). This is sound: every
-descendant's classes contain the node's, so a solution that y closes at the
-node stays closed below it, and no descendant can color y; the subtree thus
-holds only colorings of depth <= y-1 <= best_depth. best_depth never falls,
-so none of them could have become the best, and since the DFS pops in
-preorder, every node that can set a new best is still visited in the same
-order. The status, rado_number, deepest_valid and certificate are therefore
-those of the search without lookahead; only the node and check counts fall.
-(y = d+1 is left to the child checks, which are exact.) This is the
-forced-element pruning of exhaustive van der Waerden searches (Kouril and
-Paul, The van der Waerden number W(2,6) is 1132, Exp. Math. 2008).
+unchecked, when some y in d+2 .. best_depth+1 is blocked in both classes,
+one AND of the two masks and the window. This is sound: every descendant's
+classes contain the node's, so a solution that y closes at the node stays
+closed below it, and no descendant can color y; the subtree thus holds only
+colorings of depth <= y-1 <= best_depth. best_depth never falls, so none of
+them could have become the best, and since the DFS pops in preorder, every
+node that can set a new best is still visited in the same order. The status,
+rado_number, deepest_valid and certificate are therefore those of the search
+without lookahead; only the node and check counts fall. (y = d+1 is left to
+the child checks, which are exact.) This is the forced-element pruning of
+exhaustive van der Waerden searches (Kouril and Paul, The van der Waerden
+number W(2,6) is 1132, Exp. Math. 2008).
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -42,7 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Coloring, RadoEquation
+from .core import Coloring, RadoEquation, iter_bits
 from .formula import KnownNumber, known_rado_number
 
 EXACT = "exact"
@@ -50,48 +61,70 @@ CUTOFF = "cutoff"
 
 _POLL_MASK = 127  # poll the deadline every this many expanded nodes
 
-_ClassState = tuple[tuple[int, ...], int]  # (layers, targets), see the module docstring
+# (layers, targets, blocked): the sums of 1..m-1 elements, {a*t}, and the future
+# y that would close a solution, all bitsets; see the module docstring
+_ClassState = tuple[tuple[int, ...], int, int]
+
+
+def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
+    """State of an empty class. It blocks no y, except for L(2, 1): y = y."""
+    return (0,) * (m - 1), 0, capmask << 1 if (m, a) == (2, 1) else 0
+
+
+def _decimate(bits: int, step: int) -> int:
+    """The bitset {y : step*y in bits}, for step >= 1.
+
+    Goes through a base-2 string, whose slice picks every step-th bit at C
+    speed. Conversions between int and str stay in base 2 throughout: decimal
+    ones are quadratic and capped at 4,300 digits since Python 3.11.
+    """
+    digits = bin(bits)[2:]  # bit p sits at index len - 1 - p
+    return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
 def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassState:
-    """Class state after adding element x: one shift per layer.
+    """Class state after adding element x.
 
     A sum of k elements of S + {x} either avoids x (layer k of S) or is x
     plus a sum of k-1 elements of S + {x}, so with L'_0 = {0} the new layers
-    are L'_k = L_k | (L'_{k-1} << x), built from k = 1 upwards. Adding an
-    element already in the class leaves the state unchanged.
+    are L'_k = L_k | (L'_{k-1} << x), built from k = 1 upwards: one shift per
+    layer. Adding an element already in the class leaves the state unchanged.
+
+    blocked only grows, so the parent's is extended by the new y of each shape:
+      shape 1, a*y in L'_{m-1}:     L'_{m-1} decimated by a;
+      shape 3, (a-1)*y in L'_{m-2}: L'_{m-2} decimated by a-1;
+      shape 2, y + s = a*t, with s in L'_{m-2} and t in S + {x}: for t = x,
+        L'_{m-2} bit-reversed about a*x; for t in S, only the s that are new
+        in L'_{m-2}, each as targets >> s. Such an s can reach a target only
+        below targets.bit_length(), whatever the order elements arrive in.
+    blocked is left as the parent's once the class holds a solution: such a
+    child is pruned, so its mask is never read.
     """
-    layers, targets = state
+    layers, targets, blocked = state
     prev = 1
-    layers = tuple([prev := (layer | (prev << x)) & capmask for layer in layers])
-    return layers, targets | (1 << (a * x))
+    new_layers = tuple([prev := (layer | (prev << x)) & capmask for layer in layers])
+    ax = a * x
+    new_targets = targets | (1 << ax)
+    if new_layers[-1] & new_targets:
+        return new_layers, new_targets, blocked
+    below = new_layers[-2] if len(layers) > 1 else 1  # L'_{m-2}
+    blocked |= _decimate(new_layers[-1], a)
+    if a > 1:  # a = 1: 0 is in L'_{m-2} only for m = 2, where x = x is a solution
+        blocked |= _decimate(below, a - 1)
+    low = below & ((1 << ax) - 1)  # s < a*x, so that y = a*x - s >= 1
+    # reversing the base-2 digits moves bit s to low.bit_length() - 1 - s
+    blocked |= int(bin(low)[:1:-1], 2) << (ax + 1 - low.bit_length())
+    if len(layers) > 1:  # for m = 2, L_0 = {0} gains nothing
+        new = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)
+        for s in iter_bits(new):
+            blocked |= targets >> s
+    return new_layers, new_targets, blocked
 
 
 def _has_solution(state: _ClassState) -> bool:
     """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
-    layers, targets = state
+    layers, targets, _ = state
     return bool(layers[-1] & targets)
-
-
-def _blocks(state: _ClassState, y: int, a: int) -> bool:
-    """Whether adding a future element y to the class would close a solution.
-
-    Reads only the class state (layers of S, targets a*S); y itself need not
-    be folded in. Sound but incomplete: it finds the solutions in S + {y}
-    where y appears at most once on the left side, namely
-      a*y in L_{m-1}               y only on the right,
-      y + s = a*t, s in L_{m-2}    y once on the left, some t in S on the right,
-      (a-1)*y in L_{m-2}           y once on the left and on the right,
-    with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
-    loses nothing while y <= n_max.
-    """
-    layers, targets = state
-    below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
-    return bool(
-        layers[-1] >> (a * y) & 1
-        or (below << y) & targets
-        or below >> ((a - 1) * y) & 1
-    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +187,7 @@ def exact_rado_number(
     # checking its pinned child (element 1 red, by color-swap symmetry) as one check
     best_depth, best_red = 0, 0
     nodes = checks = 1
-    empty = ((0,) * (m - 1), 0)
+    empty = _empty_state(m, a, capmask)
     pinned = _add_element(empty, 1, a, capmask)
     stack = []
     if not _has_solution(pinned):
@@ -174,10 +207,7 @@ def exact_rado_number(
         if depth >= n_max:
             break
         # lookahead: no extension colors y, so none goes deeper than y - 1 <= best_depth
-        if any(
-            _blocks(red_state, y, a) and _blocks(blue_state, y, a)
-            for y in range(depth + 2, best_depth + 2)
-        ):
+        if (red_state[2] & blue_state[2] & ((1 << (best_depth + 2)) - 1)) >> (depth + 2):
             continue
         x = depth + 1
         checks += 1

@@ -1,8 +1,9 @@
 """The search's kernels against the checker and brute force.
 
-The incremental sumset fold and the lookahead test _blocks are compared with
-the layer-at-a-time checker, the naive oracle and plain enumeration, and
-exact_rado_number with a search that tries every coloring.
+The incremental sumset fold and the lookahead's blocked-y mask are compared
+with the layer-at-a-time checker, the naive oracle, the per-y test blocks and
+plain enumeration, and exact_rado_number with a search that tries every
+coloring.
 """
 
 import itertools
@@ -11,21 +12,50 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radonum import Coloring, RadoEquation, find_mono_solution, naive_find_mono_solution
 from radonum.checker import _sumset_layers
 from radonum.core import Color, iter_bits
-from radonum.search import CUTOFF, EXACT, _add_element, _blocks, _has_solution, exact_rado_number
+from radonum.search import (
+    CUTOFF,
+    EXACT,
+    _add_element,
+    _empty_state,
+    _has_solution,
+    exact_rado_number,
+)
 
-# solution shapes _blocks covers: (copies of y on the left side, whether x_m = y)
+# solution shapes blocks covers: (copies of y on the left side, whether x_m = y)
 Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
+
+
+def blocks(state, y, a):
+    """Whether adding a future element y to the class would close a solution.
+
+    The reference for bit y of the state's blocked mask, one y at a time. Reads
+    only the class's layers and targets a*S; y itself need not be folded in.
+    Sound but incomplete: it finds the solutions in S + {y} where y appears at
+    most once on the left side, namely
+      a*y in L_{m-1}               y only on the right,
+      y + s = a*t, s in L_{m-2}    y once on the left, some t in S on the right,
+      (a-1)*y in L_{m-2}           y once on the left and on the right,
+    with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
+    loses nothing while y <= n_max.
+    """
+    layers, targets, _ = state
+    below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
+    return bool(
+        layers[-1] >> (a * y) & 1
+        or (below << y) & targets
+        or below >> ((a - 1) * y) & 1
+    )
 
 
 def fold(elements, m, a, n):
     capmask = (1 << (a * n + 1)) - 1
-    state = ((0,) * (m - 1), 0)
+    state = _empty_state(m, a, capmask)
     for x in elements:
         state = _add_element(state, x, a, capmask)
     return state
@@ -53,12 +83,12 @@ def test_fold_matches_sumset_table(m, a, n, data):
     # elements arrive in any order and may repeat; every prefix is compared
     elements = data.draw(st.lists(st.integers(1, n), max_size=12))
     capmask = (1 << (a * n + 1)) - 1
-    state = ((0,) * (m - 1), 0)
+    state = _empty_state(m, a, capmask)
     bits = 0
     for x in elements:
         state = _add_element(state, x, a, capmask)
         bits |= 1 << x
-        layers, targets = state
+        layers, targets, _ = state
         assert list(layers) == _sumset_layers(bits, m - 1, capmask)
         assert targets == sum(1 << (a * t) for t in iter_bits(bits))
 
@@ -74,13 +104,29 @@ def test_prefix_check_matches_oracle(m, a, n, data):
     # a class folded in any order has a solution iff the oracle finds a red witness
     members = data.draw(st.sets(st.integers(1, n), min_size=1))
     order = data.draw(st.permutations(sorted(members)))
-    capmask = (1 << (a * n + 1)) - 1
-    state = ((0,) * (m - 1), 0)
-    for x in order:
-        state = _add_element(state, x, a, capmask)
+    state = fold(order, m, a, n)
     # the oracle searches red first, so its witness color settles the red class alone
     witness = naive_find_mono_solution(Coloring.from_red(n, members), RadoEquation(m, a))
     assert _has_solution(state) == (witness is not None and witness.color is Color.RED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    a=st.integers(1, 7),
+    n=st.integers(1, 30),
+    data=st.data(),
+)
+def test_blocked_mask_matches_blocks(m, a, n, data):
+    # every prefix of elements in any order, with repeats, while it is solution-free:
+    # a class with a solution stays so, is pruned and its mask is never read
+    elements = data.draw(st.lists(st.integers(1, n), max_size=12))
+    for k in range(len(elements) + 1):
+        state = fold(elements[:k], m, a, n)
+        if _has_solution(state):
+            break
+        ys = range(1, n + 2)
+        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,7 +141,8 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     members = data.draw(st.sets(st.integers(1, n))) if n else set()
     y = data.draw(st.integers(n + 1, n + 4))
     state = fold(sorted(members), m, a, n + 4)
-    blocked = _blocks(state, y, a)
+    assume(not _has_solution(state))  # the search reads only a solution-free class's mask
+    blocked = bool(state[2] >> y & 1)
     if blocked:  # sound: y really closes a solution
         assert _has_solution(_add_element(state, y, a, (1 << (a * (n + 4) + 1)) - 1))
     # and it finds every solution with y at most once on the left
@@ -117,7 +164,7 @@ def test_blocks_covers_each_case(m, a, members, y, shape):
     assert shapes_closed_by(members, y, m, a) == {shape}
     state = fold(sorted(members), m, a, y)
     assert not _has_solution(state)
-    assert _blocks(state, y, a)
+    assert state[2] >> y & 1
 
 
 def brute_force_search(eq, n_max):

@@ -13,13 +13,13 @@ from radonum import (
     lower_bound_coloring,
     sweep,
 )
-from radonum.search import CUTOFF, EXACT, _add_element, _has_solution
+from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, _has_solution
 
 
 def fold(eq, n, elements):
     """State of the class holding `elements`, folded in order, capped at a*n."""
     capmask = (1 << (eq.a * n + 1)) - 1
-    state = ((0,) * (eq.m - 1), 0)
+    state = _empty_state(eq.m, eq.a, capmask)
     for x in elements:
         state = _add_element(state, x, eq.a, capmask)
     return state
@@ -104,6 +104,15 @@ PINNED_TREES = [
     ((25, 3, 72), (EXACT, 64, 120, 197, 254)),
     ((45, 6, 67), (EXACT, 59, 269, 479, 254)),
     ((18, 2, 40), (CUTOFF, None, 41, 79, 510)),
+    # the blocked-y mask's edge cases: a = 1 (shape 3 never fires), m = 2 (L_0 = {0})
+    ((5, 1, 30), (EXACT, 19, 55, 87, 458766)),
+    ((8, 1, 70), (EXACT, 55, 278, 431, 35465847065542782)),
+    ((2, 3, 16), (CUTOFF, None, 17, 31, 94134)),
+    # the perfbench deep points and a ladder point
+    ((24, 2, 146), (EXACT, 138, 215, 351, 4094)),
+    ((40, 3, 177), (EXACT, 169, 269, 457, 8190)),
+    ((60, 6, 107), (EXACT, 99, 378, 623, 1022)),
+    ((100, 6, 281), (EXACT, 281, 853, 1375, 131070)),
 ]
 
 
