@@ -3,8 +3,11 @@
 The fast path builds, per color class S, a layered sumset table: layer k is
 the bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at cap = a*n. A monochromatic solution exists
-iff some target t in S has a*t present in layer m-1. A small multiset
-enumeration oracle provides an independent cross-check.
+iff some target t in S has a*t present in layer m-1. Each layer is built from
+the previous one with one shift per maximal run of consecutive elements of S
+plus at most ceil(log2(w+1)) shift-ORs per distinct run width w, never more
+than |S| shifts; a lower-bound coloring's classes are one run each. A small
+multiset enumeration oracle provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,20 +27,55 @@ from .core import (
 NAIVE_GUARD = 1_000_000
 
 
+def _smear_steps(w: int) -> list[int]:
+    """Shifts s_i such that x |= x << s_i, in turn, gives x | x<<1 | ... | x<<w.
+
+    Doubling, with a shorter last step: ceil(log2(w+1)) shifts.
+    """
+    steps = []
+    span = 1  # offsets 0 .. span-1 are covered
+    while span <= w:
+        step = min(span, w + 1 - span)
+        steps.append(step)
+        span += step
+    return steps
+
+
 def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     """Layered sumset table of one color class, built a layer at a time.
 
     Entry k-1 holds the sums of exactly k class elements (repetition
     allowed, k = 1..depth) as a bitmask, every layer truncated to capmask.
     Sums only grow, so truncation never loses a reachable value below the cap.
+
+    The class is split once into maximal runs p..p+w, with the run starts
+    grouped by w. The next layer is the OR over w of smear_w(OR over p of
+    prev << p), where smear_w(x) = x | x<<1 | ... | x<<w. The smears share
+    their shifts, widest group first: since smear_u(smear_v(x)) =
+    smear_{u+v}(x), each group is ORed into the running sum, which is then
+    smeared by the gap down to the next narrower width (or to 0). A layer
+    thus costs #runs shifts plus ceil(log2(gap+1)) per distinct width
+    instead of |S|.
     """
-    elements = list(iter_bits(class_bits))
+    starts_by_width: dict[int, list[int]] = {}
+    run_starts = iter_bits(class_bits & ~(class_bits << 1))
+    run_ends = iter_bits(class_bits & ~(class_bits >> 1))
+    for p, q in zip(run_starts, run_ends):
+        starts_by_width.setdefault(q - p, []).append(p)
+    widths = sorted(starts_by_width, reverse=True)
+    plan = [
+        (starts_by_width[w], _smear_steps(w - narrower))
+        for w, narrower in zip(widths, [*widths[1:], 0])
+    ]
     layers = [class_bits & capmask]
     for _ in range(depth - 1):
         acc = 0
         prev = layers[-1]
-        for e in elements:
-            acc |= prev << e
+        for starts, steps in plan:
+            for p in starts:
+                acc |= prev << p
+            for step in steps:
+                acc |= acc << step
         layers.append(acc & capmask)
     return layers
 

@@ -109,9 +109,9 @@ def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None
 
 def _cmd_formula(args) -> int:
     eq = RadoEquation(args.m, args.a)
+    bd = decompose(eq) if args.breakdown else None  # raises for a = 1 before any output
     print(ceiling_formula(eq))
-    if args.breakdown:
-        bd = decompose(eq)
+    if bd is not None:
         case = "c=1" if bd.c == 1 else ("c=0" if bd.c == 0 else "2<=c<=a-1")
         print(f"breakdown: u={bd.u} v={bd.v} c={bd.c} t={bd.t}")
         print(f"case: {case}")

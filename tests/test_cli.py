@@ -30,7 +30,9 @@ def test_formula_breakdown(capsys):
 
 def test_formula_breakdown_rejects_a1(capsys):
     assert run(["formula", "--m", "5", "--a", "1", "--breakdown"]) == 2
-    assert "error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing printed before the error
+    assert "error" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,7 +1,9 @@
-"""The search's kernels against the checker and brute force.
+"""The search's and the checker's kernels against references and brute force.
 
-The incremental sumset fold and the lookahead's blocked-y mask are compared
-with the layer-at-a-time checker, the naive oracle, the per-y test blocks and
+The checker's run-length sumset layers are compared with the per-element
+reference sumset_layers, down to the witnesses find_mono_solution returns. The
+incremental sumset fold and the lookahead's blocked-y mask are compared with
+the layer-at-a-time checker, the naive oracle, the per-y test blocks and
 plain enumeration, and exact_rado_number with a search that tries every
 coloring.
 """
@@ -15,7 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radonum import Coloring, RadoEquation, find_mono_solution, naive_find_mono_solution
+from radonum import (
+    Coloring,
+    RadoEquation,
+    checker,
+    find_mono_solution,
+    lower_bound_coloring,
+    naive_find_mono_solution,
+)
 from radonum.checker import _sumset_layers
 from radonum.core import Color, iter_bits
 from radonum.search import (
@@ -29,6 +38,89 @@ from radonum.search import (
 
 # solution shapes blocks covers: (copies of y on the left side, whether x_m = y)
 Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
+
+
+def sumset_layers(class_bits, depth, capmask):
+    """The reference for checker._sumset_layers: one shift per class element."""
+    elements = list(iter_bits(class_bits))
+    layers = [class_bits & capmask]
+    for _ in range(depth - 1):
+        acc = 0
+        prev = layers[-1]
+        for e in elements:
+            acc |= prev << e
+        layers.append(acc & capmask)
+    return layers
+
+
+def interval(lo, hi):
+    """Bits lo..hi of a class."""
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+def sum_bits(masks):
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+# classes that are mostly long runs, with gaps and single elements between them
+runs = st.lists(st.tuples(st.integers(1, 80), st.integers(0, 40)), max_size=5).map(
+    lambda spans: sum_bits(interval(p, p + w) for p, w in spans)
+)
+scattered = st.sets(st.integers(1, 80), max_size=20).map(
+    lambda members: sum_bits(1 << x for x in members)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    class_bits=st.one_of(runs, scattered, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])),
+    depth=st.integers(1, 7),
+    cap=st.integers(0, 400),
+)
+def test_run_length_layers_match_reference(class_bits, depth, cap):
+    capmask = (1 << (cap + 1)) - 1
+    assert _sumset_layers(class_bits, depth, capmask) == sumset_layers(class_bits, depth, capmask)
+
+
+@pytest.mark.parametrize(
+    ("class_bits", "depth", "cap"),
+    [
+        (0, 4, 30),  # an empty class
+        (1 << 1, 5, 30),  # single elements
+        (1 << 7, 4, 30),
+        ((1 << 3) | (1 << 9) | (1 << 20), 4, 60),
+        (interval(1, 6), 4, 40),  # a run that starts at 1
+        (interval(1, 1) | interval(3, 5) | interval(8, 15), 5, 80),  # widths 0, 2 and 7
+        (interval(2, 3) | interval(10, 11), 4, 40),  # two runs of width 1
+        (interval(5, 29), 3, 20),  # a run that crosses the cap
+        (interval(2, 9), 1, 40),  # depth 1
+        (interval(2, 9) | (1 << 30), 1, 12),  # depth 1, an element above the cap
+        (interval(20, 26), 3, 10),  # a capmask below the class
+        (interval(20, 26), 3, -1),  # capmask 0
+    ],
+)
+def test_run_length_layers_edges(class_bits, depth, cap):
+    capmask = (1 << (cap + 1)) - 1
+    layers = _sumset_layers(class_bits, depth, capmask)
+    assert len(layers) == depth
+    assert layers == sumset_layers(class_bits, depth, capmask)
+
+
+# certify-size points: lower-bound colorings of [C - 1] with C - 1 = 113, 112, 111
+@pytest.mark.parametrize(("m", "a"), [(32, 3), (52, 5), (82, 8)])
+def test_witnesses_match_reference_layers(monkeypatch, m, a):
+    # the lower-bound coloring and every one-element flip of it, with the layers
+    # built by run-length smearing and by the per-element reference
+    eq = RadoEquation(m, a)
+    base = lower_bound_coloring(eq)
+    colorings = [base] + [Coloring(base.n, base.red_bits ^ (1 << x)) for x in range(1, base.n + 1)]
+    fast = [find_mono_solution(col, eq) for col in colorings]
+    monkeypatch.setattr(checker, "_sumset_layers", sumset_layers)
+    assert fast == [find_mono_solution(col, eq) for col in colorings]
+    assert fast[0] is None and all(fast[1:])
 
 
 def blocks(state, y, a):
