@@ -194,7 +194,7 @@ def _format_entry(row: dict) -> str:
 
     return (
         f"m={row['m']} a={row['a']} exact={show('exact')} formula={show('formula')} "
-        f"agree={show('agree')} nodes={row['nodes']} millis={row['millis']}"
+        f"agree={show('agree')} nodes={row['nodes']}"
     )
 
 
@@ -202,6 +202,8 @@ def _cmd_sweep(args) -> int:
     entries = sweep(args.a, args.m_from, args.m_to, n_max=args.n_max, timeout=args.timeout)
     rows = [entry.to_report_dict() for entry in entries]
     for row in rows:
+        # timings vary from run to run, so they go to stderr and stdout stays byte-stable
+        print(f"# m={row['m']} a={row['a']} millis={row['millis']}", file=sys.stderr)
         print(_format_entry(row))
     if args.report:
         Path(args.report).write_text(dumps(rows), encoding="utf-8")

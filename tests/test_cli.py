@@ -196,10 +196,24 @@ def test_sweep_output_and_report(tmp_path, capsys):
     assert code == 0
     lines = captured.out.strip().splitlines()
     assert len(lines) == 4
-    assert lines[0].startswith("m=3 a=3 exact=9 formula=9 agree=yes")
+    assert lines[0] == "m=3 a=3 exact=9 formula=9 agree=yes nodes=10"
+    # the timing of each row goes to stderr and into the report, not to stdout
+    assert "millis" not in captured.out
+    timings = captured.err.strip().splitlines()
+    assert [line.split(" millis=")[0] for line in timings] == [f"# m={m} a=3" for m in range(3, 7)]
     rows = json.loads(report.read_text())
     assert [row["exact"] for row in rows] == [9, 1, 4, 5]
     assert all(row["agree"] is True for row in rows)
+    assert all(row["millis"] >= 0 for row in rows)
+
+
+def test_sweep_stdout_is_byte_stable(capsys):
+    outs = []
+    for _ in range(2):
+        assert run(["sweep", "--a", "3", "--m-from", "3", "--m-to", "8"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[-1] == "m=8 a=3 exact=7 formula=7 agree=yes nodes=11"
 
 
 def test_sweep_unknown_regime_prints_dashes(capsys):

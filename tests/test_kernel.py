@@ -2,10 +2,10 @@
 
 The checker's run-length sumset layers are compared with the per-element
 reference sumset_layers, down to the witnesses find_mono_solution returns. The
-incremental sumset fold and the lookahead's blocked-y mask are compared with
-the layer-at-a-time checker, the naive oracle, the per-y test blocks and
-plain enumeration, and exact_rado_number with a search that tries every
-coloring.
+incremental sumset fold, its saturated-layer index and the lookahead's blocked-y
+mask are compared with the layer-at-a-time checker, the reference layers, the
+naive oracle, the per-y test blocks and plain enumeration, and
+exact_rado_number with a search that tries every coloring.
 """
 
 import itertools
@@ -136,7 +136,7 @@ def blocks(state, y, a):
     with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
     loses nothing while y <= n_max.
     """
-    layers, targets, _ = state
+    layers, targets = state[:2]
     below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
     return bool(
         layers[-1] >> (a * y) & 1
@@ -180,9 +180,38 @@ def test_fold_matches_sumset_table(m, a, n, data):
     for x in elements:
         state = _add_element(state, x, a, capmask)
         bits |= 1 << x
-        layers, targets, _ = state
+        layers, targets = state[:2]
         assert list(layers) == _sumset_layers(bits, m - 1, capmask)
         assert targets == sum(1 << (a * t) for t in iter_bits(bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    a=st.integers(1, 4),
+    n=st.integers(1, 40),
+    data=st.data(),
+)
+def test_saturated_tail_matches_reference(m, a, n, data):
+    # elements in increasing order, as the search adds them, with repeats; dense
+    # classes saturate their upper layers, whose folds are then skipped
+    elements = sorted(data.draw(st.lists(st.integers(1, n), max_size=30)))
+    capmask = (1 << (a * n + 1)) - 1
+    state = _empty_state(m, a, capmask)
+    bits = 0
+    for x in elements:
+        state = _add_element(state, x, a, capmask)
+        bits |= 1 << x
+        layers = sumset_layers(bits, m - 1, capmask)
+        assert list(state[0]) == layers
+        # L_k saturated: all of [k*min S, a*n], an empty set once k*min S > a*n;
+        # full is the first saturated layer, and all later ones are saturated
+        lows = [k * elements[0] for k in range(1, m)]
+        saturated = [layer == (interval(lo, a * n) if lo <= a * n else 0) for lo, layer in zip(lows, layers)]
+        assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
+        if not _has_solution(state):  # reused layers add nothing new to the mask
+            ys = range(1, n + 2)
+            assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ from radonum import (
     is_valid_coloring,
     known_rado_number,
     lower_bound_coloring,
+    search,
     sweep,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, _has_solution
@@ -124,6 +125,55 @@ def test_search_tree_is_pinned(params, want, threads):
     got = (out.status, out.rado_number, out.stats.nodes, out.stats.checks,
            out.certificate.red_bits)
     assert got == want
+
+
+def fold_every_child(eq, n_max):
+    """exact_rado_number's tree with every child folded, blocked bit set or not.
+
+    Returns the checks and the children whose x is blocked in the parent's
+    class; such a child must hold a solution.
+    """
+    capmask = (1 << (eq.a * n_max + 1)) - 1
+    empty = _empty_state(eq.m, eq.a, capmask)
+    pinned = _add_element(empty, 1, eq.a, capmask)
+    stack = [] if _has_solution(pinned) else [(1, pinned, empty)]
+    best, checks, blocked = len(stack), 1, 0
+    while stack:
+        depth, red, blue = stack.pop()
+        best = max(best, depth)
+        if depth >= n_max:
+            break
+        if (red[2] & blue[2] & ((1 << (best + 2)) - 1)) >> (depth + 2):
+            continue
+        x = depth + 1
+        for to_red in (False, True):  # blue child first, as the search pushes it
+            parent = red if to_red else blue
+            checks += 1
+            child = _add_element(parent, x, eq.a, capmask)
+            if parent[2] >> x & 1:
+                blocked += 1
+                assert _has_solution(child), (x, to_red)
+            elif not _has_solution(child):
+                stack.append((x, child, blue) if to_red else (x, red, child))
+    return checks, blocked
+
+
+@pytest.mark.parametrize(("params", "want"), PINNED_TREES)
+def test_blocked_children_are_not_folded(monkeypatch, params, want):
+    m, a, n_max = params
+    folds = []
+
+    def spy(state, x, a, capmask):
+        folds.append(state[2] >> x & 1)
+        return _add_element(state, x, a, capmask)
+
+    monkeypatch.setattr(search, "_add_element", spy)
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
+    assert out.stats.checks == want[3]
+    # the pinned root is one fold and one check; no other fold has its x blocked
+    assert not any(folds[1:])
+    checks, blocked = fold_every_child(RadoEquation(m, a), n_max)
+    assert len(folds) + blocked == checks == out.stats.checks
 
 
 @pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3)])
