@@ -22,7 +22,6 @@ from .core import (
     SolutionTemplate,
     Witness,
     evaluate_template,
-    template_values,
 )
 from .formula import (
     FormulaBreakdown,
@@ -73,6 +72,5 @@ __all__ = [
     "small_case_coloring",
     "solution_values_fit",
     "sweep",
-    "template_values",
     "verify_witness",
 ]

@@ -156,24 +156,22 @@ def verify_witness(witness: Witness, col: Coloring, eq: RadoEquation) -> bool:
     return True
 
 
-def naive_find_mono_solution(
-    col: Coloring, eq: RadoEquation, guard: int = NAIVE_GUARD
-) -> Witness | None:
+def naive_find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     """Oracle checker: enumerate all multisets of size m-1 per color class.
 
     Returns the first solution under the fixed lexicographic multiset order,
     red class before blue. Refuses instances whose |S|^(m-1) estimate exceeds
-    the guard; meant for n <= 8 and m <= 6.
+    NAIVE_GUARD; meant for n <= 8 and m <= 6.
     """
     m, a = eq.m, eq.a
     for color in (Color.RED, Color.BLUE):
         elements = list(iter_bits(col.class_bits(color)))
         if not elements:
             continue
-        if len(elements) ** (m - 1) > guard:
+        if len(elements) ** (m - 1) > NAIVE_GUARD:
             raise ValueError(
                 f"naive enumeration over {len(elements)} elements to width {m - 1} "
-                f"exceeds the guard of {guard}"
+                f"exceeds the guard of {NAIVE_GUARD}"
             )
         members = set(elements)
         for combo in combinations_with_replacement(elements, m - 1):

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .checker import find_mono_solution, is_valid_coloring, naive_find_mono_solution, verify_witness
+from .checker import find_mono_solution, naive_find_mono_solution
 from .construction import lower_bound_coloring, small_case_coloring
-from .core import Coloring, RadoEquation, Witness, json_int
-from .formula import ceiling_formula, closed_form, decompose, known_rado_number
+from .core import Coloring, RadoEquation, json_int
+from .formula import ceiling_formula, closed_form, decompose
 from .search import exact_rado_number, sweep
 
 
@@ -41,59 +41,31 @@ def _equation_from_dict(data: dict) -> RadoEquation:
 
 @dataclass(frozen=True)
 class CertificateFile:
-    """Self-contained claim about one coloring of one equation.
+    """A coloring of one equation claimed to have no monochromatic solution.
 
-    claim "valid": the coloring has no monochromatic solution. claim
-    "witness": it has one, and the embedded witness proves it.
+    `radonum check` reads back only the coloring and the equation and
+    re-runs the checker, so it trusts neither the claim nor the tool version.
     """
 
     equation: RadoEquation
     coloring: Coloring
     claim: str
-    witness: Witness | None = None
-    tool_version: str = __version__
 
     def __post_init__(self) -> None:
-        if self.claim not in ("valid", "witness"):
-            raise ValueError(f"claim must be 'valid' or 'witness', got {self.claim!r}")
-        if (self.witness is None) == (self.claim == "witness"):
-            raise ValueError("claim 'witness' needs a witness; claim 'valid' forbids one")
+        if self.claim != "valid":
+            raise ValueError(f"claim must be 'valid', got {self.claim!r}")
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "equation": {"m": self.equation.m, "a": self.equation.a},
             "coloring": self.coloring.to_dict(),
             "claim": self.claim,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
-        if self.witness is not None:
-            data["witness"] = self.witness.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CertificateFile:
-        witness = Witness.from_dict(data["witness"]) if "witness" in data else None
-        return cls(
-            _equation_from_dict(data["equation"]),
-            Coloring.from_dict(data["coloring"]),
-            data["claim"],
-            witness,
-            data.get("tool_version", __version__),
-        )
-
-    def verify(self) -> bool:
-        """Re-run the checker; does not trust any field beyond the raw data."""
-        if self.claim == "valid":
-            return is_valid_coloring(self.coloring, self.equation)
-        return verify_witness(self.witness, self.coloring, self.equation)
 
 
 def write_certificate(path: str | Path, cert: CertificateFile) -> None:
     Path(path).write_text(dumps(cert.to_dict()), encoding="utf-8")
-
-
-def load_certificate(path: str | Path) -> CertificateFile:
-    return CertificateFile.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None]:
@@ -121,6 +93,9 @@ def _cmd_formula(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.small_case is not None:
+        if args.m is not None or args.a is not None:
+            print("error: pass --small-case alone, or --m and --a", file=sys.stderr)
+            return 2
         eq = RadoEquation(args.small_case, 3)
         col = small_case_coloring(args.small_case)
     elif args.m is not None and args.a is not None:

@@ -52,10 +52,6 @@ class Color(enum.Enum):
     RED = "red"
     BLUE = "blue"
 
-    @property
-    def opposite(self) -> Color:
-        return Color.BLUE if self is Color.RED else Color.RED
-
 
 @dataclass(frozen=True)
 class RadoEquation:
@@ -119,13 +115,6 @@ class Coloring:
     def red_elements(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.red_bits))
 
-    def blue_elements(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.blue_bits))
-
-    def swapped(self) -> Coloring:
-        """The coloring with red and blue exchanged."""
-        return Coloring(self.n, self.blue_bits)
-
     def to_dict(self) -> dict:
         return {"n": self.n, "red": list(self.red_elements())}
 
@@ -156,12 +145,6 @@ class SolutionTemplate:
                 raise ValueError(f"assigned values must be positive, got {value}")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> SolutionTemplate:
-        return cls(
-            tuple((json_int(c, "group count"), json_int(v, "group value")) for c, v in pairs)
-        )
-
-    @classmethod
     def from_slots(cls, values: Sequence[int]) -> SolutionTemplate:
         """Build a template from one value per slot, merging adjacent equal values."""
         groups: list[list[int]] = []
@@ -176,27 +159,6 @@ class SolutionTemplate:
     def total_slots(self) -> int:
         return sum(count for count, _ in self.groups)
 
-    def slots(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for count, value in self.groups:
-            out.extend([value] * count)
-        return tuple(out)
-
-    def scaled(self, factor: int) -> SolutionTemplate:
-        """Multiply every assigned value by a positive integer."""
-        if factor < 1:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return SolutionTemplate(
-            tuple((c, check64(v * factor, "scaled value")) for c, v in self.groups)
-        )
-
-    def to_dict(self) -> dict:
-        return {"groups": [[c, v] for c, v in self.groups]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> SolutionTemplate:
-        return cls.from_pairs(data["groups"])
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -210,10 +172,6 @@ class Witness:
             "color": self.color.value,
             "groups": [[c, v] for c, v in self.template.groups],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Witness:
-        return cls(SolutionTemplate.from_pairs(data["groups"]), Color(data["color"]))
 
 
 def evaluate_template(template: SolutionTemplate, eq: RadoEquation) -> bool:
@@ -232,10 +190,3 @@ def evaluate_template(template: SolutionTemplate, eq: RadoEquation) -> bool:
     target = template.groups[-1][1]
     return total - target == check64(eq.a * target, "right side")
 
-
-def template_values(template: SolutionTemplate) -> tuple[tuple[int, ...], int]:
-    """Split the filled slots into (left-side values, target value)."""
-    slots = template.slots()
-    if len(slots) < 2:
-        raise ValueError("template must fill at least two slots")
-    return slots[:-1], slots[-1]

@@ -16,7 +16,7 @@ from radonum import (
     naive_find_mono_solution,
     verify_witness,
 )
-from radonum.checker import _sumset_layers
+from radonum.checker import NAIVE_GUARD, _sumset_layers
 
 
 def all_colorings(n):
@@ -104,18 +104,19 @@ def test_witness_determinism_smallest_target_first():
     col = Coloring.from_red(4, range(1, 5))
     witness = find_mono_solution(col, eq)
     assert witness == find_mono_solution(col, eq)
-    assert witness.template.slots() == (1, 1, 1, 3, 2)
+    assert witness.template.groups == ((3, 1), (1, 3), (1, 2))  # 1+1+1+3 = 3*2
 
 
 def test_red_class_checked_before_blue():
     # both classes solve for (3, 1): red 1+1=2, blue 3+3=6; red must win
     eq = RadoEquation(3, 1)
     col = Coloring.from_red(6, [1, 2, 4, 5])
-    assert find_mono_solution(col.swapped(), eq).color is Color.RED  # blue class alone solves
+    swapped = Coloring(col.n, col.blue_bits)
+    assert find_mono_solution(swapped, eq).color is Color.RED  # blue class alone solves
     witness = find_mono_solution(col, eq)
     assert witness is not None
     assert witness.color is Color.RED
-    assert witness.template.slots() == (1, 1, 2)
+    assert witness.template.groups == ((2, 1), (1, 2))
 
 
 def test_naive_witness_order_matches_multiset_enumeration():
@@ -135,10 +136,12 @@ def test_naive_example_one_element():
 
 
 def test_naive_guard_refuses_large_instances():
-    eq = RadoEquation(12, 1)
-    col = Coloring.from_red(9, range(1, 10))
-    with pytest.raises(ValueError):
-        naive_find_mono_solution(col, eq, guard=10_000)
+    # all-red [11] for m=7: 11^6 = 1,771,561 multisets, past the guard
+    eq = RadoEquation(7, 1)
+    col = Coloring.from_red(11, range(1, 12))
+    assert 11**6 > NAIVE_GUARD
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        naive_find_mono_solution(col, eq)
 
 
 def test_oracle_agreement_small():
@@ -170,7 +173,7 @@ def test_color_swap_symmetry():
         eq = RadoEquation(m, a)
         for col in all_colorings(5):
             a_side = find_mono_solution(col, eq)
-            b_side = find_mono_solution(col.swapped(), eq)
+            b_side = find_mono_solution(Coloring(col.n, col.blue_bits), eq)
             assert (a_side is None) == (b_side is None), (m, a, col)
 
 
@@ -180,24 +183,25 @@ def test_witness_values_scale():
     col = Coloring.from_red(6, range(1, 7))
     witness = find_mono_solution(col, eq)
     assert witness is not None
-    assert evaluate_template(witness.template.scaled(2), eq)
+    doubled = SolutionTemplate(tuple((c, 2 * v) for c, v in witness.template.groups))
+    assert evaluate_template(doubled, eq)
 
 
 def test_verify_witness_rejects_bad_claims():
     eq = RadoEquation(3, 3)
     col = Coloring.from_red(3, [1, 2])
-    good = Witness(SolutionTemplate.from_pairs([(1, 1), (1, 2), (1, 1)]), Color.RED)
+    good = Witness(SolutionTemplate(((1, 1), (1, 2), (1, 1))), Color.RED)
     assert verify_witness(good, col, eq)
     # wrong color
     assert not verify_witness(Witness(good.template, Color.BLUE), col, eq)
     # value outside the interval
-    big = Witness(SolutionTemplate.from_pairs([(2, 6), (1, 4)]), Color.RED)
+    big = Witness(SolutionTemplate(((2, 6), (1, 4))), Color.RED)
     assert not verify_witness(big, col, eq)
     # equation not satisfied
-    wrong = Witness(SolutionTemplate.from_pairs([(1, 1), (1, 2), (1, 2)]), Color.RED)
+    wrong = Witness(SolutionTemplate(((1, 1), (1, 2), (1, 2))), Color.RED)
     assert not verify_witness(wrong, col, eq)
     # wrong shape
-    short = Witness(SolutionTemplate.from_pairs([(2, 1)]), Color.RED)
+    short = Witness(SolutionTemplate(((2, 1),)), Color.RED)
     assert not verify_witness(short, col, eq)
 
 

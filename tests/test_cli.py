@@ -1,17 +1,46 @@
 """Command line surface: exit codes, JSON documents, pipelines."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from radonum import Coloring, RadoEquation, Witness, is_valid_coloring
-from radonum.cli import (
-    CertificateFile,
-    dumps,
-    load_certificate,
-    run,
-    write_certificate,
+from radonum import (
+    Color,
+    Coloring,
+    RadoEquation,
+    SolutionTemplate,
+    Witness,
+    is_valid_coloring,
+    verify_witness,
 )
+from radonum.cli import CertificateFile, dumps, run
+
+# the bytes of `radonum exact --m 3 --a 3 --cert cert.json`, as shown in README.md
+CERT_3_3 = """\
+{
+  "claim": "valid",
+  "coloring": {
+    "n": 8,
+    "red": [
+      1,
+      3,
+      4,
+      7
+    ]
+  },
+  "equation": {
+    "a": 3,
+    "m": 3
+  },
+  "tool_version": "0.1.0"
+}
+"""
+
+
+def read_certificate_coloring(path):
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    return Coloring.from_dict(data["coloring"]), data
 
 
 def test_formula_prints_value(capsys):
@@ -73,6 +102,20 @@ def test_construct_needs_parameters(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "3", "--a", "3"],
+    ["--m", "3"],
+    ["--a", "3"],
+])
+def test_construct_small_case_conflicts_exit_2(flags, capsys):
+    # --small-case picks its own equation, so --m or --a next to it is refused
+    assert run(["construct", *flags, "--small-case", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--small-case" in captured.err
+
+
 def test_check_valid_coloring(tmp_path, capsys):
     path = tmp_path / "col.json"
     path.write_text(dumps({"n": 6, "red": [1, 2]}))
@@ -91,8 +134,11 @@ def test_check_finds_witness(tmp_path, capsys):
     path = tmp_path / "col.json"
     path.write_text(dumps({"n": 4, "red": [1, 2, 3, 4]}))
     assert run(["check", "--file", str(path), "--m", "3", "--a", "1"]) == 1
-    witness = Witness.from_dict(json.loads(capsys.readouterr().out))
-    assert witness.color.value == "red"
+    data = json.loads(capsys.readouterr().out)
+    assert data["color"] == "red"
+    groups = tuple(tuple(group) for group in data["groups"])
+    witness = Witness(SolutionTemplate(groups), Color(data["color"]))
+    assert verify_witness(witness, Coloring.from_red(4, [1, 2, 3, 4]), RadoEquation(3, 1))
 
 
 def test_check_needs_equation(tmp_path, capsys):
@@ -128,10 +174,10 @@ def test_exact_prints_number_and_writes_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "9\n"
-    cert = load_certificate(cert_path)
-    assert cert.claim == "valid"
-    assert cert.coloring.n == 8
-    assert cert.verify()
+    col, data = read_certificate_coloring(cert_path)
+    assert data["claim"] == "valid"
+    assert col.n == 8
+    assert is_valid_coloring(col, RadoEquation(3, 3))
 
 
 def test_exact_then_check_round_trip(tmp_path, capsys):
@@ -149,9 +195,9 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.startswith("cutoff deepest_valid=6")
-    cert = load_certificate(cert_path)
-    assert cert.coloring.n == 6
-    assert cert.verify()
+    col, _ = read_certificate_coloring(cert_path)
+    assert col.n == 6
+    assert is_valid_coloring(col, RadoEquation(2, 3))
 
 
 def test_exact_threads_flag_and_env(capsys, monkeypatch):
@@ -228,14 +274,13 @@ def test_sweep_n_max_above_32(capsys):
     assert capsys.readouterr().out.startswith("m=19 a=3 exact=36 formula=36 agree=yes")
 
 
-def test_certificate_round_trip_bytes(tmp_path):
-    eq = RadoEquation(6, 3)
-    cert = CertificateFile(eq, Coloring.from_red(4, [1, 4]), "valid")
-    path = tmp_path / "cert.json"
-    write_certificate(path, cert)
-    first = path.read_bytes()
-    write_certificate(path, load_certificate(path))
-    assert path.read_bytes() == first
+def test_exact_certificate_bytes(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["exact", "--m", "3", "--a", "3", "--cert", str(cert_path)]) == 0
+    capsys.readouterr()
+    assert cert_path.read_bytes() == CERT_3_3.encode()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"```json\n{CERT_3_3}```" in readme.read_text(encoding="utf-8")
 
 
 def test_certificate_claim_validation():
@@ -243,22 +288,30 @@ def test_certificate_claim_validation():
     with pytest.raises(ValueError):
         CertificateFile(eq, Coloring(0), "unknown")
     with pytest.raises(ValueError):
-        CertificateFile(eq, Coloring(0), "witness")  # witness claim without witness
+        CertificateFile(eq, Coloring(0), "witness")  # only "valid" is ever written
 
 
-def test_witness_certificate_verifies(tmp_path):
-    eq = RadoEquation(3, 3)
-    col = Coloring.from_red(2, [1, 2])
-    from radonum import find_mono_solution
-
-    witness = find_mono_solution(col, eq)
-    cert = CertificateFile(eq, col, "witness", witness)
-    path = tmp_path / "w.json"
-    write_certificate(path, cert)
-    loaded = load_certificate(path)
-    assert loaded.claim == "witness"
-    assert loaded.verify()
-    assert loaded.witness == witness
+@pytest.mark.parametrize("equation, want_code, want_out", [
+    ({"m": 3, "a": 3}, 0, "VALID\n"),
+    # the (3, 3) coloring of [8] holds a (5, 3) solution
+    ({"m": 5, "a": 3}, 1, None),
+])
+def test_check_trusts_neither_claim_nor_tool_version(
+    tmp_path, capsys, equation, want_code, want_out
+):
+    data = json.loads(CERT_3_3)
+    data["equation"] = equation
+    outs = []
+    for claim, version in [("valid", "0.1.0"), ("bogus", "9.9.9"), ("witness", "")]:
+        data["claim"] = claim
+        data["tool_version"] = version
+        path = tmp_path / f"{claim}.json"
+        path.write_text(dumps(data))
+        assert run(["check", "--file", str(path)]) == want_code
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] == outs[0]
+    if want_out is not None:
+        assert outs[0] == want_out
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -309,11 +362,10 @@ def test_selftest_passes(capsys):
 def test_library_certificate_matches_search(tmp_path):
     # the emitted coloring is exactly the search certificate
     from radonum import exact_rado_number
-    from radonum.cli import load_certificate as load
 
     eq = RadoEquation(6, 3)
     out = exact_rado_number(eq, n_max=12)
     cert_path = tmp_path / "c.json"
     assert run(["exact", "--m", "6", "--a", "3", "--n-max", "12", "--cert", str(cert_path)]) == 0
-    assert load(cert_path).coloring == out.certificate
+    assert read_certificate_coloring(cert_path)[0] == out.certificate
     assert is_valid_coloring(out.certificate, eq)

@@ -17,7 +17,7 @@ from radonum import (
 def test_shape_for_8_3():
     col = lower_bound_coloring(RadoEquation(8, 3))
     assert col == Coloring.from_red(6, [1, 2])
-    assert col.blue_elements() == (3, 4, 5, 6)
+    assert col.blue_bits == 0b1111000  # blue is 3..6
 
 
 def test_shape_for_5_3():
