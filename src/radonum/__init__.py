@@ -15,14 +15,7 @@ from .checker import (
     verify_witness,
 )
 from .construction import lower_bound_coloring, small_case_coloring
-from .core import (
-    Color,
-    Coloring,
-    RadoEquation,
-    SolutionTemplate,
-    Witness,
-    evaluate_template,
-)
+from .core import Color, Coloring, RadoEquation, Witness
 from .formula import (
     FormulaBreakdown,
     KnownNumber,
@@ -53,7 +46,6 @@ __all__ = [
     "RadoEquation",
     "SearchOutcome",
     "SearchStats",
-    "SolutionTemplate",
     "SweepEntry",
     "Witness",
     "ceil_div",
@@ -61,7 +53,6 @@ __all__ = [
     "closed_form",
     "correction_term_bounded",
     "decompose",
-    "evaluate_template",
     "exact_rado_number",
     "find_mono_solution",
     "general_threshold",

@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import (
-    Color,
-    Coloring,
-    RadoEquation,
-    SolutionTemplate,
-    Witness,
-    evaluate_template,
-    iter_bits,
-)
+from .core import Color, Coloring, RadoEquation, Witness, iter_bits
 
 NAIVE_GUARD = 1_000_000
 
@@ -127,8 +119,7 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
             scaled = eq.a * t
             if scaled <= cap and (final >> scaled) & 1:
                 left = _greedy_left_side(layers, elements, scaled, depth)
-                template = SolutionTemplate.from_slots([*left, t])
-                return Witness(template, color)
+                return Witness((*left, t), color)
     return None
 
 
@@ -140,20 +131,17 @@ def is_valid_coloring(col: Coloring, eq: RadoEquation) -> bool:
 def verify_witness(witness: Witness, col: Coloring, eq: RadoEquation) -> bool:
     """Re-check a claimed witness against a coloring without trusting the finder.
 
-    True iff the template satisfies the equation, every value lies in [1, n],
-    and every value carries the witness color.
+    True iff there are m values, every value lies in [1, n] and carries the
+    witness color, and the first m-1 values sum to a times the last. Values
+    are range-checked before any arithmetic, so the sums stay small.
     """
-    try:
-        if not evaluate_template(witness.template, eq):
-            return False
-    except (ValueError, OverflowError):
+    values = witness.values
+    if len(values) != eq.m:
         return False
-    for _, value in witness.template.groups:
-        if not 1 <= value <= col.n:
+    for value in set(values):
+        if not 1 <= value <= col.n or col.color_of(value) is not witness.color:
             return False
-        if col.color_of(value) is not witness.color:
-            return False
-    return True
+    return sum(values[:-1]) == eq.a * values[-1]
 
 
 def naive_find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
@@ -180,5 +168,5 @@ def naive_find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
                 continue
             target = total // a
             if target in members:
-                return Witness(SolutionTemplate.from_slots([*combo, target]), color)
+                return Witness((*combo, target), color)
     return None

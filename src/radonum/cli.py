@@ -91,52 +91,47 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    if args.small_case is not None:
-        if args.m is not None or args.a is not None:
-            print("error: pass --small-case alone, or --m and --a", file=sys.stderr)
-            return 2
-        eq = RadoEquation(args.small_case, 3)
-        col = small_case_coloring(args.small_case)
-    elif args.m is not None and args.a is not None:
-        eq = RadoEquation(args.m, args.a)
-        col = lower_bound_coloring(eq)
-    else:
-        print("error: need either --m and --a, or --small-case", file=sys.stderr)
-        return 2
-    payload = dumps(col.to_dict())
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        print(f"wrote {args.out} (n={col.n}, red={list(col.red_elements())})")
-    else:
-        sys.stdout.write(payload)
-    if args.verify:
-        witness = find_mono_solution(col, eq)
-        if witness is not None:
-            sys.stdout.write(dumps(witness.to_dict()))
-            return 1
-        print("VALID")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    if (args.m is None) != (args.a is None):
-        print("error: pass both --m and --a, or neither", file=sys.stderr)
-        return 2
-    col, embedded_eq = _load_coloring_file(args.file)
-    if args.m is not None:
-        eq = RadoEquation(args.m, args.a)
-    elif embedded_eq is not None:
-        eq = embedded_eq
-    else:
-        print("error: the file carries no equation; pass --m and --a", file=sys.stderr)
-        return 2
+def _print_verdict(col: Coloring, eq: RadoEquation) -> int:
+    """Print VALID and return 0, or print the first witness as JSON and return 1."""
     witness = find_mono_solution(col, eq)
     if witness is None:
         print("VALID")
         return 0
     sys.stdout.write(dumps(witness.to_dict()))
     return 1
+
+
+def _cmd_construct(args) -> int:
+    if args.small_case is not None:
+        if args.m is not None or args.a is not None:
+            raise ValueError("pass --small-case alone, or --m and --a")
+        eq = RadoEquation(args.small_case, 3)
+        col = small_case_coloring(args.small_case)
+    elif args.m is not None and args.a is not None:
+        eq = RadoEquation(args.m, args.a)
+        col = lower_bound_coloring(eq)
+    else:
+        raise ValueError("need either --m and --a, or --small-case")
+    payload = dumps(col.to_dict())
+    if args.out:
+        Path(args.out).write_text(payload, encoding="utf-8")
+        print(f"wrote {args.out} (n={col.n}, red={list(col.red_elements())})")
+    else:
+        sys.stdout.write(payload)
+    return _print_verdict(col, eq) if args.verify else 0
+
+
+def _cmd_check(args) -> int:
+    if (args.m is None) != (args.a is None):
+        raise ValueError("pass both --m and --a, or neither")
+    col, embedded_eq = _load_coloring_file(args.file)
+    if args.m is not None:
+        eq = RadoEquation(args.m, args.a)
+    elif embedded_eq is not None:
+        eq = embedded_eq
+    else:
+        raise ValueError("the file carries no equation; pass --m and --a")
+    return _print_verdict(col, eq)
 
 
 def _cmd_exact(args) -> int:

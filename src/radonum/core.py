@@ -3,19 +3,19 @@
 The equation family is L(m, a): x1 + x2 + ... + x_{m-1} = a*x_m over the
 positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
-The types here (equations, colorings, grouped solution templates, witnesses)
-are shared by the formula, checker, construction, and search layers.
+The types here (equations, colorings, witnesses) are shared by the formula,
+checker, construction, and search layers.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
-Constructors reject parameters whose squares already overflow, and template
-evaluation raises OverflowError instead of silently producing huge values.
+Constructors reject parameters whose squares already overflow.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator
 
 INT64_MAX = 2**63 - 1
 
@@ -125,68 +125,13 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class SolutionTemplate:
-    """Grouped assignment [n1 -> d1; n2 -> d2; ...]: value d_i fills the next n_i slots.
-
-    Slots are filled left to right. When the template fills exactly m slots,
-    the first m-1 slots are the left side of L(m, a) and slot m is x_m; the
-    x_m slot always falls in the last group.
-    """
-
-    groups: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise ValueError("template needs at least one group")
-        for count, value in self.groups:
-            if count < 1:
-                raise ValueError(f"group count must be positive, got {count}")
-            if value < 1:
-                raise ValueError(f"assigned values must be positive, got {value}")
-
-    @classmethod
-    def from_slots(cls, values: Sequence[int]) -> SolutionTemplate:
-        """Build a template from one value per slot, merging adjacent equal values."""
-        groups: list[list[int]] = []
-        for v in values:
-            if groups and groups[-1][1] == v:
-                groups[-1][0] += 1
-            else:
-                groups.append([1, v])
-        return cls(tuple((c, v) for c, v in groups))
-
-    @property
-    def total_slots(self) -> int:
-        return sum(count for count, _ in self.groups)
-
-
-@dataclass(frozen=True)
 class Witness:
-    """A solution template plus the color class its values live in."""
+    """A claimed solution of L(m, a): the m slot values, x_m last, and their color."""
 
-    template: SolutionTemplate
+    values: tuple[int, ...]
     color: Color
 
     def to_dict(self) -> dict:
-        return {
-            "color": self.color.value,
-            "groups": [[c, v] for c, v in self.template.groups],
-        }
-
-
-def evaluate_template(template: SolutionTemplate, eq: RadoEquation) -> bool:
-    """Whether substituting the template's values into L(m, a) gives a true equation.
-
-    The first m-1 slots form the left side and slot m is the target. Raises
-    ValueError when the template does not fill exactly m slots.
-    """
-    if template.total_slots != eq.m:
-        raise ValueError(
-            f"template fills {template.total_slots} slots, equation has {eq.m} variables"
-        )
-    total = 0
-    for count, value in template.groups:
-        total = check64(total + check64(count * value, "group sum"), "left side sum")
-    target = template.groups[-1][1]
-    return total - target == check64(eq.a * target, "right side")
-
+        """JSON form; "groups" run-length encodes the values as [count, value] pairs."""
+        groups = [[len(list(run)), v] for v, run in groupby(self.values)]
+        return {"color": self.color.value, "groups": groups}

@@ -49,9 +49,9 @@ Exp. Math. 2008), applied inside a node as well as across nodes.
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
 that order. The search runs on one thread: the pure-Python DFS holds the
-interpreter lock, so threads cannot speed it up. The library keyword
-threads= is validated (>= 1) and otherwise ignored; no reported value or
-count depends on it.
+interpreter lock, so threads cannot speed it up. The keyword threads= of
+exact_rado_number is validated (>= 1) and otherwise ignored; no reported
+value or count depends on it.
 """
 
 from __future__ import annotations
@@ -300,20 +300,18 @@ def sweep(
     m_from: int,
     m_to: int,
     n_max: int = 24,
-    threads: int = 1,
     timeout: float | None = None,
 ) -> list[SweepEntry]:
     """Run exact searches for m in [m_from, m_to] and compare with known values.
 
     A per-entry timeout turns into a cutoff entry and bounds the cost of a
-    large n_max; the sweep itself never aborts. threads must be >= 1 and has
-    no effect, as in exact_rado_number.
+    large n_max; the sweep itself never aborts.
     """
     if m_from < 2 or m_to < m_from:
         raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")
     entries = []
     for m in range(m_from, m_to + 1):
         eq = RadoEquation(m, a)
-        outcome = exact_rado_number(eq, n_max=n_max, threads=threads, timeout=timeout)
+        outcome = exact_rado_number(eq, n_max=n_max, timeout=timeout)
         entries.append(SweepEntry(m, a, outcome, known_rado_number(eq)))
     return entries

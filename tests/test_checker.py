@@ -8,9 +8,7 @@ from radonum import (
     Color,
     Coloring,
     RadoEquation,
-    SolutionTemplate,
     Witness,
-    evaluate_template,
     find_mono_solution,
     is_valid_coloring,
     naive_find_mono_solution,
@@ -104,7 +102,7 @@ def test_witness_determinism_smallest_target_first():
     col = Coloring.from_red(4, range(1, 5))
     witness = find_mono_solution(col, eq)
     assert witness == find_mono_solution(col, eq)
-    assert witness.template.groups == ((3, 1), (1, 3), (1, 2))  # 1+1+1+3 = 3*2
+    assert witness.values == (1, 1, 1, 3, 2)  # 1+1+1+3 = 3*2
 
 
 def test_red_class_checked_before_blue():
@@ -116,7 +114,7 @@ def test_red_class_checked_before_blue():
     witness = find_mono_solution(col, eq)
     assert witness is not None
     assert witness.color is Color.RED
-    assert witness.template.groups == ((2, 1), (1, 2))
+    assert witness.values == (1, 1, 2)
 
 
 def test_naive_witness_order_matches_multiset_enumeration():
@@ -125,14 +123,14 @@ def test_naive_witness_order_matches_multiset_enumeration():
     witness = naive_find_mono_solution(col, eq)
     assert witness is not None
     assert witness.color is Color.RED
-    assert witness.template.groups == ((1, 1), (1, 2), (1, 1))
+    assert witness.values == (1, 2, 1)
 
 
 def test_naive_example_one_element():
     eq = RadoEquation(4, 3)
     witness = naive_find_mono_solution(Coloring.from_red(1, [1]), eq)
     assert witness is not None
-    assert witness.template.groups == ((4, 1),)
+    assert witness.values == (1, 1, 1, 1)
 
 
 def test_naive_guard_refuses_large_instances():
@@ -183,26 +181,30 @@ def test_witness_values_scale():
     col = Coloring.from_red(6, range(1, 7))
     witness = find_mono_solution(col, eq)
     assert witness is not None
-    doubled = SolutionTemplate(tuple((c, 2 * v) for c, v in witness.template.groups))
-    assert evaluate_template(doubled, eq)
+    doubled = Witness(tuple(2 * v for v in witness.values), witness.color)
+    assert verify_witness(doubled, Coloring.from_red(12, range(1, 13)), eq)
 
 
 def test_verify_witness_rejects_bad_claims():
     eq = RadoEquation(3, 3)
     col = Coloring.from_red(3, [1, 2])
-    good = Witness(SolutionTemplate(((1, 1), (1, 2), (1, 1))), Color.RED)
+    good = Witness((1, 2, 1), Color.RED)
     assert verify_witness(good, col, eq)
     # wrong color
-    assert not verify_witness(Witness(good.template, Color.BLUE), col, eq)
+    assert not verify_witness(Witness(good.values, Color.BLUE), col, eq)
     # value outside the interval
-    big = Witness(SolutionTemplate(((2, 6), (1, 4))), Color.RED)
+    big = Witness((6, 6, 4), Color.RED)
     assert not verify_witness(big, col, eq)
+    # nonpositive values
+    assert not verify_witness(Witness((0, 0, 0), Color.RED), col, eq)
+    assert not verify_witness(Witness((-1, 4, 1), Color.RED), col, eq)
     # equation not satisfied
-    wrong = Witness(SolutionTemplate(((1, 1), (1, 2), (1, 2))), Color.RED)
+    wrong = Witness((1, 2, 2), Color.RED)
     assert not verify_witness(wrong, col, eq)
     # wrong shape
-    short = Witness(SolutionTemplate(((2, 1),)), Color.RED)
+    short = Witness((1, 1), Color.RED)
     assert not verify_witness(short, col, eq)
+    assert not verify_witness(Witness((1, 2, 1, 1), Color.RED), col, eq)
 
 
 def test_witness_can_repeat_one_element():
@@ -211,5 +213,5 @@ def test_witness_can_repeat_one_element():
     col = Coloring.from_red(1, [1])
     witness = find_mono_solution(col, eq)
     assert witness is not None
-    assert witness.template.groups == ((4, 1),)
+    assert witness.values == (1, 1, 1, 1)
     assert verify_witness(witness, col, eq)

@@ -9,7 +9,6 @@ from radonum import (
     Color,
     Coloring,
     RadoEquation,
-    SolutionTemplate,
     Witness,
     is_valid_coloring,
     verify_witness,
@@ -136,8 +135,8 @@ def test_check_finds_witness(tmp_path, capsys):
     assert run(["check", "--file", str(path), "--m", "3", "--a", "1"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["color"] == "red"
-    groups = tuple(tuple(group) for group in data["groups"])
-    witness = Witness(SolutionTemplate(groups), Color(data["color"]))
+    values = tuple(value for count, value in data["groups"] for _ in range(count))
+    witness = Witness(values, Color(data["color"]))
     assert verify_witness(witness, Coloring.from_red(4, [1, 2, 3, 4]), RadoEquation(3, 1))
 
 
@@ -281,6 +280,54 @@ def test_exact_certificate_bytes(tmp_path, capsys):
     assert cert_path.read_bytes() == CERT_3_3.encode()
     readme = Path(__file__).resolve().parents[1] / "README.md"
     assert f"```json\n{CERT_3_3}```" in readme.read_text(encoding="utf-8")
+
+
+# stdout of README.md's construct and check examples, run in order in one directory
+README_EXAMPLES = {
+    "construct --m 14 --a 3 --verify": (0, """\
+{
+  "n": 21,
+  "red": [
+    1,
+    2,
+    3,
+    4
+  ]
+}
+VALID
+"""),
+    "construct --small-case 6": (0, """\
+{
+  "n": 4,
+  "red": [
+    1,
+    4
+  ]
+}
+"""),
+    "construct --m 8 --a 3 --out coloring.json": (0, "wrote coloring.json (n=6, red=[1, 2])\n"),
+    "check --file coloring.json --m 8 --a 3": (0, "VALID\n"),
+    "check --file coloring.json --m 4 --a 3": (1, """\
+{
+  "color": "red",
+  "groups": [
+    [
+      4,
+      1
+    ]
+  ]
+}
+"""),
+}
+
+
+def test_readme_example_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for command, (want_code, want_out) in README_EXAMPLES.items():
+        assert run(command.split()) == want_code, command
+        assert capsys.readouterr().out == want_out, command
+        assert f"$ radonum {command}\n{want_out}" in readme, command
 
 
 def test_certificate_claim_validation():

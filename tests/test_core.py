@@ -1,15 +1,8 @@
-"""Domain type behavior: validation, template evaluation, JSON round-trips."""
+"""Domain type behavior: validation, witness checks, JSON round-trips."""
 
 import pytest
 
-from radonum import (
-    Color,
-    Coloring,
-    RadoEquation,
-    SolutionTemplate,
-    Witness,
-    evaluate_template,
-)
+from radonum import Color, Coloring, RadoEquation, Witness, verify_witness
 from radonum.core import INT64_MAX, check64, iter_bits
 
 
@@ -80,95 +73,72 @@ def test_coloring_json_round_trip():
     assert Coloring.from_dict(Coloring(0).to_dict()) == Coloring(0)
 
 
-def test_template_validation():
-    with pytest.raises(ValueError):
-        SolutionTemplate(())
-    with pytest.raises(ValueError):
-        SolutionTemplate(((0, 2),))
-    with pytest.raises(ValueError):
-        SolutionTemplate(((2, 0),))
+def holds(values, eq: RadoEquation) -> bool:
+    """Whether values solve eq, checked as a red witness on the all-red [max(values)]."""
+    n = max(values)
+    col = Coloring.from_red(n, range(1, n + 1))
+    return verify_witness(Witness(tuple(values), Color.RED), col, eq)
 
 
 def test_template_slots_and_values():
-    tmpl = SolutionTemplate(((3, 2), (1, 4)))
-    assert tmpl.total_slots == 4
     # left side 2+2+2 = 6, target 4: 6 = a*4 holds for no integer a
-    assert not any(evaluate_template(tmpl, RadoEquation(4, a)) for a in range(1, 7))
+    assert not any(holds((2, 2, 2, 4), RadoEquation(4, a)) for a in range(1, 7))
     # left side 2+2+2 = 6, target 3: 6 = 2*3
-    assert evaluate_template(SolutionTemplate(((3, 2), (1, 3))), RadoEquation(4, 2))
+    assert holds((2, 2, 2, 3), RadoEquation(4, 2))
 
 
 def test_template_values_group_spanning_target():
     # the x_m slot sits inside the final group when its count exceeds 1:
-    # [2 -> 5; 2 -> 6] reads 5+5+6 = a*6, true for no integer a
-    tmpl = SolutionTemplate(((2, 5), (2, 6)))
-    assert tmpl.total_slots == 4
-    assert not any(evaluate_template(tmpl, RadoEquation(4, a)) for a in range(1, 7))
-    # [2 -> 4; 2 -> 2] reads 4+4+2 = 5*2, not 4+4 = 4*2
-    assert evaluate_template(SolutionTemplate(((2, 4), (2, 2))), RadoEquation(4, 5))
-
-
-def test_template_from_slots_merges_adjacent():
-    tmpl = SolutionTemplate.from_slots([1, 1, 2, 2, 2, 1])
-    assert tmpl.groups == ((2, 1), (3, 2), (1, 1))
-    assert tmpl.total_slots == 6
+    # 5+5+6 = a*6 is true for no integer a
+    assert not any(holds((5, 5, 6, 6), RadoEquation(4, a)) for a in range(1, 7))
+    # 4+4+2 = 5*2, not 4+4 = 4*2
+    assert holds((4, 4, 2, 2), RadoEquation(4, 5))
+    data = Witness((4, 4, 2, 2), Color.RED).to_dict()
+    assert data["groups"] == [[2, 4], [2, 2]]
 
 
 def test_evaluate_template_examples():
-    assert evaluate_template(SolutionTemplate(((4, 1),)), RadoEquation(4, 3))
-    assert not evaluate_template(
-        SolutionTemplate(((7, 2), (1, 5))), RadoEquation(8, 3)
-    )
-    with pytest.raises(ValueError):
-        evaluate_template(SolutionTemplate(((2, 1),)), RadoEquation(3, 1))
+    assert holds((1, 1, 1, 1), RadoEquation(4, 3))
+    assert not holds((2,) * 7 + (5,), RadoEquation(8, 3))
+    assert not holds((1, 1), RadoEquation(3, 1))  # two values for three variables
 
 
 def test_generic_solution_template_always_holds():
     # (m-1) copies of a plus target m-1 solves every equation of the family
     for m in range(2, 41):
         for a in range(1, 11):
-            tmpl = SolutionTemplate(((m - 1, a), (1, m - 1)))
-            assert evaluate_template(tmpl, RadoEquation(m, a)), (m, a)
+            assert holds((a,) * (m - 1) + (m - 1,), RadoEquation(m, a)), (m, a)
 
 
 def test_secondary_solution_template_holds():
     # (m-2) copies of (a-1) plus two copies of m-2 is the other stock solution
     for m in range(3, 41):
         for a in range(2, 11):
-            tmpl = SolutionTemplate(((m - 2, a - 1), (2, m - 2)))
-            assert evaluate_template(tmpl, RadoEquation(m, a)), (m, a)
-
-
-def test_evaluate_invariant_under_group_splitting():
-    eq = RadoEquation(6, 3)
-    whole = SolutionTemplate(((5, 3), (1, 5)))
-    reference = evaluate_template(whole, eq)
-    assert reference is True
-    for k in range(1, 5):
-        split = SolutionTemplate(((k, 3), (5 - k, 3), (1, 5)))
-        assert evaluate_template(split, eq) == reference
-    # splitting a non-solution keeps it a non-solution
-    bad = SolutionTemplate(((5, 3), (1, 4)))
-    assert not evaluate_template(bad, eq)
-    assert not evaluate_template(SolutionTemplate(((2, 3), (3, 3), (1, 4))), eq)
+            assert holds((a - 1,) * (m - 2) + (m - 2, m - 2), RadoEquation(m, a)), (m, a)
 
 
 def test_evaluate_invariant_under_scaling():
     eq = RadoEquation(6, 3)
-    assert evaluate_template(SolutionTemplate(((5, 3), (1, 5))), eq)
+    assert holds((3,) * 5 + (5,), eq)
     for factor in (2, 3, 5, 10):
-        assert evaluate_template(SolutionTemplate(((5, 3 * factor), (1, 5 * factor))), eq)
-        assert not evaluate_template(SolutionTemplate(((5, 3 * factor), (1, 4 * factor))), eq)
+        assert holds((3 * factor,) * 5 + (5 * factor,), eq)
+        assert not holds((3 * factor,) * 5 + (4 * factor,), eq)
 
 
-def test_evaluate_overflow_is_an_error():
-    eq = RadoEquation(3, 1)
-    huge = SolutionTemplate(((2, INT64_MAX), (1, 1)))
-    with pytest.raises(OverflowError):
-        evaluate_template(huge, eq)
+def test_verify_witness_huge_value_is_false():
+    # values are range-checked before any arithmetic: no OverflowError
+    col = Coloring.from_red(3, [1, 2, 3])
+    huge = Witness((INT64_MAX, INT64_MAX, 1), Color.RED)
+    assert not verify_witness(huge, col, RadoEquation(3, 1))
+    assert not verify_witness(Witness((2**200, 2**200, 2**201), Color.RED), col, RadoEquation(3, 1))
 
 
 def test_witness_json_round_trip():
-    w = Witness(SolutionTemplate(((2, 2), (1, 4))), Color.BLUE)
+    w = Witness((2, 2, 4), Color.BLUE)
     data = w.to_dict()
     assert data == {"color": "blue", "groups": [[2, 2], [1, 4]]}
+
+
+def test_witness_json_merges_adjacent_values():
+    data = Witness((1, 1, 2, 2, 2, 1), Color.RED).to_dict()
+    assert data["groups"] == [[2, 1], [3, 2], [1, 1]]

@@ -280,8 +280,6 @@ def test_sweep_report_dict_shape():
 def test_sweep_validates_parameters():
     with pytest.raises(ValueError):
         sweep(3, 5, 4, n_max=10)
-    with pytest.raises(ValueError):
-        sweep(3, 3, 4, n_max=10, threads=0)
     for timeout in (float("nan"), -1.0):
         with pytest.raises(ValueError):
             sweep(3, 3, 4, n_max=10, timeout=timeout)
