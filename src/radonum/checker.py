@@ -6,8 +6,16 @@ repetition allowed, truncated at cap = a*n. A monochromatic solution exists
 iff some target t in S has a*t present in layer m-1. Each layer is built from
 the previous one with one shift per maximal run of consecutive elements of S
 plus at most ceil(log2(w+1)) shift-ORs per distinct run width w, never more
-than |S| shifts; a lower-bound coloring's classes are one run each. A small
-multiset enumeration oracle provides an independent cross-check.
+than |S| shifts; a lower-bound coloring's classes are one run each.
+
+Stable tail: once L_{k+1} = L_k + min S (within the cap), every later layer is
+the one before it shifted by min S, because L_{k+2} = L_{k+1} + S =
+(L_k + S) + min S = L_{k+1} + min S, and truncating at the cap commutes with
+the shift since sums only grow. From the first such layer on, a layer costs
+one shift and one AND; a dense class gets there after a few layers. This is
+the truncated form of the structure theorem for h-fold sumsets (Nathanson,
+Sums of finite sets of integers, 1972). A small multiset enumeration oracle
+provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -48,7 +56,14 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     smeared by the gap down to the next narrower width (or to 0). A layer
     thus costs #runs shifts plus ceil(log2(gap+1)) per distinct width
     instead of |S|.
+
+    Once a built layer equals the previous one shifted by min S (and
+    truncated), the fold stops: if L_{k+1} = L_k + min S, then L_{k+2} =
+    (L_k + S) + min S = L_{k+1} + min S, and the cap commutes with the shift
+    because sums only grow. Each remaining layer is then one shift and one AND.
     """
+    if not class_bits:  # no min S to shift by; every layer is empty
+        return [0] * depth
     starts_by_width: dict[int, list[int]] = {}
     run_starts = iter_bits(class_bits & ~(class_bits << 1))
     run_ends = iter_bits(class_bits & ~(class_bits >> 1))
@@ -59,16 +74,24 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
         (starts_by_width[w], _smear_steps(w - narrower))
         for w, narrower in zip(widths, [*widths[1:], 0])
     ]
+    min_s = (class_bits & -class_bits).bit_length() - 1
     layers = [class_bits & capmask]
+    stable = False
     for _ in range(depth - 1):
-        acc = 0
         prev = layers[-1]
+        shifted = (prev << min_s) & capmask
+        if stable:
+            layers.append(shifted)
+            continue
+        acc = 0
         for starts, steps in plan:
             for p in starts:
                 acc |= prev << p
             for step in steps:
                 acc |= acc << step
-        layers.append(acc & capmask)
+        acc &= capmask
+        stable = acc == shifted
+        layers.append(acc)
     return layers
 
 
@@ -116,8 +139,8 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
             continue
         elements = list(iter_bits(bits))
         for t in elements:
-            scaled = eq.a * t
-            if scaled <= cap and (final >> scaled) & 1:
+            scaled = eq.a * t  # t <= n, so a*t <= cap
+            if (final >> scaled) & 1:
                 left = _greedy_left_side(layers, elements, scaled, depth)
                 return Witness((*left, t), color)
     return None

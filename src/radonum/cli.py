@@ -39,7 +39,7 @@ def _equation_from_dict(data: dict) -> RadoEquation:
     return RadoEquation(json_int(data["m"], "m"), json_int(data["a"], "a"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateFile:
     """A coloring of one equation claimed to have no monochromatic solution.
 

@@ -53,7 +53,7 @@ class Color(enum.Enum):
     BLUE = "blue"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadoEquation:
     """The equation x1 + ... + x_{m-1} = a*x_m: m variables, coefficient a on x_m."""
 
@@ -71,7 +71,7 @@ class RadoEquation:
         check64(self.a**2, "a^2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coloring:
     """A total red/blue coloring of [n], red stored as a bitmask over bits 1..n.
 
@@ -124,7 +124,7 @@ class Coloring:
         return cls.from_red(json_int(data["n"], "n"), red)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A claimed solution of L(m, a): the m slot values, x_m last, and their color."""
 

@@ -32,7 +32,7 @@ def ceiling_formula(eq: RadoEquation) -> int:
     return ceil_div(check64((eq.m - 1) * inner, "ceiling numerator"), eq.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormulaBreakdown:
     """The decomposition m = u*a^2 + v*a + c with u maximal and 0 <= v, c <= a-1.
 
@@ -133,7 +133,7 @@ class KnownSource(enum.Enum):
     GENERAL_CEILING = "general_ceiling"  # a >= 4, m >= 2a^2 - a + 2: C(m, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnownNumber:
     """An exact 2-color Rado number together with the regime that settles it."""
 

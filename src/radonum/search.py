@@ -161,14 +161,14 @@ def _has_solution(state: _ClassState) -> bool:
     return bool(state[0][-1] & state[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchStats:
     nodes: int
     checks: int
     millis: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Result of an exhaustive search up to n_max.
 
@@ -264,7 +264,7 @@ def exact_rado_number(
     return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepEntry:
     """One equation of a sweep: search outcome next to the known value, if any.
 

@@ -2,7 +2,17 @@
 
 import pytest
 
-from radonum import Color, Coloring, RadoEquation, Witness, verify_witness
+from radonum import (
+    Color,
+    Coloring,
+    RadoEquation,
+    Witness,
+    decompose,
+    known_rado_number,
+    sweep,
+    verify_witness,
+)
+from radonum.cli import CertificateFile
 from radonum.core import INT64_MAX, check64, iter_bits
 
 
@@ -142,3 +152,34 @@ def test_witness_json_round_trip():
 def test_witness_json_merges_adjacent_values():
     data = Witness((1, 1, 2, 2, 2, 1), Color.RED).to_dict()
     assert data["groups"] == [[2, 1], [3, 2], [1, 1]]
+
+
+def test_value_types_have_no_instance_dict():
+    # slotted frozen dataclasses: a KnownNumber is 48 B instead of 56 B plus a dict
+    eq = RadoEquation(7, 3)
+    (entry,) = sweep(3, 7, 7, n_max=12)
+    values = [
+        eq,
+        entry.outcome.certificate,
+        Witness((1, 2, 1), Color.RED),
+        decompose(eq),
+        known_rado_number(eq),
+        entry.outcome.stats,
+        entry.outcome,
+        entry,
+        CertificateFile(eq, entry.outcome.certificate, "valid"),
+    ]
+    names = [type(value).__name__ for value in values]
+    assert names == [
+        "RadoEquation",
+        "Coloring",
+        "Witness",
+        "FormulaBreakdown",
+        "KnownNumber",
+        "SearchStats",
+        "SearchOutcome",
+        "SweepEntry",
+        "CertificateFile",
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__

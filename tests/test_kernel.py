@@ -1,7 +1,8 @@
 """The search's and the checker's kernels against references and brute force.
 
-The checker's run-length sumset layers are compared with the per-element
-reference sumset_layers, down to the witnesses find_mono_solution returns. The
+The checker's run-length sumset layers, with their tail that repeats by a
+shift of min S, are compared with the per-element reference sumset_layers,
+down to the witnesses find_mono_solution returns. The
 incremental sumset fold, its saturated-layer index and the lookahead's blocked-y
 mask are compared with the layer-at-a-time checker, the reference layers, the
 naive oracle, the per-y test blocks and plain enumeration, and
@@ -9,6 +10,7 @@ exact_rado_number with a search that tries every coloring.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -72,11 +74,17 @@ runs = st.lists(st.tuples(st.integers(1, 80), st.integers(0, 40)), max_size=5).m
 scattered = st.sets(st.integers(1, 80), max_size=20).map(
     lambda members: sum_bits(1 << x for x in members)
 )
+# about half of 1..80: the layers repeat by a shift of min S after a few steps
+dense = st.lists(st.booleans(), min_size=80, max_size=80).map(
+    lambda flags: sum_bits(1 << x for x, on in enumerate(flags, start=1) if on)
+)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    class_bits=st.one_of(runs, scattered, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])),
+    class_bits=st.one_of(
+        runs, scattered, dense, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])
+    ),
     depth=st.integers(1, 7),
     cap=st.integers(0, 400),
 )
@@ -109,14 +117,57 @@ def test_run_length_layers_edges(class_bits, depth, cap):
     assert layers == sumset_layers(class_bits, depth, capmask)
 
 
+def first_shift_stable(layers, class_bits, capmask):
+    """The first k with L_{k+1} = (L_k << min S) & capmask, 1-based, or None.
+
+    Multiplying by the lowest set bit is the shift by min S, and gives 0 for
+    the empty class, whose layers are all empty.
+    """
+    low = class_bits & -class_bits
+    for k in range(1, len(layers)):
+        if layers[k] == (layers[k - 1] * low) & capmask:
+            return k
+    return None
+
+
+@pytest.mark.parametrize(
+    ("class_bits", "depth", "cap", "stable", "saturated"),
+    [
+        (0, 6, 30, 1, None),  # the empty class
+        (interval(20, 26), 6, 10, 1, 1),  # a class entirely above capmask: every layer empty
+        # {1} + [3, 20]: L_k = {k} + [k+2, 20k] never holds k+1, so it never
+        # saturates, yet it repeats by a shift of 1 once 20k reaches the cap
+        ((1 << 1) | interval(3, 20), 9, 100, 5, None),
+        # an interval [3, 10]: L_k = [3k, 10k] repeats by a shift only once saturated
+        (interval(3, 10), 9, 60, 6, 6),
+    ],
+)
+def test_shift_stable_tail(class_bits, depth, cap, stable, saturated):
+    capmask = (1 << (cap + 1)) - 1
+    reference = sumset_layers(class_bits, depth, capmask)
+    assert _sumset_layers(class_bits, depth, capmask) == reference
+    assert first_shift_stable(reference, class_bits, capmask) == stable
+    # saturated as in the search: L_k = [k*min S, cap], empty once k*min S > cap
+    lo = (class_bits & -class_bits).bit_length() - 1
+    full = [
+        k
+        for k in range(1, depth + 1)
+        if class_bits and reference[k - 1] == (interval(k * lo, cap) if k * lo <= cap else 0)
+    ]
+    assert (full[0] if full else None) == saturated
+
+
 # certify-size points: lower-bound colorings of [C - 1] with C - 1 = 113, 112, 111
 @pytest.mark.parametrize(("m", "a"), [(32, 3), (52, 5), (82, 8)])
 def test_witnesses_match_reference_layers(monkeypatch, m, a):
-    # the lower-bound coloring and every one-element flip of it, with the layers
-    # built by run-length smearing and by the per-element reference
+    # the lower-bound coloring, every one-element flip of it and seeded random
+    # colorings, with the layers built by run-length smearing and its shifted
+    # tail and by the per-element reference
     eq = RadoEquation(m, a)
     base = lower_bound_coloring(eq)
+    rng = random.Random(m * a)
     colorings = [base] + [Coloring(base.n, base.red_bits ^ (1 << x)) for x in range(1, base.n + 1)]
+    colorings += [Coloring(base.n, rng.getrandbits(base.n) << 1) for _ in range(20)]
     fast = [find_mono_solution(col, eq) for col in colorings]
     monkeypatch.setattr(checker, "_sumset_layers", sumset_layers)
     assert fast == [find_mono_solution(col, eq) for col in colorings]
