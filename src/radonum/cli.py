@@ -139,7 +139,8 @@ def _cmd_exact(args) -> int:
     outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
     print(
         f"# deepest_valid={outcome.deepest_valid} nodes={outcome.stats.nodes} "
-        f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f}",
+        f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f} "
+        f"stop={outcome.stats.stop}",
         file=sys.stderr,
     )
     if args.cert:

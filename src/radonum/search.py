@@ -46,6 +46,31 @@ plain search.) This is the forced-element pruning of exhaustive van der
 Waerden searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132,
 Exp. Math. 2008), applied inside a node as well as across nodes.
 
+Propagation: a node that passes the lookahead then propagates forced colors
+over the same window W = d+2 .. best_depth+1. The lowest y in W that is blocked
+in exactly one class, and not yet folded, is folded into the other class with
+_add_element; this repeats until no y is forced. The node is skipped, as the
+lookahead skips it, on a conflict: a fold that holds a solution, or a y in W
+blocked in both classes after a fold. Otherwise the folded states are dropped
+and the node is expanded from its own states. This is sound for the
+lookahead's reason: a descendant that reaches best_depth+1 colors all of W;
+by induction over the folds, each forced y has its forced color there (the
+other color closes a solution in a class the descendant's contains), so the
+descendant contains the conflict, which cannot be. Such nodes cannot set a new
+best, and the status, rado_number, deepest_valid and certificate stay those
+of the plain search. This is the unit propagation of SAT solvers (Heule,
+Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016). Each
+forced y is larger than every element the node colored, so it is at least
+min S of a nonempty class and the fold keeps its saturated tail; a chain may
+still fold a smaller y after a larger one, and into an empty blue class, which
+_add_element allows. A class member's blocked bit is clear while its class
+is solution-free, so the AND over W needs no mask of the folded y.
+
+Counting: nodes counts every popped node, a skipped one included, and checks
+counts every child tested (blocked or folded) and every propagation fold. A
+propagation that finds no conflict prunes nothing, so on a small tree checks
+can exceed those of the search with the lookahead alone; nodes cannot.
+
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
 that order. The search runs on one thread: the pure-Python DFS holds the
@@ -65,6 +90,9 @@ from .formula import KnownNumber, known_rado_number
 
 EXACT = "exact"
 CUTOFF = "cutoff"
+# why a search stopped, besides EXACT: it reached depth n_max, or the timeout passed
+N_MAX = "n_max"
+TIMEOUT = "timeout"
 
 _POLL_MASK = 127  # poll the deadline every this many expanded nodes
 
@@ -104,12 +132,13 @@ def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassStat
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
     Then L_{k+1} contains L_k + min S = [(k+1)*min S, cap], so the saturated
-    layers are a tail. While x >= min S, as in the search, where elements
-    arrive in increasing order, min S stays and L'_{k-1} << x lies in
+    layers are a tail. While x >= min S, as in the search, where a new element
+    exceeds every colored one, min S stays and L'_{k-1} << x lies in
     [k*min S, cap] as well: the tail cannot change, is reused by reference,
     and only the layers before it are folded, after which full moves down
-    past the layers that have just saturated. An x below min S (only tests
-    fold out of order) lowers min S, and every layer is folded again.
+    past the layers that have just saturated. An x below min S (a propagation
+    chain into a class it started, or a test) lowers min S, and every layer
+    is folded again.
 
     blocked only grows, so the parent's is extended by the new y of each shape:
       shape 1, a*y in L'_{m-1}:     L'_{m-1} decimated by a;
@@ -163,9 +192,12 @@ def _has_solution(state: _ClassState) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class SearchStats:
+    """Work done by one search and why it stopped: EXACT, N_MAX or TIMEOUT."""
+
     nodes: int
     checks: int
     millis: float
+    stop: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,13 +230,14 @@ def exact_rado_number(
     """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
     Exhausts colorings up to n_max elements by a preorder DFS, red child
-    before blue, with the lookahead of the module docstring; a node is
-    (red_bits, depth, red_state, blue_state). Reports
+    before blue, with the lookahead and propagation of the module docstring;
+    a node is (red_bits, depth, red_state, blue_state). Reports
     "exact" with the Rado number when the stack empties, otherwise "cutoff":
     the search stops at the first node of depth n_max (in preorder it carries
     the lexicographically least red set among deepest colorings) or once the
     optional timeout (seconds, >= 0) has passed; only then can deepest_valid
-    fall short of n_max. threads must be >= 1 and has no effect.
+    fall short of n_max. stats.stop is EXACT, N_MAX or TIMEOUT accordingly.
+    threads must be >= 1 and has no effect.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -228,20 +261,38 @@ def exact_rado_number(
         best_depth, best_red = 1, 0b10
         stack.append((0b10, 1, pinned, empty))
 
-    status = CUTOFF
     while stack:
         # nodes - 1 nodes expanded so far: poll before the first and every 128th
         if (nodes & _POLL_MASK) == 1 and deadline is not None:
             if time.perf_counter() > deadline:
+                stop = TIMEOUT
                 break
         red, depth, red_state, blue_state = stack.pop()
         nodes += 1
         if depth > best_depth:
             best_depth, best_red = depth, red
         if depth >= n_max:
+            stop = N_MAX
             break
+        window = (1 << (best_depth + 2)) - (1 << (depth + 2))  # y in depth+2 .. best_depth+1
         # lookahead: no extension colors y, so none goes deeper than y - 1 <= best_depth
-        if (red_state[2] & blue_state[2] & ((1 << (best_depth + 2)) - 1)) >> (depth + 2):
+        if red_state[2] & blue_state[2] & window:
+            continue
+        # propagation: a y blocked in one class only takes the other color in every
+        # extension that colors it; fold it there, lowest first, until a conflict or none is left
+        red_p, blue_p, free = red_state, blue_state, window
+        while forced := (red_p[2] ^ blue_p[2]) & free:
+            y_bit = forced & -forced
+            free ^= y_bit
+            checks += 1
+            y = y_bit.bit_length() - 1
+            if blue_p[2] & y_bit:
+                red_p = folded = _add_element(red_p, y, a, capmask)
+            else:
+                blue_p = folded = _add_element(blue_p, y, a, capmask)
+            if _has_solution(folded) or red_p[2] & blue_p[2] & window:
+                break
+        if forced:  # a conflict: skipped as the lookahead skips
             continue
         x = depth + 1
         bit = 1 << x
@@ -256,11 +307,11 @@ def exact_rado_number(
             if not _has_solution(child):
                 stack.append((red | bit, x, child, blue_state))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
-        status = EXACT
+        stop = EXACT
 
     millis = (time.perf_counter() - start) * 1000.0
-    stats = SearchStats(nodes, checks, millis)
-    rado_number = best_depth + 1 if status == EXACT else None
+    stats = SearchStats(nodes, checks, millis, stop)
+    status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)
     return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 
 

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON documents, pipelines."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,7 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.startswith("cutoff deepest_valid=6")
+    assert captured.err.endswith(" stop=n_max\n")
     col, _ = read_certificate_coloring(cert_path)
     assert col.n == 6
     assert is_valid_coloring(col, RadoEquation(2, 3))
@@ -216,7 +218,9 @@ def test_exact_timeout_flag(capsys):
     assert capsys.readouterr().out == plain == "9\n"
     # an expired deadline reaches the search and turns the answer into a cutoff
     assert run(["exact", "--m", "5", "--a", "1", "--timeout", "0"]) == 1
-    assert capsys.readouterr().out.startswith("cutoff deepest_valid=")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("cutoff deepest_valid=")
+    assert captured.err.endswith(" stop=timeout\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -258,7 +262,7 @@ def test_sweep_stdout_is_byte_stable(capsys):
         assert run(["sweep", "--a", "3", "--m-from", "3", "--m-to", "8"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert outs[0].splitlines()[-1] == "m=8 a=3 exact=7 formula=7 agree=yes nodes=11"
+    assert outs[0].splitlines()[-1] == "m=8 a=3 exact=7 formula=7 agree=yes nodes=8"
 
 
 def test_sweep_unknown_regime_prints_dashes(capsys):
@@ -282,7 +286,7 @@ def test_exact_certificate_bytes(tmp_path, capsys):
     assert f"```json\n{CERT_3_3}```" in readme.read_text(encoding="utf-8")
 
 
-# stdout of README.md's construct and check examples, run in order in one directory
+# exit code and stdout of README.md's examples, run in order in one directory
 README_EXAMPLES = {
     "construct --m 14 --a 3 --verify": (0, """\
 {
@@ -318,7 +322,21 @@ VALID
   ]
 }
 """),
+    "exact --m 3 --a 3 --cert cert.json": (0, "9\n"),
+    "check --file cert.json": (0, "VALID\n"),
+    "sweep --a 3 --m-from 3 --m-to 8": (0, """\
+m=3 a=3 exact=9 formula=9 agree=yes nodes=10
+m=4 a=3 exact=1 formula=1 agree=yes nodes=1
+m=5 a=3 exact=4 formula=4 agree=yes nodes=4
+m=6 a=3 exact=5 formula=5 agree=yes nodes=5
+m=7 a=3 exact=4 formula=4 agree=yes nodes=5
+m=8 a=3 exact=7 formula=7 agree=yes nodes=8
+"""),
 }
+
+
+def without_millis(text):
+    return re.sub(r"millis=[0-9.]+", "millis=_", text)
 
 
 def test_readme_example_bytes(tmp_path, capsys, monkeypatch):
@@ -326,8 +344,14 @@ def test_readme_example_bytes(tmp_path, capsys, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     for command, (want_code, want_out) in README_EXAMPLES.items():
         assert run(command.split()) == want_code, command
-        assert capsys.readouterr().out == want_out, command
-        assert f"$ radonum {command}\n{want_out}" in readme, command
+        captured = capsys.readouterr()
+        assert captured.out == want_out, command
+        # the README may show the stderr lines, timings aside, between command and stdout
+        shown = re.search(re.escape(f"$ radonum {command}\n") + r"((?:# .*\n)*)"
+                          + re.escape(want_out), readme)
+        assert shown, command
+        if shown[1]:
+            assert without_millis(shown[1]) == without_millis(captured.err), command
 
 
 def test_certificate_claim_validation():

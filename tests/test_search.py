@@ -99,21 +99,21 @@ def test_thread_count_does_not_change_results():
 
 # (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
 PINNED_TREES = [
-    ((14, 2, 54), (EXACT, 46, 77, 121, 126)),
-    ((16, 2, 68), (EXACT, 60, 99, 157, 254)),
-    ((20, 3, 53), (EXACT, 45, 92, 147, 126)),
-    ((25, 3, 72), (EXACT, 64, 120, 197, 254)),
-    ((45, 6, 67), (EXACT, 59, 269, 479, 254)),
+    ((14, 2, 54), (EXACT, 46, 51, 97, 126)),
+    ((16, 2, 68), (EXACT, 60, 66, 125, 254)),
+    ((20, 3, 53), (EXACT, 45, 50, 108, 126)),
+    ((25, 3, 72), (EXACT, 64, 70, 146, 254)),
+    ((45, 6, 67), (EXACT, 59, 67, 260, 254)),
     ((18, 2, 40), (CUTOFF, None, 41, 79, 510)),
     # the blocked-y mask's edge cases: a = 1 (shape 3 never fires), m = 2 (L_0 = {0})
-    ((5, 1, 30), (EXACT, 19, 55, 87, 458766)),
-    ((8, 1, 70), (EXACT, 55, 278, 431, 35465847065542782)),
+    ((5, 1, 30), (EXACT, 19, 33, 73, 458766)),
+    ((8, 1, 70), (EXACT, 55, 111, 333, 35465847065542782)),
     ((2, 3, 16), (CUTOFF, None, 17, 31, 94134)),
     # the perfbench deep points and a ladder point
-    ((24, 2, 146), (EXACT, 138, 215, 351, 4094)),
-    ((40, 3, 177), (EXACT, 169, 269, 457, 8190)),
-    ((60, 6, 107), (EXACT, 99, 378, 623, 1022)),
-    ((100, 6, 281), (EXACT, 281, 853, 1375, 131070)),
+    ((24, 2, 146), (EXACT, 138, 148, 283, 4094)),
+    ((40, 3, 177), (EXACT, 169, 180, 367, 8190)),
+    ((60, 6, 107), (EXACT, 99, 109, 394, 1022)),
+    ((100, 6, 281), (EXACT, 281, 296, 885, 131070)),
 ]
 
 
@@ -127,11 +127,68 @@ def test_search_tree_is_pinned(params, want, threads):
     assert got == want
 
 
+def lookahead_only(eq, n_max):
+    """exact_rado_number's search without propagation: only the lookahead skips nodes.
+
+    Returns (status, rado_number, deepest_valid, certificate red bits, nodes, checks).
+    """
+    capmask = (1 << (eq.a * n_max + 1)) - 1
+    empty = _empty_state(eq.m, eq.a, capmask)
+    pinned = _add_element(empty, 1, eq.a, capmask)
+    stack = [] if _has_solution(pinned) else [(0b10, 1, pinned, empty)]
+    best, best_red = (1, 0b10) if stack else (0, 0)
+    nodes = checks = 1
+    while stack:
+        red, depth, red_state, blue_state = stack.pop()
+        nodes += 1
+        if depth > best:
+            best, best_red = depth, red
+        if depth >= n_max:
+            return CUTOFF, None, best, best_red, nodes, checks
+        if (red_state[2] & blue_state[2] & ((1 << (best + 2)) - 1)) >> (depth + 2):
+            continue
+        x = depth + 1
+        for to_red in (False, True):  # blue child first, as the search pushes it
+            state = red_state if to_red else blue_state
+            checks += 1
+            if state[2] >> x & 1:
+                continue
+            child = _add_element(state, x, eq.a, capmask)
+            if not _has_solution(child):
+                stack.append((red | 1 << x, x, child, blue_state) if to_red
+                             else (red, x, red_state, child))
+    return EXACT, best + 1, best, best_red, nodes, checks
+
+
+def propagate(red, blue, lo, hi, a, capmask):
+    """Fold each y in lo..hi blocked in one class only into the other, lowest first.
+
+    Returns (conflict, folds): a conflict is a fold that holds a solution or a y
+    in lo..hi blocked in both classes.
+    """
+    states, done, folds = [red, blue], set(), 0
+    while True:
+        blocked = [[state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)]
+        if [1, 1] in blocked:
+            return True, folds
+        forced = [y for y, pair in zip(range(lo, hi + 1), blocked)
+                  if pair in ([0, 1], [1, 0]) and y not in done]
+        if not forced:
+            return False, folds
+        y = forced[0]
+        done.add(y)
+        to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
+        states[to] = _add_element(states[to], y, a, capmask)
+        folds += 1
+        if _has_solution(states[to]):
+            return True, folds
+
+
 def fold_every_child(eq, n_max):
     """exact_rado_number's tree with every child folded, blocked bit set or not.
 
-    Returns the checks and the children whose x is blocked in the parent's
-    class; such a child must hold a solution.
+    Returns the checks, propagation folds included, and the children whose x is
+    blocked in the parent's class; such a child must hold a solution.
     """
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
@@ -143,7 +200,9 @@ def fold_every_child(eq, n_max):
         best = max(best, depth)
         if depth >= n_max:
             break
-        if (red[2] & blue[2] & ((1 << (best + 2)) - 1)) >> (depth + 2):
+        conflict, folds = propagate(red, blue, depth + 2, best + 1, eq.a, capmask)
+        checks += folds
+        if conflict:
             continue
         x = depth + 1
         for to_red in (False, True):  # blue child first, as the search pushes it
@@ -170,21 +229,64 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
     assert out.stats.checks == want[3]
-    # the pinned root is one fold and one check; no other fold has its x blocked
+    # the pinned root is one fold and one check; no other fold, propagation
+    # included, has its x blocked in the class it joins
     assert not any(folds[1:])
     checks, blocked = fold_every_child(RadoEquation(m, a), n_max)
     assert len(folds) + blocked == checks == out.stats.checks
 
 
-@pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3)])
+# m 2..12 x a 1..7 x five bounds, and a few larger m, each cut off or refuted
+PROPAGATION_GRID = [
+    *((m, a, n_max) for m in range(2, 13) for a in range(1, 8) for n_max in (4, 9, 15, 22, 40)),
+    *((m, a, n_max) for m in (30, 45, 70) for a in (2, 3, 5, 8) for n_max in (60, 150)),
+]
+
+
+def same_answer_fewer_nodes(m, a, n_max):
+    """Checks the search against lookahead_only; returns both check counts."""
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
+    status, rado_number, deepest, red_bits, nodes, checks = lookahead_only(RadoEquation(m, a), n_max)
+    got = (out.status, out.rado_number, out.deepest_valid, out.certificate.red_bits)
+    assert got == (status, rado_number, deepest, red_bits), (m, a, n_max)
+    assert out.stats.nodes <= nodes, (m, a, n_max)
+    return out.stats.checks, checks
+
+
+def test_propagation_keeps_the_answer_on_the_grid():
+    assert len(PROPAGATION_GRID) == 409
+    counts = [same_answer_fewer_nodes(*params) for params in PROPAGATION_GRID]
+    # a propagation without a conflict is folds that prune nothing, so one search
+    # can check more, e.g. (4, 7, 15): 37 -> 43; the grid as a whole checks less
+    assert sum(new for new, _ in counts) < sum(old for _, old in counts)
+
+
+@pytest.mark.parametrize("params", [params for params, _ in PINNED_TREES])
+def test_propagation_keeps_the_answer_on_pinned_trees(params):
+    new, old = same_answer_fewer_nodes(*params)
+    assert new <= old
+
+
+@pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3), (100, 2), (200, 6)])
 def test_ladder_points_reach_the_ceiling_formula(m, a):
-    # the largest ROADMAP ladder points, refuted at n_max = C(m, a) itself
+    # ROADMAP ladder points, refuted at n_max = C(m, a) itself
     eq = RadoEquation(m, a)
     c = ceiling_formula(eq)
     out = exact_rado_number(eq, n_max=c)
     assert (out.status, out.rado_number, out.deepest_valid) == (EXACT, c, c - 1)
     assert out.certificate.n == c - 1
     assert is_valid_coloring(out.certificate, eq)
+
+
+@pytest.mark.parametrize(("m", "a", "n_max", "timeout", "want"), [
+    (3, 3, 12, None, (EXACT, "exact")),
+    (3, 3, 5, None, (CUTOFF, "n_max")),
+    (2, 3, 20, None, (CUTOFF, "n_max")),  # no Rado number: only a cutoff is possible
+    (5, 1, 24, 0.0, (CUTOFF, "timeout")),
+])
+def test_stop_reason(m, a, n_max, timeout, want):
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max, timeout=timeout)
+    assert (out.status, out.stats.stop) == want
 
 
 def test_timeout_reports_cutoff():
