@@ -22,23 +22,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import Color, Coloring, RadoEquation, Witness, iter_bits
+from .core import Color, Coloring, RadoEquation, Witness, iter_bits, smear_steps
 
 NAIVE_GUARD = 1_000_000
-
-
-def _smear_steps(w: int) -> list[int]:
-    """Shifts s_i such that x |= x << s_i, in turn, gives x | x<<1 | ... | x<<w.
-
-    Doubling, with a shorter last step: ceil(log2(w+1)) shifts.
-    """
-    steps = []
-    span = 1  # offsets 0 .. span-1 are covered
-    while span <= w:
-        step = min(span, w + 1 - span)
-        steps.append(step)
-        span += step
-    return steps
 
 
 def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
@@ -71,7 +57,7 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
         starts_by_width.setdefault(q - p, []).append(p)
     widths = sorted(starts_by_width, reverse=True)
     plan = [
-        (starts_by_width[w], _smear_steps(w - narrower))
+        (starts_by_width[w], smear_steps(w - narrower))
         for w, narrower in zip(widths, [*widths[1:], 0])
     ]
     min_s = (class_bits & -class_bits).bit_length() - 1

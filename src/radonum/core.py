@@ -48,6 +48,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def smear_steps(w: int) -> list[int]:
+    """Shifts s_i such that x |= x << s_i, in turn, gives x | x<<1 | ... | x<<w.
+
+    Doubling, with a shorter last step: ceil(log2(w+1)) shifts, none for w = 0.
+    Shifting by a*s_i instead smears with step a, and x |= x >> s_i downwards.
+    """
+    steps = []
+    span = 1  # offsets 0 .. span-1 are covered
+    while span <= w:
+        step = min(span, w + 1 - span)
+        steps.append(step)
+        span += step
+    return steps
+
+
 class Color(enum.Enum):
     RED = "red"
     BLUE = "blue"

@@ -49,27 +49,42 @@ Exp. Math. 2008), applied inside a node as well as across nodes.
 Propagation: a node that passes the lookahead then propagates forced colors
 over the same window W = d+2 .. best_depth+1. The lowest y in W that is blocked
 in exactly one class, and not yet folded, is folded into the other class with
-_add_element; this repeats until no y is forced. The node is skipped, as the
-lookahead skips it, on a conflict: a fold that holds a solution, or a y in W
-blocked in both classes after a fold. Otherwise the folded states are dropped
-and the node is expanded from its own states. This is sound for the
-lookahead's reason: a descendant that reaches best_depth+1 colors all of W;
-by induction over the folds, each forced y has its forced color there (the
-other color closes a solution in a class the descendant's contains), so the
-descendant contains the conflict, which cannot be. Such nodes cannot set a new
-best, and the status, rado_number, deepest_valid and certificate stay those
-of the plain search. This is the unit propagation of SAT solvers (Heule,
-Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016). Each
-forced y is larger than every element the node colored, so it is at least
-min S of a nonempty class and the fold keeps its saturated tail; a chain may
-still fold a smaller y after a larger one, and into an empty blue class, which
+_add_element, together with the forced y right above it that the same class
+blocks: the run y..y+w that ends below the first y not forced that way. This
+repeats until no y is forced. The node is skipped, as the lookahead skips it,
+on a conflict: a fold that holds a solution, or a y in W blocked in both
+classes after a fold. Otherwise the folded states are dropped and the node is
+expanded from its own states. This is sound for the lookahead's reason: a
+descendant that reaches best_depth+1 colors all of W; by induction over the
+folds, each forced y has its forced color there (the other color closes a
+solution in a class the descendant's contains), so the descendant contains
+the conflict, which cannot be. Such nodes cannot set a new best, and the
+status, rado_number, deepest_valid and certificate stay those of the plain
+search. This is the unit propagation of SAT solvers (Heule, Kullmann and
+Marek, The Boolean Pythagorean Triples problem, SAT 2016). Each forced y is
+larger than every element the node colored, so it is at least min S of a
+nonempty class and the fold keeps its saturated tail; a chain may still fold
+a lower run after a higher one, and into an empty blue class, which
 _add_element allows. A class member's blocked bit is clear while its class
 is solution-free, so the AND over W needs no mask of the folded y.
 
+Folding a run in one step skips exactly the nodes that folding its y one at a
+time, lowest first, skips. Blocked masks and solutions only grow as a class
+grows. Say one of the two loops ends without a conflict, with classes R* and
+B*: then every y in W blocked in one of them only has been folded into the
+other, and none is blocked in both. By induction over the other loop's folds,
+its classes stay within R* and B*: a y it folds into red is blocked in its
+blue class, hence in B*, so the first loop folded y, and into R*, since a
+member that blocks itself would be a solution in B*; blue likewise. So the
+other loop meets no conflict either, and the skip decision is the same at
+every node. Hence nodes, status, rado_number, deepest_valid and the
+certificate do not depend on the folding unit; only checks do.
+
 Counting: nodes counts every popped node, a skipped one included, and checks
-counts every child tested (blocked or folded) and every propagation fold. A
-propagation that finds no conflict prunes nothing, so on a small tree checks
-can exceed those of the search with the lookahead alone; nodes cannot.
+counts every child tested (blocked or folded) and every propagated run, one
+check however long the run. A propagation that finds no conflict prunes
+nothing, so on a small tree checks can exceed those of the search with the
+lookahead alone; nodes cannot.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -85,7 +100,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Coloring, RadoEquation, iter_bits
+from .core import Coloring, RadoEquation, iter_bits, smear_steps
 from .formula import KnownNumber, known_rado_number
 
 EXACT = "exact"
@@ -121,32 +136,44 @@ def _decimate(bits: int, step: int) -> int:
     return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
-def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassState:
-    """Class state after adding element x.
+def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
+    """Class state after adding the run of elements x..x+w, w >= 0.
 
-    A sum of k elements of S + {x} either avoids x (layer k of S) or is x
-    plus a sum of k-1 elements of S + {x}, so with L'_0 = {0} the new layers
-    are L'_k = L_k | (L'_{k-1} << x), built from k = 1 upwards: one shift per
-    layer. Adding an element already in the class leaves the state unchanged.
+    A sum of k elements of S + R, R = {x, ..., x+w}, either avoids R (layer k
+    of S) or is an element of R plus a sum of k-1 elements of S + R, so with
+    L'_0 = {0} the new layers are L'_k = L_k | smear_w(L'_{k-1} << x), built
+    from k = 1 upwards, where smear_w(v) = v | v<<1 | ... | v<<w. A single
+    element (w = 0) costs one shift per layer; a run adds ceil(log2(w+1))
+    shift-ORs per layer (core.smear_steps), as the checker's run-length layers
+    do. Adding elements already in the class leaves the state unchanged.
+
+    A run's fold stops smearing once a layer repeats the one before it by a
+    shift: if L'_k = (L'_{k-1} << min S') & cap, every later layer is the one
+    before it shifted by min S' and capped (the stable tail of
+    checker._sumset_layers), one shift and one AND. A single element costs
+    that much already and skips the test.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
     Then L_{k+1} contains L_k + min S = [(k+1)*min S, cap], so the saturated
-    layers are a tail. While x >= min S, as in the search, where a new element
-    exceeds every colored one, min S stays and L'_{k-1} << x lies in
+    layers are a tail. While x >= min S, as in the search, where new elements
+    exceed every colored one, min S stays and smear_w(L'_{k-1} << x) lies in
     [k*min S, cap] as well: the tail cannot change, is reused by reference,
     and only the layers before it are folded, after which full moves down
-    past the layers that have just saturated. An x below min S (a propagation
-    chain into a class it started, or a test) lowers min S, and every layer
+    past the layers that have just saturated. An x below min S (a propagated
+    run into a class it started, or a test) lowers min S, and every layer
     is folded again.
 
     blocked only grows, so the parent's is extended by the new y of each shape:
       shape 1, a*y in L'_{m-1}:     L'_{m-1} decimated by a;
       shape 3, (a-1)*y in L'_{m-2}: L'_{m-2} decimated by a-1;
-      shape 2, y + s = a*t, with s in L'_{m-2} and t in S + {x}: for t = x,
-        L'_{m-2} bit-reversed about a*x; for t in S, only the s that are new
-        in L'_{m-2}, each as targets >> s. Such an s can reach a target only
-        below targets.bit_length(), whatever the order elements arrive in.
+      shape 2, y + s = a*t, with s in L'_{m-2} and t in S + R: for t in R,
+        L'_{m-2} below a*(x+w) bit-reversed about a*(x+w), which gives the y
+        of t = x+w, then smeared down with step a, which gives those of the
+        smaller t, and bit 0 (a*t = s) dropped; for t in S, only the s that
+        are new in L'_{m-2}, each as targets >> s. Such an s can reach a
+        target only below targets.bit_length(), whatever the order elements
+        arrive in.
     A reused L'_{m-1} or L'_{m-2} adds nothing to shapes 1 and 3, nor new s:
     the solution-free state that last changed it ORed its y in already.
     blocked is left as the parent's once the class holds a solution: such a
@@ -156,18 +183,36 @@ def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassStat
     min_bit = layers[0] & -layers[0]  # the bit of min S, 0 while the class is empty
     if not min_bit or min_bit > 1 << x:  # x is the new min S: fold every layer
         full, min_bit = len(layers), 1 << x
+    cap, min_s = capmask.bit_length() - 1, min_bit.bit_length() - 1
     prev = 1
     # islice, not slices: tuples of fewer than 20 items are kept on free lists when
     # freed, and slices of every length would fill those with thousands of tuples
-    head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
+    if not w:
+        steps = ()
+        head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
+    else:
+        steps = smear_steps(w)
+        head, stable = [], False
+        for layer in islice(layers, full):
+            shifted = (prev << min_s) & capmask
+            if stable:
+                prev = shifted
+            else:
+                run = prev << x
+                for step in steps:
+                    run |= run << step
+                prev = (layer | run) & capmask
+                stable = prev == shifted
+            head.append(prev)
     reused = len(layers) - len(head)
     # L'_k is saturated when it holds all cap + 1 - k*min S values of its interval
-    cap, min_s = capmask.bit_length() - 1, min_bit.bit_length() - 1
     while full and head[full - 1].bit_count() == max(0, cap + 1 - full * min_s):
         full -= 1
     new_layers = (*head, *islice(layers, len(head), None))
-    ax = a * x
-    new_targets = targets | (1 << ax)
+    new_targets = 1 << a * x  # {a*t : t in R}
+    for step in steps:
+        new_targets |= new_targets << a * step
+    new_targets |= targets
     if new_layers[-1] & new_targets:
         return new_layers, new_targets, blocked, full
     below = new_layers[-2] if len(layers) > 1 else 1  # L'_{m-2}
@@ -175,9 +220,15 @@ def _add_element(state: _ClassState, x: int, a: int, capmask: int) -> _ClassStat
         blocked |= _decimate(new_layers[-1], a)
     if a > 1 and reused < 2:  # a = 1: 0 is in L'_{m-2} only for m = 2, where x = x is a solution
         blocked |= _decimate(below, a - 1)
-    low = below & ((1 << ax) - 1)  # s < a*x, so that y = a*x - s >= 1
+    top = a * (x + w)
+    low = below & ((1 << top) - 1)  # s < a*(x+w), so that y = a*(x+w) - s >= 1
     # reversing the base-2 digits moves bit s to low.bit_length() - 1 - s
-    blocked |= int(bin(low)[:1:-1], 2) << (ax + 1 - low.bit_length())
+    ys = int(bin(low)[:1:-1], 2) << (top + 1 - low.bit_length())
+    if w:
+        for step in steps:
+            ys |= ys >> a * step
+        ys &= ~1
+    blocked |= ys
     if len(layers) > 1 and reused < 2:  # for m = 2, L_0 = {0} gains nothing
         new = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)
         for s in iter_bits(new):
@@ -255,7 +306,7 @@ def exact_rado_number(
     best_depth, best_red = 0, 0
     nodes = checks = 1
     empty = _empty_state(m, a, capmask)
-    pinned = _add_element(empty, 1, a, capmask)
+    pinned = _add_element(empty, 1, 0, a, capmask)
     stack = []
     if not _has_solution(pinned):
         best_depth, best_red = 1, 0b10
@@ -279,17 +330,22 @@ def exact_rado_number(
         if red_state[2] & blue_state[2] & window:
             continue
         # propagation: a y blocked in one class only takes the other color in every
-        # extension that colors it; fold it there, lowest first, until a conflict or none is left
+        # extension that colors it; fold it there with the forced y right above it
+        # that the same class blocks, lowest first, until a conflict or none is left
         red_p, blue_p, free = red_state, blue_state, window
         while forced := (red_p[2] ^ blue_p[2]) & free:
             y_bit = forced & -forced
-            free ^= y_bit
+            to_red = blue_p[2] & y_bit
+            same = forced & (blue_p[2] if to_red else red_p[2])
+            run = same & ~(same + y_bit)  # the bits of same from y_bit up to its first gap
+            free ^= run
             checks += 1
             y = y_bit.bit_length() - 1
-            if blue_p[2] & y_bit:
-                red_p = folded = _add_element(red_p, y, a, capmask)
+            w = run.bit_length() - 1 - y
+            if to_red:
+                red_p = folded = _add_element(red_p, y, w, a, capmask)
             else:
-                blue_p = folded = _add_element(blue_p, y, a, capmask)
+                blue_p = folded = _add_element(blue_p, y, w, a, capmask)
             if _has_solution(folded) or red_p[2] & blue_p[2] & window:
                 break
         if forced:  # a conflict: skipped as the lookahead skips
@@ -299,11 +355,11 @@ def exact_rado_number(
         # a child whose x is blocked in its class holds a solution: counted, not folded
         checks += 2
         if not blue_state[2] & bit:
-            child = _add_element(blue_state, x, a, capmask)
+            child = _add_element(blue_state, x, 0, a, capmask)
             if not _has_solution(child):
                 stack.append((red, x, red_state, child))
         if not red_state[2] & bit:
-            child = _add_element(red_state, x, a, capmask)
+            child = _add_element(red_state, x, 0, a, capmask)
             if not _has_solution(child):
                 stack.append((red | bit, x, child, blue_state))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free

@@ -2,11 +2,11 @@
 
 The checker's run-length sumset layers, with their tail that repeats by a
 shift of min S, are compared with the per-element reference sumset_layers,
-down to the witnesses find_mono_solution returns. The
-incremental sumset fold, its saturated-layer index and the lookahead's blocked-y
-mask are compared with the layer-at-a-time checker, the reference layers, the
-naive oracle, the per-y test blocks and plain enumeration, and
-exact_rado_number with a search that tries every coloring.
+down to the witnesses find_mono_solution returns. The incremental sumset
+fold, of one element or of a run in one call, its saturated-layer index and
+the lookahead's blocked-y mask are compared with the layer-at-a-time checker,
+the reference layers, the naive oracle, the per-y test blocks and plain
+enumeration, and exact_rado_number with a search that tries every coloring.
 """
 
 import itertools
@@ -200,7 +200,7 @@ def fold(elements, m, a, n):
     capmask = (1 << (a * n + 1)) - 1
     state = _empty_state(m, a, capmask)
     for x in elements:
-        state = _add_element(state, x, a, capmask)
+        state = _add_element(state, x, 0, a, capmask)
     return state
 
 
@@ -229,7 +229,7 @@ def test_fold_matches_sumset_table(m, a, n, data):
     state = _empty_state(m, a, capmask)
     bits = 0
     for x in elements:
-        state = _add_element(state, x, a, capmask)
+        state = _add_element(state, x, 0, a, capmask)
         bits |= 1 << x
         layers, targets = state[:2]
         assert list(layers) == _sumset_layers(bits, m - 1, capmask)
@@ -251,7 +251,7 @@ def test_saturated_tail_matches_reference(m, a, n, data):
     state = _empty_state(m, a, capmask)
     bits = 0
     for x in elements:
-        state = _add_element(state, x, a, capmask)
+        state = _add_element(state, x, 0, a, capmask)
         bits |= 1 << x
         layers = sumset_layers(bits, m - 1, capmask)
         assert list(state[0]) == layers
@@ -263,6 +263,67 @@ def test_saturated_tail_matches_reference(m, a, n, data):
         if not _has_solution(state):  # reused layers add nothing new to the mask
             ys = range(1, n + 2)
             assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+
+
+def check_run_fold(state, bits, x, w, m, a, n):
+    """Folds the run x..x+w into the state of the class bits in one call.
+
+    Compares the result with the reference layers of the union, its targets
+    {a*t}, its first saturated layer and, while the class is solution-free,
+    blocks for every y; returns the new state and class.
+    """
+    capmask = (1 << (a * n + 1)) - 1
+    state = _add_element(state, x, w, a, capmask)
+    bits |= interval(x, x + w)
+    layers = sumset_layers(bits, m - 1, capmask)
+    assert list(state[0]) == layers
+    assert state[1] == sum_bits(1 << (a * t) for t in iter_bits(bits))
+    # full is the first layer that is all of [k*min S, a*n], an empty set once k*min S > a*n
+    lo = (bits & -bits).bit_length() - 1
+    saturated = [layer == (interval(k * lo, a * n) if k * lo <= a * n else 0)
+                 for k, layer in enumerate(layers, start=1)]
+    assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
+    if not _has_solution(state):  # a class with a solution keeps its parent's mask
+        ys = range(1, n + 2)
+        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+    return state, bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    m=st.integers(2, 9),
+    a=st.integers(1, 5),
+    n=st.integers(1, 40),
+    data=st.data(),
+)
+def test_run_fold_matches_reference(m, a, n, data):
+    # a few runs after a prefix of single elements, all in any order: runs into an
+    # empty class, below min S, over members and above them, and runs long enough
+    # for the layers to repeat by a shift of min S before they saturate
+    prefix = data.draw(st.lists(st.integers(1, n), max_size=8))
+    state, bits = fold(prefix, m, a, n), sum_bits(1 << x for x in prefix)
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = data.draw(st.integers(1, n))
+        w = data.draw(st.integers(0, n - x))
+        state, bits = check_run_fold(state, bits, x, w, m, a, n)
+
+
+@pytest.mark.parametrize(
+    ("m", "a", "n", "prefix", "x", "w"),
+    [
+        (9, 2, 17, [], 5, 12),  # into an empty class
+        (8, 2, 23, [22], 9, 12),  # below min S
+        (3, 4, 10, [1, 7, 9], 5, 4),  # over members; shape 2 with t < x+w blocks some y
+        (9, 1, 17, [], 3, 12),  # a = 1
+        (2, 4, 17, [8, 14], 5, 12),  # m = 2: L_0 = {0}
+        # {7} + [9, 21]: L_3 repeats L_2 by a shift of min S = 7, and L_7 saturates
+        (8, 2, 22, [7, 19], 9, 12),
+    ],
+)
+def test_run_fold_cases(m, a, n, prefix, x, w):
+    state, bits = fold(prefix, m, a, n), sum_bits(1 << t for t in prefix)
+    state, _ = check_run_fold(state, bits, x, w, m, a, n)
+    assert not _has_solution(state)  # so the whole mask was compared
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,7 +377,7 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     assume(not _has_solution(state))  # the search reads only a solution-free class's mask
     blocked = bool(state[2] >> y & 1)
     if blocked:  # sound: y really closes a solution
-        assert _has_solution(_add_element(state, y, a, (1 << (a * (n + 4) + 1)) - 1))
+        assert _has_solution(_add_element(state, y, 0, a, (1 << (a * (n + 4) + 1)) - 1))
     # and it finds every solution with y at most once on the left
     covered = shapes_closed_by(members, y, m, a) & {Y_RIGHT, Y_LEFT, Y_BOTH}
     assert blocked == bool(covered)

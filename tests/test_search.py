@@ -22,7 +22,7 @@ def fold(eq, n, elements):
     capmask = (1 << (eq.a * n + 1)) - 1
     state = _empty_state(eq.m, eq.a, capmask)
     for x in elements:
-        state = _add_element(state, x, eq.a, capmask)
+        state = _add_element(state, x, 0, eq.a, capmask)
     return state
 
 
@@ -99,21 +99,21 @@ def test_thread_count_does_not_change_results():
 
 # (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
 PINNED_TREES = [
-    ((14, 2, 54), (EXACT, 46, 51, 97, 126)),
-    ((16, 2, 68), (EXACT, 60, 66, 125, 254)),
-    ((20, 3, 53), (EXACT, 45, 50, 108, 126)),
-    ((25, 3, 72), (EXACT, 64, 70, 146, 254)),
-    ((45, 6, 67), (EXACT, 59, 67, 260, 254)),
+    ((14, 2, 54), (EXACT, 46, 51, 95, 126)),
+    ((16, 2, 68), (EXACT, 60, 66, 124, 254)),
+    ((20, 3, 53), (EXACT, 45, 50, 95, 126)),
+    ((25, 3, 72), (EXACT, 64, 70, 131, 254)),
+    ((45, 6, 67), (EXACT, 59, 67, 131, 254)),
     ((18, 2, 40), (CUTOFF, None, 41, 79, 510)),
     # the blocked-y mask's edge cases: a = 1 (shape 3 never fires), m = 2 (L_0 = {0})
-    ((5, 1, 30), (EXACT, 19, 33, 73, 458766)),
-    ((8, 1, 70), (EXACT, 55, 111, 333, 35465847065542782)),
+    ((5, 1, 30), (EXACT, 19, 33, 68, 458766)),
+    ((8, 1, 70), (EXACT, 55, 111, 224, 35465847065542782)),
     ((2, 3, 16), (CUTOFF, None, 17, 31, 94134)),
     # the perfbench deep points and a ladder point
-    ((24, 2, 146), (EXACT, 138, 148, 283, 4094)),
-    ((40, 3, 177), (EXACT, 169, 180, 367, 8190)),
-    ((60, 6, 107), (EXACT, 99, 109, 394, 1022)),
-    ((100, 6, 281), (EXACT, 281, 296, 885, 131070)),
+    ((24, 2, 146), (EXACT, 138, 148, 282, 4094)),
+    ((40, 3, 177), (EXACT, 169, 180, 342, 8190)),
+    ((60, 6, 107), (EXACT, 99, 109, 213, 1022)),
+    ((100, 6, 281), (EXACT, 281, 296, 577, 131070)),
 ]
 
 
@@ -134,7 +134,7 @@ def lookahead_only(eq, n_max):
     """
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 1, eq.a, capmask)
+    pinned = _add_element(empty, 1, 0, eq.a, capmask)
     stack = [] if _has_solution(pinned) else [(0b10, 1, pinned, empty)]
     best, best_red = (1, 0b10) if stack else (0, 0)
     nodes = checks = 1
@@ -153,7 +153,7 @@ def lookahead_only(eq, n_max):
             checks += 1
             if state[2] >> x & 1:
                 continue
-            child = _add_element(state, x, eq.a, capmask)
+            child = _add_element(state, x, 0, eq.a, capmask)
             if not _has_solution(child):
                 stack.append((red | 1 << x, x, child, blue_state) if to_red
                              else (red, x, red_state, child))
@@ -163,8 +163,9 @@ def lookahead_only(eq, n_max):
 def propagate(red, blue, lo, hi, a, capmask):
     """Fold each y in lo..hi blocked in one class only into the other, lowest first.
 
-    Returns (conflict, folds): a conflict is a fold that holds a solution or a y
-    in lo..hi blocked in both classes.
+    The element-by-element reference for the search's propagation. Returns
+    (conflict, folds): a conflict is a fold that holds a solution or a y in
+    lo..hi blocked in both classes.
     """
     states, done, folds = [red, blue], set(), 0
     while True:
@@ -178,43 +179,80 @@ def propagate(red, blue, lo, hi, a, capmask):
         y = forced[0]
         done.add(y)
         to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
-        states[to] = _add_element(states[to], y, a, capmask)
+        states[to] = _add_element(states[to], y, 0, a, capmask)
         folds += 1
         if _has_solution(states[to]):
             return True, folds
 
 
+def propagate_runs(red, blue, lo, hi, a, capmask):
+    """The search's propagation by runs, folded one element at a time.
+
+    The lowest y in lo..hi blocked in one class only, and not yet folded, goes to
+    the other class together with the forced y right above it that the same class
+    blocks; the run is folded element by element and counts once. Returns
+    (conflict, runs), with conflicts as in propagate.
+    """
+    states, done, runs = [red, blue], set(), 0
+    while True:
+        blocked = {y: [state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)}
+        if [1, 1] in blocked.values():
+            return True, runs
+        forced = [y for y, pair in blocked.items() if pair in ([0, 1], [1, 0]) and y not in done]
+        if not forced:
+            return False, runs
+        run = [forced[0]]
+        while run[-1] + 1 in forced and blocked[run[-1] + 1] == blocked[run[0]]:
+            run.append(run[-1] + 1)
+        done.update(run)
+        runs += 1
+        to = blocked[run[0]][0]  # 0 = red, 1 = blue: the class where the run is not blocked
+        for y in run:
+            states[to] = _add_element(states[to], y, 0, a, capmask)
+        if _has_solution(states[to]):
+            return True, runs
+
+
 def fold_every_child(eq, n_max):
     """exact_rado_number's tree with every child folded, blocked bit set or not.
 
-    Returns the checks, propagation folds included, and the children whose x is
-    blocked in the parent's class; such a child must hold a solution.
+    Propagation is the element-by-element reference: a node is skipped iff
+    propagate finds a conflict, and propagate_runs must find one too. Returns
+    (nodes, checks, element_checks, blocked): checks count one per propagated
+    run, as the search does, element_checks one per propagated element, and
+    blocked the children whose x is blocked in the parent's class; such a child
+    must hold a solution.
     """
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 1, eq.a, capmask)
+    pinned = _add_element(empty, 1, 0, eq.a, capmask)
     stack = [] if _has_solution(pinned) else [(1, pinned, empty)]
-    best, checks, blocked = len(stack), 1, 0
+    best, nodes, checks, element_checks, blocked = len(stack), 1, 1, 1, 0
     while stack:
         depth, red, blue = stack.pop()
+        nodes += 1
         best = max(best, depth)
         if depth >= n_max:
             break
         conflict, folds = propagate(red, blue, depth + 2, best + 1, eq.a, capmask)
-        checks += folds
+        run_conflict, runs = propagate_runs(red, blue, depth + 2, best + 1, eq.a, capmask)
+        assert run_conflict == conflict
+        checks += runs
+        element_checks += folds
         if conflict:
             continue
         x = depth + 1
         for to_red in (False, True):  # blue child first, as the search pushes it
             parent = red if to_red else blue
             checks += 1
-            child = _add_element(parent, x, eq.a, capmask)
+            element_checks += 1
+            child = _add_element(parent, x, 0, eq.a, capmask)
             if parent[2] >> x & 1:
                 blocked += 1
                 assert _has_solution(child), (x, to_red)
             elif not _has_solution(child):
                 stack.append((x, child, blue) if to_red else (x, red, child))
-    return checks, blocked
+    return nodes, checks, element_checks, blocked
 
 
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
@@ -222,18 +260,19 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     m, a, n_max = params
     folds = []
 
-    def spy(state, x, a, capmask):
-        folds.append(state[2] >> x & 1)
-        return _add_element(state, x, a, capmask)
+    def spy(state, x, w, a, capmask):
+        folds.append(state[2] >> x & ((2 << w) - 1))  # the run's bits in the class's mask
+        return _add_element(state, x, w, a, capmask)
 
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
     assert out.stats.checks == want[3]
-    # the pinned root is one fold and one check; no other fold, propagation
-    # included, has its x blocked in the class it joins
+    # the pinned root is one fold and one check; no other fold, propagated runs
+    # included, has an element blocked in the class it joins
     assert not any(folds[1:])
-    checks, blocked = fold_every_child(RadoEquation(m, a), n_max)
+    nodes, checks, _, blocked = fold_every_child(RadoEquation(m, a), n_max)
     assert len(folds) + blocked == checks == out.stats.checks
+    assert nodes == out.stats.nodes
 
 
 # m 2..12 x a 1..7 x five bounds, and a few larger m, each cut off or refuted
@@ -244,12 +283,21 @@ PROPAGATION_GRID = [
 
 
 def same_answer_fewer_nodes(m, a, n_max):
-    """Checks the search against lookahead_only; returns both check counts."""
-    out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
-    status, rado_number, deepest, red_bits, nodes, checks = lookahead_only(RadoEquation(m, a), n_max)
+    """Checks the search against lookahead_only and fold_every_child.
+
+    Returns the checks of the search and of lookahead_only.
+    """
+    eq = RadoEquation(m, a)
+    out = exact_rado_number(eq, n_max=n_max)
+    status, rado_number, deepest, red_bits, nodes, checks = lookahead_only(eq, n_max)
     got = (out.status, out.rado_number, out.deepest_valid, out.certificate.red_bits)
     assert got == (status, rado_number, deepest, red_bits), (m, a, n_max)
     assert out.stats.nodes <= nodes, (m, a, n_max)
+    # the search skips the nodes that element-by-element propagation skips, and
+    # folding runs checks no more than folding their elements one by one
+    tree_nodes, run_checks, element_checks, _ = fold_every_child(eq, n_max)
+    assert (out.stats.nodes, out.stats.checks) == (tree_nodes, run_checks), (m, a, n_max)
+    assert run_checks <= element_checks, (m, a, n_max)
     return out.stats.checks, checks
 
 
@@ -316,7 +364,7 @@ def test_prefix_check_on_lower_bound_prefixes():
     states = {Color.RED: fold(eq, col.n, []), Color.BLUE: fold(eq, col.n, [])}
     for k in range(1, col.n + 1):
         color = col.color_of(k)
-        states[color] = _add_element(states[color], k, eq.a, capmask)
+        states[color] = _add_element(states[color], k, 0, eq.a, capmask)
         assert not _has_solution(states[color]), k
 
 
