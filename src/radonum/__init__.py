@@ -32,7 +32,6 @@ from .formula import (
 from .search import (
     SearchOutcome,
     SearchStats,
-    SweepEntry,
     exact_rado_number,
     sweep,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "RadoEquation",
     "SearchOutcome",
     "SearchStats",
-    "SweepEntry",
     "Witness",
     "ceil_div",
     "ceiling_formula",

@@ -3,10 +3,12 @@
 The fast path builds, per color class S, a layered sumset table: layer k is
 the bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at cap = a*n. A monochromatic solution exists
-iff some target t in S has a*t present in layer m-1. Each layer is built from
-the previous one with one shift per maximal run of consecutive elements of S
-plus at most ceil(log2(w+1)) shift-ORs per distinct run width w, never more
-than |S| shifts; a lower-bound coloring's classes are one run each.
+iff some target t in S has a*t present in layer m-1. The targets that do are
+found at once: layer m-1 decimated by a (core.decimate, the search's shape-1
+test), ANDed with S; the lowest one is the witness's x_m. Each layer is built
+from the previous one with one shift per maximal run of consecutive elements
+of S plus at most ceil(log2(w+1)) shift-ORs per distinct run width w, never
+more than |S| shifts; a lower-bound coloring's classes are one run each.
 
 Stable tail: once L_{k+1} = L_k + min S (within the cap), every later layer is
 the one before it shifted by min S, because L_{k+2} = L_{k+1} + S =
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import Color, Coloring, RadoEquation, Witness, iter_bits, smear_steps
+from .core import Color, Coloring, RadoEquation, Witness, decimate, iter_bits, smear_steps
 
 NAIVE_GUARD = 1_000_000
 
@@ -110,25 +112,17 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     qualifying target first, and the left side is reconstructed greedily by
     smallest element. Values may repeat; a witness can sit in one element.
     """
-    if col.n == 0:
-        return None
     cap = eq.a * col.n
     capmask = (1 << (cap + 1)) - 1
     depth = eq.m - 1
     for color in (Color.RED, Color.BLUE):
         bits = col.class_bits(color)
-        if not bits:
-            continue
         layers = _sumset_layers(bits, depth, capmask)
-        final = layers[-1]
-        if not final:
-            continue
-        elements = list(iter_bits(bits))
-        for t in elements:
-            scaled = eq.a * t  # t <= n, so a*t <= cap
-            if (final >> scaled) & 1:
-                left = _greedy_left_side(layers, elements, scaled, depth)
-                return Witness((*left, t), color)
+        hits = decimate(layers[-1], eq.a) & bits  # t <= n, so a*t <= cap
+        if hits:
+            t = (hits & -hits).bit_length() - 1
+            left = _greedy_left_side(layers, list(iter_bits(bits)), eq.a * t, depth)
+            return Witness((*left, t), color)
     return None
 
 

@@ -26,7 +26,7 @@ from . import __version__
 from .checker import find_mono_solution, naive_find_mono_solution
 from .construction import lower_bound_coloring, small_case_coloring
 from .core import Coloring, RadoEquation, json_int
-from .formula import ceiling_formula, closed_form, decompose
+from .formula import ceiling_formula, closed_form, decompose, known_rado_number
 from .search import exact_rado_number, sweep
 
 
@@ -154,7 +154,31 @@ def _cmd_exact(args) -> int:
     return 1
 
 
-def _format_entry(row: dict) -> str:
+def _sweep_rows(
+    a: int, m_from: int, m_to: int, n_max: int, timeout: float | None = None
+) -> list[dict]:
+    """Run sweep and return its report rows, the search next to the known value.
+
+    agree is True or False only when both sides are conclusive (an exact
+    search and a known value), otherwise None.
+    """
+    rows = []
+    for m, outcome in enumerate(sweep(a, m_from, m_to, n_max=n_max, timeout=timeout), m_from):
+        known = known_rado_number(RadoEquation(m, a))
+        exact, formula = outcome.rado_number, None if known is None else known.value
+        rows.append({
+            "m": m,
+            "a": a,
+            "exact": exact,
+            "formula": formula,
+            "agree": None if exact is None or formula is None else exact == formula,
+            "nodes": outcome.stats.nodes,
+            "millis": round(outcome.stats.millis, 3),
+        })
+    return rows
+
+
+def _format_row(row: dict) -> str:
     def show(key):
         value = row[key]
         if value is None:
@@ -170,12 +194,11 @@ def _format_entry(row: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    entries = sweep(args.a, args.m_from, args.m_to, n_max=args.n_max, timeout=args.timeout)
-    rows = [entry.to_report_dict() for entry in entries]
+    rows = _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout)
     for row in rows:
         # timings vary from run to run, so they go to stderr and stdout stays byte-stable
         print(f"# m={row['m']} a={row['a']} millis={row['millis']}", file=sys.stderr)
-        print(_format_entry(row))
+        print(_format_row(row))
     if args.report:
         Path(args.report).write_text(dumps(rows), encoding="utf-8")
     return 1 if any(row["agree"] is False for row in rows) else 0
@@ -184,12 +207,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_selftest(args) -> int:
     failures = 0
 
-    for entry in sweep(3, 3, 10, n_max=12):
-        got = entry.outcome.rado_number
-        want = None if entry.known is None else entry.known.value
-        ok = entry.agree is True
+    for row in _sweep_rows(3, 3, 10, n_max=12):
+        ok = row["agree"] is True
         failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} exact L({entry.m},3) = {got} (known {want})")
+        print(
+            f"{'PASS' if ok else 'FAIL'} exact L({row['m']},3) = {row['exact']} "
+            f"(known {row['formula']})"
+        )
 
     oracle_eqs = [(3, 1), (3, 3), (4, 3), (5, 3), (5, 2)]
     for m, a in oracle_eqs:

@@ -4,7 +4,8 @@ The equation family is L(m, a): x1 + x2 + ... + x_{m-1} = a*x_m over the
 positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
-checker, construction, and search layers.
+checker, construction, and search layers; the bitset helpers (iter_bits,
+smear_steps, decimate) by the checker and the search.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -61,6 +62,20 @@ def smear_steps(w: int) -> list[int]:
         steps.append(step)
         span += step
     return steps
+
+
+def decimate(bits: int, step: int) -> int:
+    """The bitset {y : step*y in bits}, for step >= 1.
+
+    Step 1 is the identity. Otherwise goes through a base-2 string, whose
+    slice picks every step-th bit at C speed. Conversions between int and str
+    stay in base 2 throughout: decimal ones are quadratic and capped at 4,300
+    digits since Python 3.11.
+    """
+    if step == 1:
+        return bits
+    digits = bin(bits)[2:]  # bit p sits at index len - 1 - p
+    return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
 class Color(enum.Enum):

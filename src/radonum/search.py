@@ -100,8 +100,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Coloring, RadoEquation, iter_bits, smear_steps
-from .formula import KnownNumber, known_rado_number
+from .core import Coloring, RadoEquation, decimate, iter_bits, smear_steps
 
 EXACT = "exact"
 CUTOFF = "cutoff"
@@ -120,20 +119,6 @@ _ClassState = tuple[tuple[int, ...], int, int, int]
 def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
     """State of an empty class. It blocks no y, except for L(2, 1): y = y."""
     return (0,) * (m - 1), 0, capmask << 1 if (m, a) == (2, 1) else 0, m - 1
-
-
-def _decimate(bits: int, step: int) -> int:
-    """The bitset {y : step*y in bits}, for step >= 1.
-
-    Step 1 is the identity. Otherwise goes through a base-2 string, whose
-    slice picks every step-th bit at C speed. Conversions between int and str
-    stay in base 2 throughout: decimal ones are quadratic and capped at 4,300
-    digits since Python 3.11.
-    """
-    if step == 1:
-        return bits
-    digits = bin(bits)[2:]  # bit p sits at index len - 1 - p
-    return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
 def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
@@ -217,9 +202,9 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
         return new_layers, new_targets, blocked, full
     below = new_layers[-2] if len(layers) > 1 else 1  # L'_{m-2}
     if not reused:  # a reused layer's y are in the parent's mask already
-        blocked |= _decimate(new_layers[-1], a)
+        blocked |= decimate(new_layers[-1], a)
     if a > 1 and reused < 2:  # a = 1: 0 is in L'_{m-2} only for m = 2, where x = x is a solution
-        blocked |= _decimate(below, a - 1)
+        blocked |= decimate(below, a - 1)
     top = a * (x + w)
     low = below & ((1 << top) - 1)  # s < a*(x+w), so that y = a*(x+w) - s >= 1
     # reversing the base-2 digits moves bit s to low.bit_length() - 1 - s
@@ -371,54 +356,21 @@ def exact_rado_number(
     return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepEntry:
-    """One equation of a sweep: search outcome next to the known value, if any.
-
-    agree is True/False only when both sides are conclusive (an exact search
-    and a known reference value); otherwise None.
-    """
-
-    m: int
-    a: int
-    outcome: SearchOutcome
-    known: KnownNumber | None
-
-    @property
-    def agree(self) -> bool | None:
-        if self.known is None or not self.outcome.exact:
-            return None
-        return self.outcome.rado_number == self.known.value
-
-    def to_report_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "exact": self.outcome.rado_number,
-            "formula": None if self.known is None else self.known.value,
-            "agree": self.agree,
-            "nodes": self.outcome.stats.nodes,
-            "millis": round(self.outcome.stats.millis, 3),
-        }
-
-
 def sweep(
     a: int,
     m_from: int,
     m_to: int,
     n_max: int = 24,
     timeout: float | None = None,
-) -> list[SweepEntry]:
-    """Run exact searches for m in [m_from, m_to] and compare with known values.
+) -> list[SearchOutcome]:
+    """Run exact searches for m in [m_from, m_to]: one outcome per m, in order.
 
-    A per-entry timeout turns into a cutoff entry and bounds the cost of a
+    A per-search timeout turns into a cutoff outcome and bounds the cost of a
     large n_max; the sweep itself never aborts.
     """
     if m_from < 2 or m_to < m_from:
         raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")
-    entries = []
-    for m in range(m_from, m_to + 1):
-        eq = RadoEquation(m, a)
-        outcome = exact_rado_number(eq, n_max=n_max, timeout=timeout)
-        entries.append(SweepEntry(m, a, outcome, known_rado_number(eq)))
-    return entries
+    return [
+        exact_rado_number(RadoEquation(m, a), n_max=n_max, timeout=timeout)
+        for m in range(m_from, m_to + 1)
+    ]

@@ -9,6 +9,8 @@ import pytest
 from radonum import (
     Color,
     Coloring,
+    KnownNumber,
+    KnownSource,
     RadoEquation,
     Witness,
     is_valid_coloring,
@@ -275,6 +277,61 @@ def test_sweep_n_max_above_32(capsys):
     code = run(["sweep", "--a", "3", "--m-from", "19", "--m-to", "19", "--n-max", "40"])
     assert code == 0
     assert capsys.readouterr().out.startswith("m=19 a=3 exact=36 formula=36 agree=yes")
+
+
+def sweep_report(tmp_path, capsys, a, m, n_max):
+    """Exit code, stdout lines and report rows of a one-row sweep --report."""
+    report = tmp_path / "report.json"
+    code = run([
+        "sweep", "--a", str(a), "--m-from", str(m), "--m-to", str(m),
+        "--n-max", str(n_max), "--report", str(report),
+    ])
+    return code, capsys.readouterr().out.splitlines(), json.loads(report.read_text())
+
+
+def test_sweep_report_row_shape(tmp_path, capsys):
+    code, lines, rows = sweep_report(tmp_path, capsys, a=3, m=7, n_max=12)
+    assert code == 0
+    (row,) = rows
+    assert sorted(row) == ["a", "agree", "exact", "formula", "m", "millis", "nodes"]
+    assert row["m"] == 7 and row["a"] == 3
+    assert row["exact"] == row["formula"] == 4
+    assert row["agree"] is True
+    assert lines == [f"m=7 a=3 exact=4 formula=4 agree=yes nodes={row['nodes']}"]
+
+
+def test_sweep_report_unknown_regime_reads_null(tmp_path, capsys):
+    # a = 4, m = 6: the search is exact, but no proven value covers the point
+    code, lines, rows = sweep_report(tmp_path, capsys, a=4, m=6, n_max=8)
+    assert code == 0
+    (row,) = rows
+    assert row["exact"] == 4
+    assert row["formula"] is None and row["agree"] is None
+    assert lines == [f"m=6 a=4 exact=4 formula=- agree=- nodes={row['nodes']}"]
+
+
+def test_sweep_report_cutoff_reads_agree_null(tmp_path, capsys):
+    # L(3, 3) = 9 lies beyond n_max = 5: a cutoff next to a known value
+    code, lines, rows = sweep_report(tmp_path, capsys, a=3, m=3, n_max=5)
+    assert code == 0
+    (row,) = rows
+    assert row["exact"] is None and row["formula"] == 9 and row["agree"] is None
+    assert lines == [f"m=3 a=3 exact=- formula=9 agree=- nodes={row['nodes']}"]
+
+
+def test_sweep_and_selftest_read_agree_false(tmp_path, capsys, monkeypatch):
+    # the search is right, so a disagreement needs a wrong reference value
+    wrong = KnownNumber(10, KnownSource.A3_SMALL)
+    monkeypatch.setattr("radonum.cli.known_rado_number", lambda eq: wrong)
+    code, lines, rows = sweep_report(tmp_path, capsys, a=3, m=3, n_max=12)
+    assert code == 1
+    (row,) = rows
+    assert row["exact"] == 9 and row["formula"] == 10 and row["agree"] is False
+    assert lines == [f"m=3 a=3 exact=9 formula=10 agree=no nodes={row['nodes']}"]
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL exact L(3,3) = 9 (known 10)"
+    assert out[-1] == "FAILED: 8 failing items"
 
 
 def test_exact_certificate_bytes(tmp_path, capsys):

@@ -157,17 +157,16 @@ def test_witness_json_merges_adjacent_values():
 def test_value_types_have_no_instance_dict():
     # slotted frozen dataclasses: a KnownNumber is 48 B instead of 56 B plus a dict
     eq = RadoEquation(7, 3)
-    (entry,) = sweep(3, 7, 7, n_max=12)
+    (outcome,) = sweep(3, 7, 7, n_max=12)
     values = [
         eq,
-        entry.outcome.certificate,
+        outcome.certificate,
         Witness((1, 2, 1), Color.RED),
         decompose(eq),
         known_rado_number(eq),
-        entry.outcome.stats,
-        entry.outcome,
-        entry,
-        CertificateFile(eq, entry.outcome.certificate, "valid"),
+        outcome.stats,
+        outcome,
+        CertificateFile(eq, outcome.certificate, "valid"),
     ]
     names = [type(value).__name__ for value in values]
     assert names == [
@@ -178,7 +177,6 @@ def test_value_types_have_no_instance_dict():
         "KnownNumber",
         "SearchStats",
         "SearchOutcome",
-        "SweepEntry",
         "CertificateFile",
     ]
     for value in values:

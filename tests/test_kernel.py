@@ -1,7 +1,9 @@
 """The search's and the checker's kernels against references and brute force.
 
-The checker's run-length sumset layers, with their tail that repeats by a
-shift of min S, are compared with the per-element reference sumset_layers,
+The shared bitset helpers core.decimate and core.smear_steps are compared
+with set references. The checker's run-length sumset layers, with their tail
+that repeats by a shift of min S, are compared with the per-element reference
+sumset_layers,
 down to the witnesses find_mono_solution returns. The incremental sumset
 fold, of one element or of a run in one call, its saturated-layer index and
 the lookahead's blocked-y mask are compared with the layer-at-a-time checker,
@@ -28,7 +30,7 @@ from radonum import (
     naive_find_mono_solution,
 )
 from radonum.checker import _sumset_layers
-from radonum.core import Color, iter_bits
+from radonum.core import Color, decimate, iter_bits, smear_steps
 from radonum.search import (
     CUTOFF,
     EXACT,
@@ -65,6 +67,44 @@ def sum_bits(masks):
     for mask in masks:
         out |= mask
     return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.sets(st.integers(0, 400), max_size=40), step=st.integers(1, 9))
+def test_decimate_matches_set_reference(members, step):
+    bits = sum_bits(1 << x for x in members)
+    want = {x // step for x in members if x % step == 0}  # {y : step*y in bits}
+    assert set(iter_bits(decimate(bits, step))) == want
+
+
+def test_decimate_edge_cases():
+    for step in range(1, 6):
+        assert decimate(0, step) == 0
+    assert decimate(0b1011_0110, 1) == 0b1011_0110
+    # over 14,300 bits in and out, so more than the 4,300 decimal digits that
+    # Python 3.11 allows in an int/str conversion: a decimal round trip raises
+    members = {0, 2, 4, 9, 14_400, 28_602, 28_603, 40_000}
+    bits = sum_bits(1 << x for x in members)
+    assert bits.bit_length() > 14_300 and decimate(bits, 2).bit_length() > 14_300
+    for step in (2, 3, 7):
+        want = {x // step for x in members if x % step == 0}
+        assert set(iter_bits(decimate(bits, step))) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.sets(st.integers(0, 200), max_size=30),
+    w=st.integers(0, 150),
+    a=st.integers(1, 5),
+)
+def test_smear_steps_match_set_reference(members, w, a):
+    steps = smear_steps(w)
+    assert len(steps) == w.bit_length()  # ceil(log2(w+1)), none for w = 0
+    # shifting by a*s for each step s in turn gives x | x<<a | ... | x<<(a*w)
+    got = sum_bits(1 << x for x in members)
+    for s in steps:
+        got |= got << a * s
+    assert set(iter_bits(got)) == {x + a * k for x in members for k in range(w + 1)}
 
 
 # classes that are mostly long runs, with gaps and single elements between them

@@ -388,43 +388,38 @@ def test_prefix_check_empty():
         assert not _has_solution(fold(RadoEquation(m, a), 4, []))
 
 
+def test_sweep_returns_one_exact_search_per_m():
+    # the library sweep is the exact search per m and nothing more; the report row
+    # (formula, agree) belongs to the CLI, see tests/test_cli.py
+    for a, m_from, m_to, n_max in [(3, 3, 8, 12), (1, 2, 4, 12), (4, 6, 6, 8), (3, 3, 3, 5)]:
+        outcomes = sweep(a, m_from, m_to, n_max=n_max)
+        assert len(outcomes) == m_to - m_from + 1
+        for m, got in zip(range(m_from, m_to + 1), outcomes):
+            want = exact_rado_number(RadoEquation(m, a), n_max=n_max)
+            assert (
+                got.status, got.rado_number, got.deepest_valid, got.certificate,
+                got.stats.nodes, got.stats.checks, got.stats.stop,
+            ) == (
+                want.status, want.rado_number, want.deepest_valid, want.certificate,
+                want.stats.nodes, want.stats.checks, want.stats.stop,
+            ), (a, m)
+    # a per-search timeout turns each m into a cutoff; the sweep itself goes on
+    outcomes = sweep(1, 4, 5, n_max=30, timeout=0.0)
+    assert [(out.status, out.stats.stop) for out in outcomes] == [(CUTOFF, "timeout")] * 2
+
+
 def test_sweep_agreement_a3():
-    entries = sweep(3, 3, 8, n_max=12)
-    assert [e.m for e in entries] == list(range(3, 9))
-    for entry in entries:
-        assert entry.agree is True, entry.m
-        assert entry.known is not None
-        assert entry.outcome.rado_number == entry.known.value
+    outcomes = sweep(3, 3, 8, n_max=12)
+    assert all(out.status == EXACT for out in outcomes)
+    assert [out.rado_number for out in outcomes] == [
+        known_rado_number(RadoEquation(m, 3)).value for m in range(3, 9)
+    ]
 
 
 def test_sweep_agreement_a1():
-    entries = sweep(1, 3, 4, n_max=12)
-    assert [e.outcome.rado_number for e in entries] == [5, 11]
-    assert all(e.agree is True for e in entries)
-
-
-def test_sweep_reports_unknown_regimes_as_none():
-    entries = sweep(4, 6, 6, n_max=8)  # a=4, m=6: exact search, no reference value
-    entry = entries[0]
-    assert entry.known is None
-    assert entry.agree is None
-    assert entry.outcome.status in (EXACT, CUTOFF)
-
-
-def test_sweep_cutoff_entries_have_agree_none():
-    entries = sweep(3, 3, 3, n_max=5)  # rado number 9 is out of reach
-    assert entries[0].outcome.status == CUTOFF
-    assert entries[0].agree is None
-    assert entries[0].known is not None
-
-
-def test_sweep_report_dict_shape():
-    entry = sweep(3, 7, 7, n_max=12)[0]
-    row = entry.to_report_dict()
-    assert sorted(row) == ["a", "agree", "exact", "formula", "m", "millis", "nodes"]
-    assert row["m"] == 7 and row["a"] == 3
-    assert row["exact"] == row["formula"] == 4
-    assert row["agree"] is True
+    outcomes = sweep(1, 3, 4, n_max=12)
+    assert all(out.status == EXACT for out in outcomes)
+    assert [out.rado_number for out in outcomes] == [5, 11]
 
 
 def test_sweep_validates_parameters():
@@ -437,10 +432,10 @@ def test_sweep_validates_parameters():
 
 def test_sweep_confirms_values_past_n_max_32():
     # C(19, 3) = 36 needs n_max > 32; the tree stays tiny
-    entry = sweep(3, 19, 19, n_max=40)[0]
-    assert entry.outcome.status == EXACT
-    assert entry.outcome.rado_number == 36
-    assert entry.agree is True
+    (out,) = sweep(3, 19, 19, n_max=40)
+    assert out.status == EXACT
+    assert out.rado_number == 36
+    assert known_rado_number(RadoEquation(19, 3)).value == 36
 
 
 def test_known_values_match_search_where_applicable():
