@@ -33,7 +33,6 @@ from .search import (
     SearchOutcome,
     SearchStats,
     exact_rado_number,
-    sweep,
 )
 
 __all__ = [
@@ -60,6 +59,5 @@ __all__ = [
     "naive_find_mono_solution",
     "small_case_coloring",
     "solution_values_fit",
-    "sweep",
     "verify_witness",
 ]

@@ -9,7 +9,8 @@ Subcommands:
   selftest  built-in consistency run (known values + oracle agreement)
 
 Exit codes: 0 success / VALID, 1 failure / witness found / cutoff,
-2 usage or input errors. JSON output is byte-stable: keys sorted, red
+2 usage or input errors; a stdout closed early ends the process by SIGPIPE,
+141 in a shell. JSON output is byte-stable: keys sorted, red
 elements ascending, one trailing newline.
 """
 
@@ -17,17 +18,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .checker import find_mono_solution, naive_find_mono_solution
 from .construction import lower_bound_coloring, small_case_coloring
 from .core import Coloring, RadoEquation, json_int
 from .formula import ceiling_formula, closed_form, decompose, known_rado_number
-from .search import exact_rado_number, sweep
+from .search import exact_rado_number
 
 
 def dumps(obj) -> str:
@@ -156,17 +158,22 @@ def _cmd_exact(args) -> int:
 
 def _sweep_rows(
     a: int, m_from: int, m_to: int, n_max: int, timeout: float | None = None
-) -> list[dict]:
-    """Run sweep and return its report rows, the search next to the known value.
+) -> Iterator[dict]:
+    """Run an exact search for each m in [m_from, m_to] and yield its report row
+    as the search ends: the search next to the known value.
 
     agree is True or False only when both sides are conclusive (an exact
-    search and a known value), otherwise None.
+    search and a known value), otherwise None. A per-search timeout turns its
+    row into a cutoff; the sweep itself goes on.
     """
-    rows = []
-    for m, outcome in enumerate(sweep(a, m_from, m_to, n_max=n_max, timeout=timeout), m_from):
-        known = known_rado_number(RadoEquation(m, a))
+    if m_from < 2 or m_to < m_from:
+        raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")
+    for m in range(m_from, m_to + 1):
+        eq = RadoEquation(m, a)
+        outcome = exact_rado_number(eq, n_max=n_max, timeout=timeout)
+        known = known_rado_number(eq)
         exact, formula = outcome.rado_number, None if known is None else known.value
-        rows.append({
+        yield {
             "m": m,
             "a": a,
             "exact": exact,
@@ -174,8 +181,7 @@ def _sweep_rows(
             "agree": None if exact is None or formula is None else exact == formula,
             "nodes": outcome.stats.nodes,
             "millis": round(outcome.stats.millis, 3),
-        })
-    return rows
+        }
 
 
 def _format_row(row: dict) -> str:
@@ -194,11 +200,13 @@ def _format_row(row: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    rows = _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout)
-    for row in rows:
-        # timings vary from run to run, so they go to stderr and stdout stays byte-stable
+    rows = []
+    for row in _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout):
+        # timings vary from run to run, so they go to stderr and stdout stays byte-stable;
+        # each row is flushed as its search ends, so a reader on a pipe sees it then
         print(f"# m={row['m']} a={row['a']} millis={row['millis']}", file=sys.stderr)
-        print(_format_row(row))
+        print(_format_row(row), flush=True)
+        rows.append(row)
     if args.report:
         Path(args.report).write_text(dumps(rows), encoding="utf-8")
     return 1 if any(row["agree"] is False for row in rows) else 0
@@ -306,6 +314,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process as it ends `cat`
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -30,43 +30,37 @@ the solution check. The shapes are sound, so a child whose x is blocked in
 its class holds a solution: the search counts its check and prunes it
 without folding. Only a child whose bit is clear is folded and tested.
 
-Lookahead: a popped node of depth d < best_depth is skipped, its children
-unchecked, when some y in d+2 .. best_depth+1 is blocked in both classes,
-one AND of the two masks and the window. This is sound: every descendant's
-classes contain the node's, so a solution that y closes at the node stays
-closed below it, and no descendant can color y; the subtree thus holds only
-colorings of depth <= y-1 <= best_depth. best_depth never falls, so none of
-them could have become the best, and since the DFS pops in preorder, every
-node that can set a new best is still visited in the same order. The status,
-rado_number, deepest_valid and certificate are therefore those of the search
-without lookahead; only the node and check counts fall. (y = d+1 is left to
-the child checks: each reads its class's blocked bit first, and folds only
-when it is clear, so a child is pruned iff it holds a solution, as in the
-plain search.) This is the forced-element pruning of exhaustive van der
-Waerden searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132,
-Exp. Math. 2008), applied inside a node as well as across nodes.
-
-Propagation: a node that passes the lookahead then propagates forced colors
-over the same window W = d+2 .. best_depth+1. The lowest y in W that is blocked
+Propagation: a popped node of depth d < best_depth propagates forced colors
+over the window W = d+2 .. best_depth+1. The lowest y in W that is blocked
 in exactly one class, and not yet folded, is folded into the other class with
 _add_element, together with the forced y right above it that the same class
 blocks: the run y..y+w that ends below the first y not forced that way. This
-repeats until no y is forced. The node is skipped, as the lookahead skips it,
-on a conflict: a fold that holds a solution, or a y in W blocked in both
-classes after a fold. Otherwise the folded states are dropped and the node is
-expanded from its own states. This is sound for the lookahead's reason: a
-descendant that reaches best_depth+1 colors all of W; by induction over the
-folds, each forced y has its forced color there (the other color closes a
-solution in a class the descendant's contains), so the descendant contains
-the conflict, which cannot be. Such nodes cannot set a new best, and the
-status, rado_number, deepest_valid and certificate stay those of the plain
-search. This is the unit propagation of SAT solvers (Heule, Kullmann and
-Marek, The Boolean Pythagorean Triples problem, SAT 2016). Each forced y is
-larger than every element the node colored, so it is at least min S of a
-nonempty class and the fold keeps its saturated tail; a chain may still fold
-a lower run after a higher one, and into an empty blue class, which
-_add_element allows. A class member's blocked bit is clear while its class
-is solution-free, so the AND over W needs no mask of the folded y.
+repeats until no y is forced. The node is skipped, its children unchecked, on
+a conflict: a y in W blocked in both classes, before any fold or after one,
+or a fold that holds a solution. Otherwise the folded states are dropped and
+the node is expanded from its own states. This is sound: a descendant's
+classes contain the node's, so a solution that y closes at the node stays
+closed below it. A descendant that reaches best_depth+1 colors all of W; by
+induction over the folds, each forced y has its forced color there (the
+other color closes a solution in a class the descendant's contains), so the
+descendant contains the conflict, which cannot be. The subtree thus holds
+only colorings of depth <= best_depth. best_depth never falls, so none of
+them could have become the best, and since the DFS pops in preorder, every
+node that can set a new best is still visited in the same order. The status,
+rado_number, deepest_valid and certificate are therefore those of the plain
+search; only the node and check counts fall. (y = d+1 is left to the child
+checks: each reads its class's blocked bit first, and folds only when it is
+clear, so a child is pruned iff it holds a solution, as in the plain
+search.) The test before the first fold, one AND of the two masks and W, is
+the forced-element lookahead of exhaustive van der Waerden searches (Kouril
+and Paul, The van der Waerden number W(2,6) is 1132, Exp. Math. 2008); the
+folds are the unit propagation of SAT solvers (Heule, Kullmann and Marek,
+The Boolean Pythagorean Triples problem, SAT 2016). Each forced y is larger
+than every element the node colored, so it is at least min S of a nonempty
+class and the fold keeps its saturated tail; a chain may still fold a lower
+run after a higher one, and into an empty blue class, which _add_element
+allows. A class member's blocked bit is clear while its class is
+solution-free, so the AND over W needs no mask of the folded y.
 
 Folding a run in one step skips exactly the nodes that folding its y one at a
 time, lowest first, skips. Blocked masks and solutions only grow as a class
@@ -83,8 +77,8 @@ certificate do not depend on the folding unit; only checks do.
 Counting: nodes counts every popped node, a skipped one included, and checks
 counts every child tested (blocked or folded) and every propagated run, one
 check however long the run. A propagation that finds no conflict prunes
-nothing, so on a small tree checks can exceed those of the search with the
-lookahead alone; nodes cannot.
+nothing, so on a small tree checks can exceed those of a search that stops
+at the test before the first fold; nodes cannot.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -266,13 +260,14 @@ def exact_rado_number(
     """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
     Exhausts colorings up to n_max elements by a preorder DFS, red child
-    before blue, with the lookahead and propagation of the module docstring;
-    a node is (red_bits, depth, red_state, blue_state). Reports
-    "exact" with the Rado number when the stack empties, otherwise "cutoff":
-    the search stops at the first node of depth n_max (in preorder it carries
-    the lexicographically least red set among deepest colorings) or once the
-    optional timeout (seconds, >= 0) has passed; only then can deepest_valid
-    fall short of n_max. stats.stop is EXACT, N_MAX or TIMEOUT accordingly.
+    before blue, with the propagation of the module docstring; a node is
+    (depth, red_state, blue_state), its red set being red_state's first
+    layer. Reports "exact" with the Rado number when the stack empties,
+    otherwise "cutoff": the search stops at the first node of depth n_max (in
+    preorder it carries the lexicographically least red set among deepest
+    colorings) or once the optional timeout (seconds, >= 0) has passed; only
+    then can deepest_valid fall short of n_max. stats.stop is EXACT, N_MAX or
+    TIMEOUT accordingly.
     threads must be >= 1 and has no effect.
     """
     if n_max < 1:
@@ -295,7 +290,7 @@ def exact_rado_number(
     stack = []
     if not _has_solution(pinned):
         best_depth, best_red = 1, 0b10
-        stack.append((0b10, 1, pinned, empty))
+        stack.append((1, pinned, empty))
 
     while stack:
         # nodes - 1 nodes expanded so far: poll before the first and every 128th
@@ -303,22 +298,21 @@ def exact_rado_number(
             if time.perf_counter() > deadline:
                 stop = TIMEOUT
                 break
-        red, depth, red_state, blue_state = stack.pop()
+        depth, red_state, blue_state = stack.pop()
         nodes += 1
-        if depth > best_depth:
-            best_depth, best_red = depth, red
+        if depth > best_depth:  # layer 1 is the red class itself: x <= n_max <= a*n_max
+            best_depth, best_red = depth, red_state[0][0]
         if depth >= n_max:
             stop = N_MAX
             break
         window = (1 << (best_depth + 2)) - (1 << (depth + 2))  # y in depth+2 .. best_depth+1
-        # lookahead: no extension colors y, so none goes deeper than y - 1 <= best_depth
-        if red_state[2] & blue_state[2] & window:
-            continue
-        # propagation: a y blocked in one class only takes the other color in every
-        # extension that colors it; fold it there with the forced y right above it
-        # that the same class blocks, lowest first, until a conflict or none is left
+        # a y blocked in both classes is colored by no extension, so none goes deeper than
+        # y - 1 <= best_depth; a y blocked in one class only takes the other color in every
+        # extension that colors it: fold it there with the forced y right above it that the
+        # same class blocks, lowest first, until a conflict or none is left
+        conflict = red_state[2] & blue_state[2] & window
         red_p, blue_p, free = red_state, blue_state, window
-        while forced := (red_p[2] ^ blue_p[2]) & free:
+        while not conflict and (forced := (red_p[2] ^ blue_p[2]) & free):
             y_bit = forced & -forced
             to_red = blue_p[2] & y_bit
             same = forced & (blue_p[2] if to_red else red_p[2])
@@ -331,9 +325,8 @@ def exact_rado_number(
                 red_p = folded = _add_element(red_p, y, w, a, capmask)
             else:
                 blue_p = folded = _add_element(blue_p, y, w, a, capmask)
-            if _has_solution(folded) or red_p[2] & blue_p[2] & window:
-                break
-        if forced:  # a conflict: skipped as the lookahead skips
+            conflict = _has_solution(folded) or red_p[2] & blue_p[2] & window
+        if conflict:
             continue
         x = depth + 1
         bit = 1 << x
@@ -342,11 +335,11 @@ def exact_rado_number(
         if not blue_state[2] & bit:
             child = _add_element(blue_state, x, 0, a, capmask)
             if not _has_solution(child):
-                stack.append((red, x, red_state, child))
+                stack.append((x, red_state, child))
         if not red_state[2] & bit:
             child = _add_element(red_state, x, 0, a, capmask)
             if not _has_solution(child):
-                stack.append((red | bit, x, child, blue_state))
+                stack.append((x, child, blue_state))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 
@@ -355,22 +348,3 @@ def exact_rado_number(
     status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)
     return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 
-
-def sweep(
-    a: int,
-    m_from: int,
-    m_to: int,
-    n_max: int = 24,
-    timeout: float | None = None,
-) -> list[SearchOutcome]:
-    """Run exact searches for m in [m_from, m_to]: one outcome per m, in order.
-
-    A per-search timeout turns into a cutoff outcome and bounds the cost of a
-    large n_max; the sweep itself never aborts.
-    """
-    if m_from < 2 or m_to < m_from:
-        raise ValueError(f"need 2 <= m_from <= m_to, got [{m_from}, {m_to}]")
-    return [
-        exact_rado_number(RadoEquation(m, a), n_max=n_max, timeout=timeout)
-        for m in range(m_from, m_to + 1)
-    ]

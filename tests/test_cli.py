@@ -1,11 +1,17 @@
 """Command line surface: exit codes, JSON documents, pipelines."""
 
+import ast
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import radonum
 from radonum import (
     Color,
     Coloring,
@@ -279,6 +285,94 @@ def test_sweep_n_max_above_32(capsys):
     assert capsys.readouterr().out.startswith("m=19 a=3 exact=36 formula=36 agree=yes")
 
 
+def test_sweep_a1_rows_agree(capsys):
+    # L(3, 1) = 5 and L(4, 1) = 11, the a = 1 values m*m - m - 1
+    assert run(["sweep", "--a", "1", "--m-from", "3", "--m-to", "4", "--n-max", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" nodes=")[0] for line in lines] == [
+        "m=3 a=1 exact=5 formula=5 agree=yes",
+        "m=4 a=1 exact=11 formula=11 agree=yes",
+    ]
+
+
+@pytest.mark.parametrize("m_from, m_to", [("5", "4"), ("1", "3")])
+def test_sweep_rejects_bad_m_range(m_from, m_to, capsys):
+    assert run(["sweep", "--a", "3", "--m-from", m_from, "--m-to", m_to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 <= m_from <= m_to" in captured.err
+
+
+def test_sweep_timeout_zero_cuts_off_each_row(capsys):
+    # a per-search timeout turns each m into a cutoff; the sweep itself goes on
+    code = run(["sweep", "--a", "1", "--m-from", "4", "--m-to", "5", "--n-max", "30",
+                "--timeout", "0"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" nodes=")[0] for line in lines] == [
+        "m=4 a=1 exact=- formula=11 agree=-",
+        "m=5 a=1 exact=- formula=19 agree=-",
+    ]
+
+
+def cli_process(*args, **kwargs):
+    """Run the command line in a fresh interpreter that imports this radonum, with
+    stdout block-buffered as it is on a pipe unless PYTHONUNBUFFERED is set."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(radonum.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+# the command line with each search announced on fd 1 by an unbuffered write, so the
+# announcements land in the pipe at once and each row only when it is flushed
+ANNOUNCED_SEARCHES = """\
+import os, sys
+from radonum import cli
+search = cli.exact_rado_number
+def announced(eq, **kwargs):
+    os.write(1, f"search m={eq.m}\\n".encode())
+    return search(eq, **kwargs)
+cli.exact_rado_number = announced
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_sweep_prints_each_row_as_its_search_ends():
+    proc = cli_process("-c", ANNOUNCED_SEARCHES, "sweep", "--a", "3", "--m-from", "3",
+                       "--m-to", "5", capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "search m=3",
+        "m=3 a=3 exact=9 formula=9 agree=yes nodes=10",
+        "search m=4",
+        "m=4 a=3 exact=1 formula=1 agree=yes nodes=1",
+        "search m=5",
+        "m=5 a=3 exact=4 formula=4 agree=yes nodes=4",
+    ]
+    # one timing line per row on stderr
+    assert [line.split(" millis=")[0] for line in proc.stderr.splitlines()] == [
+        f"# m={m} a=3" for m in range(3, 6)
+    ]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    # as `radonum sweep ... | head -n 1` once head has exited: not an input error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process("-m", "radonum.cli", "sweep", "--a", "3", "--m-from", "3",
+                           "--m-to", "4", stdout=write_end, stderr=subprocess.PIPE,
+                           text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert "error:" not in proc.stderr
+
+
 def sweep_report(tmp_path, capsys, a, m, n_max):
     """Exit code, stdout lines and report rows of a one-row sweep --report."""
     report = tmp_path / "report.json"
@@ -409,6 +503,28 @@ def test_readme_example_bytes(tmp_path, capsys, monkeypatch):
         assert shown, command
         if shown[1]:
             assert without_millis(shown[1]) == without_millis(captured.err), command
+
+
+def test_readme_library_block_runs():
+    # each statement runs in order; an expression whose comment is a Python literal
+    # must evaluate to that literal
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        try:
+            want = ast.literal_eval(lines[node.end_lineno - 1].partition("#")[2].strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert value == want, source
+        checked += 1
+    assert checked == 3
 
 
 def test_certificate_claim_validation():

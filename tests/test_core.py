@@ -8,8 +8,8 @@ from radonum import (
     RadoEquation,
     Witness,
     decompose,
+    exact_rado_number,
     known_rado_number,
-    sweep,
     verify_witness,
 )
 from radonum.cli import CertificateFile
@@ -157,7 +157,7 @@ def test_witness_json_merges_adjacent_values():
 def test_value_types_have_no_instance_dict():
     # slotted frozen dataclasses: a KnownNumber is 48 B instead of 56 B plus a dict
     eq = RadoEquation(7, 3)
-    (outcome,) = sweep(3, 7, 7, n_max=12)
+    outcome = exact_rado_number(eq, n_max=12)
     values = [
         eq,
         outcome.certificate,

@@ -1,4 +1,4 @@
-"""Exhaustive search: exact values, certificates, determinism, sweep."""
+"""Exhaustive search: exact values, certificates, determinism."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from radonum import (
     known_rado_number,
     lower_bound_coloring,
     search,
-    sweep,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, _has_solution
 
@@ -386,56 +385,6 @@ def test_prefix_check_only_looks_at_the_changed_class():
 def test_prefix_check_empty():
     for m, a in [(3, 3), (2, 1), (6, 2)]:
         assert not _has_solution(fold(RadoEquation(m, a), 4, []))
-
-
-def test_sweep_returns_one_exact_search_per_m():
-    # the library sweep is the exact search per m and nothing more; the report row
-    # (formula, agree) belongs to the CLI, see tests/test_cli.py
-    for a, m_from, m_to, n_max in [(3, 3, 8, 12), (1, 2, 4, 12), (4, 6, 6, 8), (3, 3, 3, 5)]:
-        outcomes = sweep(a, m_from, m_to, n_max=n_max)
-        assert len(outcomes) == m_to - m_from + 1
-        for m, got in zip(range(m_from, m_to + 1), outcomes):
-            want = exact_rado_number(RadoEquation(m, a), n_max=n_max)
-            assert (
-                got.status, got.rado_number, got.deepest_valid, got.certificate,
-                got.stats.nodes, got.stats.checks, got.stats.stop,
-            ) == (
-                want.status, want.rado_number, want.deepest_valid, want.certificate,
-                want.stats.nodes, want.stats.checks, want.stats.stop,
-            ), (a, m)
-    # a per-search timeout turns each m into a cutoff; the sweep itself goes on
-    outcomes = sweep(1, 4, 5, n_max=30, timeout=0.0)
-    assert [(out.status, out.stats.stop) for out in outcomes] == [(CUTOFF, "timeout")] * 2
-
-
-def test_sweep_agreement_a3():
-    outcomes = sweep(3, 3, 8, n_max=12)
-    assert all(out.status == EXACT for out in outcomes)
-    assert [out.rado_number for out in outcomes] == [
-        known_rado_number(RadoEquation(m, 3)).value for m in range(3, 9)
-    ]
-
-
-def test_sweep_agreement_a1():
-    outcomes = sweep(1, 3, 4, n_max=12)
-    assert all(out.status == EXACT for out in outcomes)
-    assert [out.rado_number for out in outcomes] == [5, 11]
-
-
-def test_sweep_validates_parameters():
-    with pytest.raises(ValueError):
-        sweep(3, 5, 4, n_max=10)
-    for timeout in (float("nan"), -1.0):
-        with pytest.raises(ValueError):
-            sweep(3, 3, 4, n_max=10, timeout=timeout)
-
-
-def test_sweep_confirms_values_past_n_max_32():
-    # C(19, 3) = 36 needs n_max > 32; the tree stays tiny
-    (out,) = sweep(3, 19, 19, n_max=40)
-    assert out.status == EXACT
-    assert out.rado_number == 36
-    assert known_rado_number(RadoEquation(19, 3)).value == 36
 
 
 def test_known_values_match_search_where_applicable():
