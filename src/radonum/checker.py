@@ -5,26 +5,23 @@ the bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at cap = a*n. A monochromatic solution exists
 iff some target t in S has a*t present in layer m-1. The targets that do are
 found at once: layer m-1 decimated by a (core.decimate, the search's shape-1
-test), ANDed with S; the lowest one is the witness's x_m. Each layer is built
-from the previous one with one shift per maximal run of consecutive elements
-of S plus at most ceil(log2(w+1)) shift-ORs per distinct run width w, never
-more than |S| shifts; a lower-bound coloring's classes are one run each.
-
-Stable tail: once L_{k+1} = L_k + min S (within the cap), every later layer is
-the one before it shifted by min S, because L_{k+2} = L_{k+1} + S =
-(L_k + S) + min S = L_{k+1} + min S, and truncating at the cap commutes with
-the shift since sums only grow. From the first such layer on, a layer costs
-one shift and one AND; a dense class gets there after a few layers. This is
-the truncated form of the structure theorem for h-fold sumsets (Nathanson,
-Sums of finite sets of integers, 1972). A small multiset enumeration oracle
-provides an independent cross-check.
+test), ANDed with S; the lowest one is the witness's x_m. The layers come from
+core.fold_layers, which the search's run folds share: one shift per maximal
+run of consecutive elements of S plus at most ceil(log2(w+1)) shift-ORs per
+distinct run width w, never more than |S| shifts (a lower-bound coloring's
+classes are one run each), and one shift and one AND per layer once a layer
+repeats the one before it by a shift of min S, as a dense class does after a
+few layers. A small multiset enumeration oracle provides an independent
+cross-check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 
-from .core import Color, Coloring, RadoEquation, Witness, decimate, iter_bits, smear_steps
+from .core import (
+    Color, Coloring, RadoEquation, Witness, decimate, fold_layers, iter_bits, smear_steps
+)
 
 NAIVE_GUARD = 1_000_000
 
@@ -35,20 +32,9 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     Entry k-1 holds the sums of exactly k class elements (repetition
     allowed, k = 1..depth) as a bitmask, every layer truncated to capmask.
     Sums only grow, so truncation never loses a reachable value below the cap.
-
     The class is split once into maximal runs p..p+w, with the run starts
-    grouped by w. The next layer is the OR over w of smear_w(OR over p of
-    prev << p), where smear_w(x) = x | x<<1 | ... | x<<w. The smears share
-    their shifts, widest group first: since smear_u(smear_v(x)) =
-    smear_{u+v}(x), each group is ORed into the running sum, which is then
-    smeared by the gap down to the next narrower width (or to 0). A layer
-    thus costs #runs shifts plus ceil(log2(gap+1)) per distinct width
-    instead of |S|.
-
-    Once a built layer equals the previous one shifted by min S (and
-    truncated), the fold stops: if L_{k+1} = L_k + min S, then L_{k+2} =
-    (L_k + S) + min S = L_{k+1} + min S, and the cap commutes with the shift
-    because sums only grow. Each remaining layer is then one shift and one AND.
+    grouped by w, widest first: the plan that core.fold_layers folds into
+    empty layers.
     """
     if not class_bits:  # no min S to shift by; every layer is empty
         return [0] * depth
@@ -63,24 +49,7 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
         for w, narrower in zip(widths, [*widths[1:], 0])
     ]
     min_s = (class_bits & -class_bits).bit_length() - 1
-    layers = [class_bits & capmask]
-    stable = False
-    for _ in range(depth - 1):
-        prev = layers[-1]
-        shifted = (prev << min_s) & capmask
-        if stable:
-            layers.append(shifted)
-            continue
-        acc = 0
-        for starts, steps in plan:
-            for p in starts:
-                acc |= prev << p
-            for step in steps:
-                acc |= acc << step
-        acc &= capmask
-        stable = acc == shifted
-        layers.append(acc)
-    return layers
+    return fold_layers(repeat(0, depth), plan, min_s, capmask)
 
 
 def _greedy_left_side(layers: list[int], elements: list[int], total: int, count: int) -> list[int]:

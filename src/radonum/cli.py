@@ -70,14 +70,20 @@ def write_certificate(path: str | Path, cert: CertificateFile) -> None:
     Path(path).write_text(dumps(cert.to_dict()), encoding="utf-8")
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object for {what}")
+    return value
+
+
 def _load_coloring_file(path: str | Path) -> tuple[Coloring, RadoEquation | None]:
     """Read either a bare coloring document or a certificate wrapping one."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "the document")
     if "coloring" in data:
         eq = None
         if "equation" in data:
-            eq = _equation_from_dict(data["equation"])
-        return Coloring.from_dict(data["coloring"]), eq
+            eq = _equation_from_dict(_json_object(data["equation"], "equation"))
+        return Coloring.from_dict(_json_object(data["coloring"], "coloring")), eq
     return Coloring.from_dict(data), None
 
 
@@ -307,7 +313,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
+    except KeyError as exc:  # a JSON document without a field it needs
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError, OSError, TypeError) as exc:
         # bad parameters, bad files, malformed or wrongly shaped JSON documents
         print(f"error: {exc}", file=sys.stderr)
         return 2

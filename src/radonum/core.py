@@ -5,7 +5,8 @@ positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers; the bitset helpers (iter_bits,
-smear_steps, decimate) by the checker and the search.
+smear_steps, decimate) and the sumset fold (fold_layers) by the checker and
+the search.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -76,6 +77,52 @@ def decimate(bits: int, step: int) -> int:
         return bits
     digits = bin(bits)[2:]  # bit p sits at index len - 1 - p
     return int(digits[(len(digits) - 1) % step :: step], 2)
+
+
+def fold_layers(
+    layers: Iterable[int], plan: list[tuple[list[int], list[int]]], min_s: int, capmask: int
+) -> list[int]:
+    """Sumset layers L'_k = (L_k | (L'_{k-1} + R)) & capmask, one per given L_k, L'_0 = {0}.
+
+    If L_k holds the sums of exactly k elements of a class S (all empty for
+    S empty), L'_k holds those of S' = S + R: such a sum either avoids R or
+    is an element of R plus a sum of k-1 elements of S'. min_s is min S'.
+
+    R is given as a plan of pairs (starts, steps), widest runs first: the
+    runs p..p+w of one width w start at starts, and steps (smear_steps) smear
+    by w minus the next narrower width, or 0. Since smear_u(smear_v(x)) =
+    smear_{u+v}(x), where smear_w(x) = x | x<<1 | ... | x<<w, each group's
+    shifts of L'_{k-1} are ORed into a running sum that the group's steps
+    then smear: a layer costs one shift per run and ceil(log2(gap+1)) per
+    distinct width, not |R|.
+
+    Stable tail: once L'_k = (L'_{k-1} << min_s) & capmask, every later layer
+    is the one before it shifted by min_s and capped, because L'_{k+1} =
+    L'_k + S' = (L'_{k-1} + S') + min S' = L'_k + min S', and truncating at
+    the cap commutes with the shift since sums only grow. From there a layer
+    costs one shift and one AND; a dense class gets there after a few layers.
+    This is the truncated form of the structure theorem for h-fold sumsets
+    (Nathanson, Sums of finite sets of integers, 1972).
+    """
+    out = []
+    prev = 1
+    layers = iter(layers)
+    for layer in layers:
+        acc = 0
+        for starts, steps in plan:
+            for p in starts:
+                acc |= prev << p
+            for step in steps:
+                acc |= acc << step
+        shifted = (prev << min_s) & capmask
+        prev = (layer | acc) & capmask
+        out.append(prev)
+        if prev == shifted:
+            break
+    for _ in layers:
+        prev = (prev << min_s) & capmask
+        out.append(prev)
+    return out
 
 
 class Color(enum.Enum):

@@ -11,7 +11,8 @@ Each DFS node carries, per color class, the state (layers, targets, blocked,
 full): layers[k-1] is the bitset of sums of exactly k class elements
 (repetition allowed, k = 1..m-1) and targets is the bitset {a*t : t in class},
 both truncated at a*n_max, the largest target. Coloring element x folds it
-into one class with at most m-1 shifts (see _add_element), and the child is
+into one class with at most m-1 shifts (see _add_element; a run of forced
+colors goes through core.fold_layers, the checker's fold), and the child is
 pruned iff the folded last layer meets the folded targets. The other class
 keeps its parent state by reference. full is the index of the first
 saturated layer, L_k = [k*min S, a*n_max]: adding a larger element cannot
@@ -94,7 +95,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Coloring, RadoEquation, decimate, iter_bits, smear_steps
+from .core import Coloring, RadoEquation, decimate, fold_layers, iter_bits, smear_steps
 
 EXACT = "exact"
 CUTOFF = "cutoff"
@@ -118,19 +119,12 @@ def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
 def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
     """Class state after adding the run of elements x..x+w, w >= 0.
 
-    A sum of k elements of S + R, R = {x, ..., x+w}, either avoids R (layer k
-    of S) or is an element of R plus a sum of k-1 elements of S + R, so with
-    L'_0 = {0} the new layers are L'_k = L_k | smear_w(L'_{k-1} << x), built
-    from k = 1 upwards, where smear_w(v) = v | v<<1 | ... | v<<w. A single
-    element (w = 0) costs one shift per layer; a run adds ceil(log2(w+1))
-    shift-ORs per layer (core.smear_steps), as the checker's run-length layers
-    do. Adding elements already in the class leaves the state unchanged.
-
-    A run's fold stops smearing once a layer repeats the one before it by a
-    shift: if L'_k = (L'_{k-1} << min S') & cap, every later layer is the one
-    before it shifted by min S' and capped (the stable tail of
-    checker._sumset_layers), one shift and one AND. A single element costs
-    that much already and skips the test.
+    The new layers are L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
+    smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
+    with the one-run plan [([x], smear_steps(w))]. A single element (w = 0)
+    costs one shift per layer, no more than the fold's stable tail, so it is
+    folded here without the tail's test. Adding elements already in the class
+    leaves the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
@@ -149,10 +143,9 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
       shape 2, y + s = a*t, with s in L'_{m-2} and t in S + R: for t in R,
         L'_{m-2} below a*(x+w) bit-reversed about a*(x+w), which gives the y
         of t = x+w, then smeared down with step a, which gives those of the
-        smaller t, and bit 0 (a*t = s) dropped; for t in S, only the s that
-        are new in L'_{m-2}, each as targets >> s. Such an s can reach a
-        target only below targets.bit_length(), whatever the order elements
-        arrive in.
+        smaller t; for t in S, only the s that are new in L'_{m-2}, each as
+        targets >> s. Such an s can reach a target only below
+        targets.bit_length(), whatever the order elements arrive in.
     A reused L'_{m-1} or L'_{m-2} adds nothing to shapes 1 and 3, nor new s:
     the solution-free state that last changed it ORed its y in already.
     blocked is left as the parent's once the class holds a solution: such a
@@ -171,18 +164,7 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
         head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
     else:
         steps = smear_steps(w)
-        head, stable = [], False
-        for layer in islice(layers, full):
-            shifted = (prev << min_s) & capmask
-            if stable:
-                prev = shifted
-            else:
-                run = prev << x
-                for step in steps:
-                    run |= run << step
-                prev = (layer | run) & capmask
-                stable = prev == shifted
-            head.append(prev)
+        head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
     reused = len(layers) - len(head)
     # L'_k is saturated when it holds all cap + 1 - k*min S values of its interval
     while full and head[full - 1].bit_count() == max(0, cap + 1 - full * min_s):
@@ -203,10 +185,8 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     low = below & ((1 << top) - 1)  # s < a*(x+w), so that y = a*(x+w) - s >= 1
     # reversing the base-2 digits moves bit s to low.bit_length() - 1 - s
     ys = int(bin(low)[:1:-1], 2) << (top + 1 - low.bit_length())
-    if w:
-        for step in steps:
-            ys |= ys >> a * step
-        ys &= ~1
+    for step in steps:
+        ys |= ys >> a * step
     blocked |= ys
     if len(layers) > 1 and reused < 2:  # for m = 2, L_0 = {0} gains nothing
         new = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)

@@ -587,6 +587,22 @@ def test_wrongly_shaped_json_exits_2(tmp_path, capsys, document):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(("document", "named"), [
+    ([1, 2], "JSON object"),
+    ("x", "JSON object"),
+    (None, "JSON object"),
+    ({"coloring": 5, "equation": {"m": 3, "a": 3}}, "JSON object for coloring"),
+    ({"coloring": {"n": 3, "red": [1]}, "equation": {"m": 3}}, "missing field 'a'"),
+])
+def test_malformed_document_errors_name_the_problem(tmp_path, capsys, document, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert run(["check", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
 def test_integral_json_numbers_are_integers(tmp_path, capsys):
     # JSON has one number type: 8.0 and 2.0 are read as 8 and 2
     path = tmp_path / "floats.json"

@@ -4,7 +4,8 @@ The shared bitset helpers core.decimate and core.smear_steps are compared
 with set references. The checker's run-length sumset layers, with their tail
 that repeats by a shift of min S, are compared with the per-element reference
 sumset_layers,
-down to the witnesses find_mono_solution returns. The incremental sumset
+down to the witnesses find_mono_solution returns; core.fold_layers, which
+builds them, walks its run plan only up to that tail. The incremental sumset
 fold, of one element or of a run in one call, its saturated-layer index and
 the lookahead's blocked-y mask are compared with the layer-at-a-time checker,
 the reference layers, the naive oracle, the per-y test blocks and plain
@@ -30,7 +31,7 @@ from radonum import (
     naive_find_mono_solution,
 )
 from radonum.checker import _sumset_layers
-from radonum.core import Color, decimate, iter_bits, smear_steps
+from radonum.core import Color, decimate, fold_layers, iter_bits, smear_steps
 from radonum.search import (
     CUTOFF,
     EXACT,
@@ -195,6 +196,48 @@ def test_shift_stable_tail(class_bits, depth, cap, stable, saturated):
         if class_bits and reference[k - 1] == (interval(k * lo, cap) if k * lo <= cap else 0)
     ]
     assert (full[0] if full else None) == saturated
+
+
+class WalkedStarts(list):
+    """Run starts of a fold plan that count how often the fold walks them."""
+
+    def __init__(self, starts):
+        super().__init__(starts)
+        self.walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    ("base", "added", "plan", "depth", "cap"),
+    [
+        # the checker's case, empty layers: {1} + [3, 20] repeats by a shift of
+        # min S = 1 from L_6 on, before it saturates
+        (0, (1 << 1) | interval(3, 20), [([3], smear_steps(17)), ([1], [])], 9, 100),
+        # the search's case, the run 9..21 into {7, 19}: L_3 repeats L_2 by a
+        # shift of min S = 7 (a row of test_run_fold_cases)
+        ((1 << 7) | (1 << 19), interval(9, 21), [([9], smear_steps(12))], 7, 44),
+    ],
+    ids=["checker", "search"],
+)
+def test_fold_walks_the_plan_only_until_the_stable_tail(base, added, plan, depth, cap):
+    capmask = (1 << (cap + 1)) - 1
+    union = base | added
+    min_s = (union & -union).bit_length() - 1
+    reference = sumset_layers(union, depth, capmask)
+    # the first k with L_k = (L_{k-1} << min S) & capmask, L_0 = {0}: the layers
+    # after it are shifts, so the fold walks the plan k times, not depth times
+    walks = next(
+        k
+        for k, (lower, layer) in enumerate(zip([1, *reference], reference), start=1)
+        if layer == (lower << min_s) & capmask
+    )
+    assert walks < depth
+    plan = [(WalkedStarts(starts), steps) for starts, steps in plan]
+    assert fold_layers(sumset_layers(base, depth, capmask), plan, min_s, capmask) == reference
+    assert [starts.walks for starts, _ in plan] == [walks] * len(plan)
 
 
 # certify-size points: lower-bound colorings of [C - 1] with C - 1 = 113, 112, 111
