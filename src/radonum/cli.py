@@ -148,7 +148,7 @@ def _cmd_exact(args) -> int:
     print(
         f"# deepest_valid={outcome.deepest_valid} nodes={outcome.stats.nodes} "
         f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f} "
-        f"stop={outcome.stats.stop}",
+        f"stop={outcome.stats.stop} seed={outcome.stats.seed}",
         file=sys.stderr,
     )
     if args.cert:

@@ -197,6 +197,8 @@ class Coloring:
 
     @classmethod
     def from_dict(cls, data: dict) -> Coloring:
+        if not isinstance(data["red"], list):
+            raise ValueError(f"red must be a list of integers, got {data['red']!r}")
         red = [json_int(x, "red element") for x in data["red"]]
         return cls.from_red(json_int(data["n"], "n"), red)
 

@@ -31,37 +31,60 @@ the solution check. The shapes are sound, so a child whose x is blocked in
 its class holds a solution: the search counts its check and prunes it
 without folding. Only a child whose bit is clear is folded and tested.
 
-Propagation: a popped node of depth d < best_depth propagates forced colors
-over the window W = d+2 .. best_depth+1. The lowest y in W that is blocked
-in exactly one class, and not yet folded, is folded into the other class with
-_add_element, together with the forced y right above it that the same class
-blocks: the run y..y+w that ends below the first y not forced that way. This
-repeats until no y is forced. The node is skipped, its children unchecked, on
-a conflict: a y in W blocked in both classes, before any fold or after one,
-or a fold that holds a solution. Otherwise the folded states are dropped and
-the node is expanded from its own states. This is sound: a descendant's
-classes contain the node's, so a solution that y closes at the node stays
-closed below it. A descendant that reaches best_depth+1 colors all of W; by
-induction over the folds, each forced y has its forced color there (the
-other color closes a solution in a class the descendant's contains), so the
-descendant contains the conflict, which cannot be. The subtree thus holds
-only colorings of depth <= best_depth. best_depth never falls, so none of
-them could have become the best, and since the DFS pops in preorder, every
-node that can set a new best is still visited in the same order. The status,
-rado_number, deepest_valid and certificate are therefore those of the plain
-search; only the node and check counts fall. (y = d+1 is left to the child
-checks: each reads its class's blocked bit first, and folds only when it is
-clear, so a child is pruned iff it holds a solution, as in the plain
-search.) The test before the first fold, one AND of the two masks and W, is
-the forced-element lookahead of exhaustive van der Waerden searches (Kouril
-and Paul, The van der Waerden number W(2,6) is 1132, Exp. Math. 2008); the
-folds are the unit propagation of SAT solvers (Heule, Kullmann and Marek,
-The Boolean Pythagorean Triples problem, SAT 2016). Each forced y is larger
-than every element the node colored, so it is at least min S of a nonempty
-class and the fold keeps its saturated tail; a chain may still fold a lower
-run after a higher one, and into an empty blue class, which _add_element
-allows. A class member's blocked bit is clear while its class is
-solution-free, so the AND over W needs no mask of the folded y.
+Goal: before the DFS, the search folds the paper's lower-bound coloring of
+[goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
+blue q..goal, one _add_element run each. It keeps goal only if neither class
+holds a solution, and sets goal = 0 otherwise, so the coloring is checked,
+not trusted; stats.seed reports goal. For every a >= 1 it is solution-free:
+a red sum of m-1 elements is at least m-1 > a(q-1), and a blue one at least
+(m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds
+it, and the final depth is at least goal.
+
+Propagation: a popped node of depth d propagates forced colors over the
+window W = d+2 .. top, top = max(best_depth+1, goal), leaving out the y
+already in a class. The lowest y in W that is blocked in exactly one class,
+and not yet folded, is folded into the other class with _add_element,
+together with the forced y right above it that the same class blocks: the
+run y..y+w that ends below the first y not forced that way. This repeats
+until no y is forced. The node is skipped, its children unchecked, on a
+conflict: a y in W blocked in both classes, before any fold or after one, or
+a fold that holds a solution. This is sound: a descendant's classes contain
+the node's, so a solution that y closes at the node stays closed below it.
+A descendant that reaches depth top colors all of W; by induction over the
+folds, each forced y has its forced color there (the other color closes a
+solution in a class the descendant's contains), so the descendant contains
+the conflict, which cannot be. The subtree thus holds only colorings of
+depth < top: of depth <= best_depth, and best_depth never falls, or below
+goal, and the final depth is at least goal. None of them can be the first
+coloring of the final depth, and top <= n_max, so none is the cut-off node
+either. Since the DFS pops in preorder, every node that can set a new best
+is still visited in the same order. The status, rado_number, deepest_valid
+and certificate are therefore those of the plain search; only the node and
+check counts fall. (y = d+1 is left to the child checks: each reads its
+class's blocked bit first, and folds only when it is clear, so a child is
+pruned iff its class holds a solution.) The test before the
+first fold, one AND of the two masks and W, is the forced-element lookahead
+of exhaustive van der Waerden searches (Kouril and Paul, The van der Waerden
+number W(2,6) is 1132, Exp. Math. 2008); the folds are the unit propagation
+of SAT solvers (Heule, Kullmann and Marek, The Boolean Pythagorean Triples
+problem, SAT 2016).
+
+Trail: a node whose propagation ends without a conflict expands its children
+from the folded states, so the forced colors stay until the DFS backtracks
+past the node, as on the assignment trail of SAT solvers. This is sound by
+the argument above: every descendant that colors a forced y gives it its
+forced color, so a child whose class holds a solution with the forced y has
+no descendant of depth top or more, and pruning it loses nothing. A child
+whose x an ancestor forced into a class is pushed without a fold and counts
+one check: its sibling would put x into the class that blocks it. The states
+hold forced elements above depth, so the certificate's red set is layer 1
+masked to [1, depth]; a forced y is left out of W once it is in a class, and
+a class member's blocked bit is clear while its class is solution-free, so
+the AND over W needs no mask of the colored y. A propagated run lies above
+depth, but a chain may fold a lower run after a higher one, a child's x may
+lie below min S of a class that holds only forced elements, and a run may
+start an empty class: _add_element allows all three, folding every layer
+when min S falls.
 
 Folding a run in one step skips exactly the nodes that folding its y one at a
 time, lowest first, skips. Blocked masks and solutions only grow as a class
@@ -72,14 +95,16 @@ its classes stay within R* and B*: a y it folds into red is blocked in its
 blue class, hence in B*, so the first loop folded y, and into R*, since a
 member that blocks itself would be a solution in B*; blue likewise. So the
 other loop meets no conflict either, and the skip decision is the same at
-every node. Hence nodes, status, rado_number, deepest_valid and the
-certificate do not depend on the folding unit; only checks do.
+every node; by symmetry both loops end in R* and B*, which the trail passes
+on. Hence nodes, status, rado_number, deepest_valid and the certificate do
+not depend on the folding unit; only checks do.
 
 Counting: nodes counts every popped node, a skipped one included, and checks
-counts every child tested (blocked or folded) and every propagated run, one
-check however long the run. A propagation that finds no conflict prunes
-nothing, so on a small tree checks can exceed those of a search that stops
-at the test before the first fold; nodes cannot.
+counts every child tested (blocked or folded), every child whose x an
+ancestor forced, and every propagated run, one check however long the run;
+the goal's two runs count nothing. A propagation that finds no conflict
+prunes nothing, so on a small tree checks can exceed those of a search that
+stops at the test before the first fold; nodes cannot.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -129,13 +154,13 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
     Then L_{k+1} contains L_k + min S = [(k+1)*min S, cap], so the saturated
-    layers are a tail. While x >= min S, as in the search, where new elements
-    exceed every colored one, min S stays and smear_w(L'_{k-1} << x) lies in
-    [k*min S, cap] as well: the tail cannot change, is reused by reference,
-    and only the layers before it are folded, after which full moves down
-    past the layers that have just saturated. An x below min S (a propagated
-    run into a class it started, or a test) lowers min S, and every layer
-    is folded again.
+    layers are a tail. While x >= min S, as in most of the search's folds,
+    min S stays and smear_w(L'_{k-1} << x) lies in [k*min S, cap] as well:
+    the tail cannot change, is reused by reference, and only the layers
+    before it are folded, after which full moves down past the layers that
+    have just saturated. An x below min S (a propagated run below one folded
+    before it, a child below the forced elements of its class, or a test)
+    lowers min S, and every layer is folded again.
 
     blocked only grows, so the parent's is extended by the new y of each shape:
       shape 1, a*y in L'_{m-1}:     L'_{m-1} decimated by a;
@@ -208,6 +233,7 @@ class SearchStats:
     checks: int
     millis: float
     stop: str
+    seed: int  # the n of the verified two-run coloring that set the goal, 0 if none
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,14 +266,15 @@ def exact_rado_number(
     """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
     Exhausts colorings up to n_max elements by a preorder DFS, red child
-    before blue, with the propagation of the module docstring; a node is
-    (depth, red_state, blue_state), its red set being red_state's first
-    layer. Reports "exact" with the Rado number when the stack empties,
-    otherwise "cutoff": the search stops at the first node of depth n_max (in
-    preorder it carries the lexicographically least red set among deepest
-    colorings) or once the optional timeout (seconds, >= 0) has passed; only
-    then can deepest_valid fall short of n_max. stats.stop is EXACT, N_MAX or
-    TIMEOUT accordingly.
+    before blue, with the goal, propagation and trail of the module
+    docstring; a node is (depth, red_state, blue_state), its red set being
+    red_state's first layer up to depth. Reports "exact" with the Rado
+    number when the stack empties, otherwise "cutoff": the search stops at
+    the first node of depth n_max (in preorder it carries the
+    lexicographically least red set among deepest colorings) or once the
+    optional timeout (seconds, >= 0) has passed; only then can deepest_valid
+    fall short of n_max. stats.stop is EXACT, N_MAX or TIMEOUT accordingly,
+    and stats.seed the goal, or 0 if there is none.
     threads must be >= 1 and has no effect.
     """
     if n_max < 1:
@@ -267,6 +294,16 @@ def exact_rado_number(
     nodes = checks = 1
     empty = _empty_state(m, a, capmask)
     pinned = _add_element(empty, 1, 0, a, capmask)
+    # imported here, not with the module: an outcome keeps its module's namespace alive
+    # through its class, and that namespace then holds no reference to formula's
+    from .formula import ceil_div, ceiling_formula
+
+    # the goal: the paper's coloring of [goal], red 1..q-1 and blue q..goal, kept only
+    # if neither run, folded here, holds a solution; it folds no run when goal = 0
+    q, goal = ceil_div(m - 1, a), min(ceiling_formula(eq) - 1, n_max)
+    runs = [(lo, hi) for lo, hi in ((1, min(q - 1, goal)), (q, goal)) if lo <= hi]
+    if any(_has_solution(_add_element(empty, lo, hi - lo, a, capmask)) for lo, hi in runs):
+        goal = 0
     stack = []
     if not _has_solution(pinned):
         best_depth, best_red = 1, 0b10
@@ -280,18 +317,20 @@ def exact_rado_number(
                 break
         depth, red_state, blue_state = stack.pop()
         nodes += 1
-        if depth > best_depth:  # layer 1 is the red class itself: x <= n_max <= a*n_max
-            best_depth, best_red = depth, red_state[0][0]
+        # layer 1 is the class itself, the forced elements above depth included
+        colored = red_state[0][0] | blue_state[0][0]
+        if depth > best_depth:
+            best_depth, best_red = depth, red_state[0][0] & ((2 << depth) - 1)
         if depth >= n_max:
             stop = N_MAX
             break
-        window = (1 << (best_depth + 2)) - (1 << (depth + 2))  # y in depth+2 .. best_depth+1
+        window = (2 << max(best_depth + 1, goal)) - (4 << depth)  # y in depth+2 .. top
         # a y blocked in both classes is colored by no extension, so none goes deeper than
-        # y - 1 <= best_depth; a y blocked in one class only takes the other color in every
+        # y - 1 < top; a y blocked in one class only takes the other color in every
         # extension that colors it: fold it there with the forced y right above it that the
         # same class blocks, lowest first, until a conflict or none is left
         conflict = red_state[2] & blue_state[2] & window
-        red_p, blue_p, free = red_state, blue_state, window
+        red_p, blue_p, free = red_state, blue_state, window & ~colored
         while not conflict and (forced := (red_p[2] ^ blue_p[2]) & free):
             y_bit = forced & -forced
             to_red = blue_p[2] & y_bit
@@ -308,23 +347,28 @@ def exact_rado_number(
             conflict = _has_solution(folded) or red_p[2] & blue_p[2] & window
         if conflict:
             continue
+        # the children start from the folded states: the forced colors stay on the trail
         x = depth + 1
         bit = 1 << x
+        if colored & bit:  # an ancestor forced x: one check, no fold, its sibling is blocked
+            checks += 1
+            stack.append((x, red_p, blue_p))
+            continue
         # a child whose x is blocked in its class holds a solution: counted, not folded
         checks += 2
-        if not blue_state[2] & bit:
-            child = _add_element(blue_state, x, 0, a, capmask)
+        if not blue_p[2] & bit:
+            child = _add_element(blue_p, x, 0, a, capmask)
             if not _has_solution(child):
-                stack.append((x, red_state, child))
-        if not red_state[2] & bit:
-            child = _add_element(red_state, x, 0, a, capmask)
+                stack.append((x, red_p, child))
+        if not red_p[2] & bit:
+            child = _add_element(red_p, x, 0, a, capmask)
             if not _has_solution(child):
-                stack.append((x, child, blue_state))
+                stack.append((x, child, blue_p))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 
     millis = (time.perf_counter() - start) * 1000.0
-    stats = SearchStats(nodes, checks, millis, stop)
+    stats = SearchStats(nodes, checks, millis, stop, goal)
     status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)
     return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
 

@@ -203,7 +203,7 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.startswith("cutoff deepest_valid=6")
-    assert captured.err.endswith(" stop=n_max\n")
+    assert captured.err.endswith(" stop=n_max seed=0\n")  # C(2, 3) = 1: no goal
     col, _ = read_certificate_coloring(cert_path)
     assert col.n == 6
     assert is_valid_coloring(col, RadoEquation(2, 3))
@@ -228,7 +228,7 @@ def test_exact_timeout_flag(capsys):
     assert run(["exact", "--m", "5", "--a", "1", "--timeout", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("cutoff deepest_valid=")
-    assert captured.err.endswith(" stop=timeout\n")
+    assert captured.err.endswith(" stop=timeout seed=15\n")  # C(5, 1) - 1 = 15
 
 
 @pytest.mark.parametrize("command", [
@@ -593,6 +593,7 @@ def test_wrongly_shaped_json_exits_2(tmp_path, capsys, document):
     (None, "JSON object"),
     ({"coloring": 5, "equation": {"m": 3, "a": 3}}, "JSON object for coloring"),
     ({"coloring": {"n": 3, "red": [1]}, "equation": {"m": 3}}, "missing field 'a'"),
+    ({"n": 3, "red": 5}, "red"),
 ])
 def test_malformed_document_errors_name_the_problem(tmp_path, capsys, document, named):
     path = tmp_path / "doc.json"

@@ -1,13 +1,17 @@
 """Exhaustive search: exact values, certificates, determinism."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from radonum import (
     Color,
     Coloring,
     RadoEquation,
+    ceil_div,
     ceiling_formula,
     exact_rado_number,
+    formula,
     is_valid_coloring,
     known_rado_number,
     lower_bound_coloring,
@@ -98,21 +102,21 @@ def test_thread_count_does_not_change_results():
 
 # (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
 PINNED_TREES = [
-    ((14, 2, 54), (EXACT, 46, 51, 95, 126)),
-    ((16, 2, 68), (EXACT, 60, 66, 124, 254)),
-    ((20, 3, 53), (EXACT, 45, 50, 95, 126)),
-    ((25, 3, 72), (EXACT, 64, 70, 131, 254)),
-    ((45, 6, 67), (EXACT, 59, 67, 131, 254)),
-    ((18, 2, 40), (CUTOFF, None, 41, 79, 510)),
+    ((14, 2, 54), (EXACT, 46, 47, 58, 126)),
+    ((16, 2, 68), (EXACT, 60, 61, 74, 254)),
+    ((20, 3, 53), (EXACT, 45, 47, 59, 126)),
+    ((25, 3, 72), (EXACT, 64, 66, 79, 254)),
+    ((45, 6, 67), (EXACT, 59, 67, 81, 254)),
+    ((18, 2, 40), (CUTOFF, None, 41, 51, 510)),
     # the blocked-y mask's edge cases: a = 1 (shape 3 never fires), m = 2 (L_0 = {0})
-    ((5, 1, 30), (EXACT, 19, 33, 68, 458766)),
-    ((8, 1, 70), (EXACT, 55, 111, 224, 35465847065542782)),
+    ((5, 1, 30), (EXACT, 19, 33, 51, 458766)),
+    ((8, 1, 70), (EXACT, 55, 111, 144, 35465847065542782)),
     ((2, 3, 16), (CUTOFF, None, 17, 31, 94134)),
     # the perfbench deep points and a ladder point
-    ((24, 2, 146), (EXACT, 138, 148, 282, 4094)),
-    ((40, 3, 177), (EXACT, 169, 180, 342, 8190)),
-    ((60, 6, 107), (EXACT, 99, 109, 213, 1022)),
-    ((100, 6, 281), (EXACT, 281, 296, 577, 131070)),
+    ((24, 2, 146), (EXACT, 138, 139, 157, 4094)),
+    ((40, 3, 177), (EXACT, 169, 171, 194, 8190)),
+    ((60, 6, 107), (EXACT, 99, 107, 125, 1022)),
+    ((100, 6, 281), (EXACT, 281, 287, 318, 131070)),
 ]
 
 
@@ -162,44 +166,47 @@ def lookahead_only(eq, n_max):
 def propagate(red, blue, lo, hi, a, capmask):
     """Fold each y in lo..hi blocked in one class only into the other, lowest first.
 
-    The element-by-element reference for the search's propagation. Returns
-    (conflict, folds): a conflict is a fold that holds a solution or a y in
-    lo..hi blocked in both classes.
+    The element-by-element reference for the search's propagation; a y already
+    in a class is not folded again. Returns (conflict, folds, red, blue): a
+    conflict is a fold that holds a solution or a y in lo..hi blocked in both
+    classes, and red and blue are the folded states.
     """
-    states, done, folds = [red, blue], set(), 0
+    states, folds = [red, blue], 0
+    done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
     while True:
         blocked = [[state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)]
         if [1, 1] in blocked:
-            return True, folds
+            return True, folds, *states
         forced = [y for y, pair in zip(range(lo, hi + 1), blocked)
                   if pair in ([0, 1], [1, 0]) and y not in done]
         if not forced:
-            return False, folds
+            return False, folds, *states
         y = forced[0]
         done.add(y)
         to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
         states[to] = _add_element(states[to], y, 0, a, capmask)
         folds += 1
         if _has_solution(states[to]):
-            return True, folds
+            return True, folds, *states
 
 
 def propagate_runs(red, blue, lo, hi, a, capmask):
     """The search's propagation by runs, folded one element at a time.
 
-    The lowest y in lo..hi blocked in one class only, and not yet folded, goes to
-    the other class together with the forced y right above it that the same class
-    blocks; the run is folded element by element and counts once. Returns
-    (conflict, runs), with conflicts as in propagate.
+    The lowest y in lo..hi blocked in one class only, and in neither class yet,
+    goes to the other class together with the forced y right above it that the
+    same class blocks; the run is folded element by element and counts once.
+    Returns (conflict, runs, red, blue), with conflicts and states as in propagate.
     """
-    states, done, runs = [red, blue], set(), 0
+    states, runs = [red, blue], 0
+    done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
     while True:
         blocked = {y: [state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)}
         if [1, 1] in blocked.values():
-            return True, runs
+            return True, runs, *states
         forced = [y for y, pair in blocked.items() if pair in ([0, 1], [1, 0]) and y not in done]
         if not forced:
-            return False, runs
+            return False, runs, *states
         run = [forced[0]]
         while run[-1] + 1 in forced and blocked[run[-1] + 1] == blocked[run[0]]:
             run.append(run[-1] + 1)
@@ -209,49 +216,80 @@ def propagate_runs(red, blue, lo, hi, a, capmask):
         for y in run:
             states[to] = _add_element(states[to], y, 0, a, capmask)
         if _has_solution(states[to]):
-            return True, runs
+            return True, runs, *states
+
+
+def two_run_goal(eq, n_max):
+    """The search's goal, checked by the checker instead of the search's folds.
+
+    The two-run coloring of [goal], goal = min(C(m, a) - 1, n_max), is red on
+    1..q-1 and blue on q..goal, q = ceil((m-1)/a). Returns (goal, runs): goal is
+    0 unless that coloring is nonempty and valid, and runs counts its nonempty
+    runs, which the search folds to check it.
+    """
+    q, goal = ceil_div(eq.m - 1, eq.a), min(ceiling_formula(eq) - 1, n_max)
+    if goal < 1:
+        return 0, 0
+    valid = is_valid_coloring(Coloring.from_red(goal, range(1, min(q, goal + 1))), eq)
+    return (goal if valid else 0), 1 + (goal >= q)
 
 
 def fold_every_child(eq, n_max):
     """exact_rado_number's tree with every child folded, blocked bit set or not.
 
-    Propagation is the element-by-element reference: a node is skipped iff
-    propagate finds a conflict, and propagate_runs must find one too. Returns
-    (nodes, checks, element_checks, blocked): checks count one per propagated
-    run, as the search does, element_checks one per propagated element, and
-    blocked the children whose x is blocked in the parent's class; such a child
+    Propagation is the element-by-element reference over depth+2 .. top, top =
+    max(best + 1, goal), with two_run_goal's goal: a node is skipped iff
+    propagate finds a conflict, and propagate_runs must find one too and end in
+    the same classes. Children start from propagate's folded states. Returns
+    (nodes, checks, element_checks, unfolded, seed_runs): checks count one per
+    propagated run, as the search does, element_checks one per propagated
+    element, unfolded the children the search does not fold, and seed_runs the
+    runs the search folds to check its goal. A child is unfolded when its x is
+    blocked in the class it joins, and then must hold a solution, or when an
+    ancestor forced x into a class: then it counts one check, and its sibling
     must hold a solution.
     """
+    goal, seed_runs = two_run_goal(eq, n_max)
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
     pinned = _add_element(empty, 1, 0, eq.a, capmask)
     stack = [] if _has_solution(pinned) else [(1, pinned, empty)]
-    best, nodes, checks, element_checks, blocked = len(stack), 1, 1, 1, 0
+    best, nodes, checks, element_checks, unfolded = len(stack), 1, 1, 1, 0
     while stack:
         depth, red, blue = stack.pop()
         nodes += 1
         best = max(best, depth)
         if depth >= n_max:
             break
-        conflict, folds = propagate(red, blue, depth + 2, best + 1, eq.a, capmask)
-        run_conflict, runs = propagate_runs(red, blue, depth + 2, best + 1, eq.a, capmask)
+        lo, hi = depth + 2, max(best + 1, goal)
+        conflict, folds, red_p, blue_p = propagate(red, blue, lo, hi, eq.a, capmask)
+        run_conflict, runs, red_r, blue_r = propagate_runs(red, blue, lo, hi, eq.a, capmask)
         assert run_conflict == conflict
         checks += runs
         element_checks += folds
         if conflict:
             continue
+        assert (red_r[0][0], blue_r[0][0]) == (red_p[0][0], blue_p[0][0])
         x = depth + 1
+        if (red[0][0] | blue[0][0]) >> x & 1:
+            checks += 1
+            element_checks += 1
+            unfolded += 1
+            sibling = blue_p if red[0][0] >> x & 1 else red_p
+            assert _has_solution(_add_element(sibling, x, 0, eq.a, capmask)), x
+            stack.append((x, red_p, blue_p))
+            continue
         for to_red in (False, True):  # blue child first, as the search pushes it
-            parent = red if to_red else blue
+            parent = red_p if to_red else blue_p
             checks += 1
             element_checks += 1
             child = _add_element(parent, x, 0, eq.a, capmask)
             if parent[2] >> x & 1:
-                blocked += 1
+                unfolded += 1
                 assert _has_solution(child), (x, to_red)
             elif not _has_solution(child):
-                stack.append((x, child, blue) if to_red else (x, red, child))
-    return nodes, checks, element_checks, blocked
+                stack.append((x, child, blue_p) if to_red else (x, red_p, child))
+    return nodes, checks, element_checks, unfolded, seed_runs
 
 
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
@@ -266,11 +304,11 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
     assert out.stats.checks == want[3]
-    # the pinned root is one fold and one check; no other fold, propagated runs
-    # included, has an element blocked in the class it joins
+    # the pinned root is one fold and one check; no other fold, the goal's runs and
+    # propagated runs included, has an element blocked in the class it joins
     assert not any(folds[1:])
-    nodes, checks, _, blocked = fold_every_child(RadoEquation(m, a), n_max)
-    assert len(folds) + blocked == checks == out.stats.checks
+    nodes, checks, _, unfolded, seed_runs = fold_every_child(RadoEquation(m, a), n_max)
+    assert len(folds) - seed_runs + unfolded == checks == out.stats.checks
     assert nodes == out.stats.nodes
 
 
@@ -294,7 +332,7 @@ def same_answer_fewer_nodes(m, a, n_max):
     assert out.stats.nodes <= nodes, (m, a, n_max)
     # the search skips the nodes that element-by-element propagation skips, and
     # folding runs checks no more than folding their elements one by one
-    tree_nodes, run_checks, element_checks, _ = fold_every_child(eq, n_max)
+    tree_nodes, run_checks, element_checks, _, _ = fold_every_child(eq, n_max)
     assert (out.stats.nodes, out.stats.checks) == (tree_nodes, run_checks), (m, a, n_max)
     assert run_checks <= element_checks, (m, a, n_max)
     return out.stats.checks, checks
@@ -312,6 +350,61 @@ def test_propagation_keeps_the_answer_on_the_grid():
 def test_propagation_keeps_the_answer_on_pinned_trees(params):
     new, old = same_answer_fewer_nodes(*params)
     assert new <= old
+
+
+@pytest.mark.parametrize(("m", "a", "n_max"), [(40, 3, 177), (24, 2, 146)])
+def test_the_goal_is_checked_not_trusted(monkeypatch, m, a, n_max):
+    eq = RadoEquation(m, a)
+    plain = exact_rado_number(eq, n_max=n_max)
+    assert plain.stats.seed == ceiling_formula(eq) - 1
+    # C + 10 - 1 > R(m, a) - 1: the two runs of [min(C + 9, n_max)] hold a solution
+    monkeypatch.setattr(formula, "ceiling_formula", lambda eq: ceiling_formula(eq) + 10)
+    out = exact_rado_number(eq, n_max=n_max)
+    assert out.stats.seed == 0
+    assert (out.status, out.rado_number, out.deepest_valid, out.certificate) == (
+        plain.status, plain.rado_number, plain.deepest_valid, plain.certificate)
+
+
+def test_the_first_descent_follows_forced_colors(monkeypatch):
+    # (400, 4) refuted at C = 9975: a fold per element of the first descent would be
+    # over 10,000 folds; from the goal and along the trail it takes a few hundred
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1])
+        return _add_element(*args)
+
+    monkeypatch.setattr(search, "_add_element", spy)
+    out = exact_rado_number(RadoEquation(400, 4), n_max=9975)
+    assert (out.status, out.rado_number, out.stats.seed) == (EXACT, 9975, 9974)
+    assert len(calls) < 400
+
+
+@pytest.mark.parametrize(("m", "a", "n_max", "timeout", "want"), [
+    (40, 3, 177, 0.0, (CUTOFF, "timeout", 1, 168)),  # the deadline passes before the root
+    (40, 3, 100, None, (CUTOFF, "n_max", 100, 100)),  # goal = n_max < C - 1
+    (18, 2, 40, None, (CUTOFF, "n_max", 40, 40)),
+    (2, 3, 16, None, (CUTOFF, "n_max", 16, 0)),  # C = 1: no goal
+])
+def test_cutoffs_keep_their_depth(m, a, n_max, timeout, want):
+    eq = RadoEquation(m, a)
+    out = exact_rado_number(eq, n_max=n_max, timeout=timeout)
+    assert (out.status, out.stats.stop, out.deepest_valid, out.stats.seed) == want
+    assert out.certificate.n == out.deepest_valid
+    assert is_valid_coloring(out.certificate, eq)
+    if timeout is None:  # the n_max cut-off node is the unseeded search's
+        assert out.certificate.red_bits == lookahead_only(eq, n_max)[3]
+
+
+def test_a_cutoff_on_the_trail_colors_only_its_depth(monkeypatch):
+    # the deadline passes at the second poll, 8 nodes into (24, 2)'s first descent; the
+    # trail has forced red 1..11 by then, but the certificate colors [8] only
+    clock = iter([0.0, 0.0, 10.0, 10.0])  # start, two polls, the elapsed time
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(search, "_POLL_MASK", 7)
+    out = exact_rado_number(RadoEquation(24, 2), n_max=146, timeout=1.0)
+    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 8)
+    assert out.certificate == Coloring.from_red(8, range(1, 9))
 
 
 @pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3), (100, 2), (200, 6)])
