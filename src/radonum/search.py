@@ -31,14 +31,15 @@ the solution check. The shapes are sound, so a child whose x is blocked in
 its class holds a solution: the search counts its check and prunes it
 without folding. Only a child whose bit is clear is folded and tested.
 
-Goal: before the DFS, the search folds the paper's lower-bound coloring of
+Goal: before the DFS, the search checks the paper's lower-bound coloring of
 [goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
-blue q..goal, one _add_element run each. It keeps goal only if neither class
-holds a solution, and sets goal = 0 otherwise, so the coloring is checked,
-not trusted; stats.seed reports goal. For every a >= 1 it is solution-free:
-a red sum of m-1 elements is at least m-1 > a(q-1), and a blue one at least
-(m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds
-it, and the final depth is at least goal.
+blue q..goal. The sums of m-1 elements of a run lo..hi are all of
+(m-1)*lo .. (m-1)*hi, so a few integer operations tell whether the run holds a
+solution. goal is kept only if neither run does, else set to 0: the coloring
+is checked, not trusted; stats.seed reports goal. It is solution-free for every
+a >= 1: a red sum is at least m-1 > a(q-1), a blue one at least
+(m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds it
+and the final depth is at least goal; a timeout below goal reports it.
 
 Propagation: a popped node of depth d propagates forced colors over the
 window W = d+2 .. top, top = max(best_depth+1, goal), leaving out the y
@@ -71,20 +72,26 @@ problem, SAT 2016).
 
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
-past the node, as on the assignment trail of SAT solvers. This is sound by
-the argument above: every descendant that colors a forced y gives it its
-forced color, so a child whose class holds a solution with the forced y has
-no descendant of depth top or more, and pruning it loses nothing. A child
-whose x an ancestor forced into a class is pushed without a fold and counts
-one check: its sibling would put x into the class that blocks it. The states
-hold forced elements above depth, so the certificate's red set is layer 1
-masked to [1, depth]; a forced y is left out of W once it is in a class, and
-a class member's blocked bit is clear while its class is solution-free, so
-the AND over W needs no mask of the colored y. A propagated run lies above
-depth, but a chain may fold a lower run after a higher one, a child's x may
-lie below min S of a class that holds only forced elements, and a run may
-start an empty class: _add_element allows all three, folding every layer
-when min S falls.
+past the node, as on the assignment trail of SAT solvers. This is sound by the
+argument above: every descendant that colors a forced y gives it its forced
+color, so a child whose class holds a solution with the forced y has no
+descendant of depth top or more, and pruning it loses nothing. A child whose x
+an ancestor forced is pushed without a fold and counts one check: its sibling
+would put x into the class that blocks it. Such a child has the node's states
+and a window within the node's, so it folds nothing and finds no conflict; if
+its own x is colored too, its one child is pushed the same way. The node thus
+jumps along the colored run x..x+k-1, counting k checks and the k-1 nodes it
+passes, and pushes depth+k. k stops at n_max - depth and before the next
+deadline poll, so the stop node, polls and counts are those of popping each
+node; a passed node could raise best_depth only below goal, since no colored y
+lies above top. The states hold forced elements above depth, so the
+certificate's red set is layer 1 masked to [1, depth]; a forced y is left out
+of W once it is in a class, and a class member's blocked bit is clear while
+its class is solution-free, so the AND over W needs no mask of the colored y.
+A propagated run lies above depth, but a chain may fold a lower run after a
+higher one, a child's x may lie below min S of a class that holds only forced
+elements, and a run may start an empty class: _add_element allows all three,
+folding every layer when min S falls.
 
 Folding a run in one step skips exactly the nodes that folding its y one at a
 time, lowest first, skips. Blocked masks and solutions only grow as a class
@@ -99,12 +106,12 @@ every node; by symmetry both loops end in R* and B*, which the trail passes
 on. Hence nodes, status, rado_number, deepest_valid and the certificate do
 not depend on the folding unit; only checks do.
 
-Counting: nodes counts every popped node, a skipped one included, and checks
-counts every child tested (blocked or folded), every child whose x an
-ancestor forced, and every propagated run, one check however long the run;
-the goal's two runs count nothing. A propagation that finds no conflict
-prunes nothing, so on a small tree checks can exceed those of a search that
-stops at the test before the first fold; nodes cannot.
+Counting: nodes counts every node, a skipped one and one passed in a jump
+included, and checks every child tested (blocked or folded), every child whose
+x an ancestor forced, and every propagated run, however long; the goal's test
+counts nothing. A propagation without a conflict prunes nothing, so on a small
+tree checks can exceed those of a search that stops at the test before the
+first fold; nodes cannot.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -220,6 +227,12 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     return new_layers, new_targets, blocked, full
 
 
+def _run_has_solution(lo: int, hi: int, m: int, a: int) -> bool:
+    """Whether the run lo..hi holds a solution: its m-1 sums are all of (m-1)*lo .. (m-1)*hi."""
+    t = max(lo, -(-(m - 1) * lo // a))  # the least t in the run with a*t >= (m-1)*lo
+    return t <= hi and a * t <= (m - 1) * hi
+
+
 def _has_solution(state: _ClassState) -> bool:
     """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
     return bool(state[0][-1] & state[1])
@@ -273,8 +286,8 @@ def exact_rado_number(
     the first node of depth n_max (in preorder it carries the
     lexicographically least red set among deepest colorings) or once the
     optional timeout (seconds, >= 0) has passed; only then can deepest_valid
-    fall short of n_max. stats.stop is EXACT, N_MAX or TIMEOUT accordingly,
-    and stats.seed the goal, or 0 if there is none.
+    fall short of n_max, and never below the goal. stats.stop is EXACT, N_MAX
+    or TIMEOUT accordingly, and stats.seed the goal, or 0 if there is none.
     threads must be >= 1 and has no effect.
     """
     if n_max < 1:
@@ -299,10 +312,9 @@ def exact_rado_number(
     from .formula import ceil_div, ceiling_formula
 
     # the goal: the paper's coloring of [goal], red 1..q-1 and blue q..goal, kept only
-    # if neither run, folded here, holds a solution; it folds no run when goal = 0
+    # if neither run holds a solution (an empty run holds none)
     q, goal = ceil_div(m - 1, a), min(ceiling_formula(eq) - 1, n_max)
-    runs = [(lo, hi) for lo, hi in ((1, min(q - 1, goal)), (q, goal)) if lo <= hi]
-    if any(_has_solution(_add_element(empty, lo, hi - lo, a, capmask)) for lo, hi in runs):
+    if any(_run_has_solution(lo, hi, m, a) for lo, hi in ((1, min(q - 1, goal)), (q, goal))):
         goal = 0
     stack = []
     if not _has_solution(pinned):
@@ -350,9 +362,12 @@ def exact_rado_number(
         # the children start from the folded states: the forced colors stay on the trail
         x = depth + 1
         bit = 1 << x
-        if colored & bit:  # an ancestor forced x: one check, no fold, its sibling is blocked
-            checks += 1
-            stack.append((x, red_p, blue_p))
+        if colored & bit:  # an ancestor forced x: jump along the colored x..x+k-1, see Trail
+            colored = red_p[0][0] | blue_p[0][0]
+            k = (colored & ~(colored + bit)).bit_length() - x
+            k = min(k, n_max - depth, ((1 - nodes) & _POLL_MASK) + 1)  # stop node, next poll
+            checks, nodes = checks + k, nodes + k - 1
+            stack.append((depth + k, red_p, blue_p))
             continue
         # a child whose x is blocked in its class holds a solution: counted, not folded
         checks += 2
@@ -367,6 +382,8 @@ def exact_rado_number(
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 
+    if goal > best_depth:  # a timeout before the search reached the goal, which is valid
+        best_depth, best_red = goal, (2 << min(q - 1, goal)) - 2
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis, stop, goal)
     status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)

@@ -1,5 +1,8 @@
 """Exhaustive search: exact values, certificates, determinism."""
 
+import sys
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +20,14 @@ from radonum import (
     lower_bound_coloring,
     search,
 )
-from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, _has_solution
+from radonum.search import (
+    CUTOFF,
+    EXACT,
+    _add_element,
+    _empty_state,
+    _has_solution,
+    _run_has_solution,
+)
 
 
 def fold(eq, n, elements):
@@ -220,18 +230,17 @@ def propagate_runs(red, blue, lo, hi, a, capmask):
 
 
 def two_run_goal(eq, n_max):
-    """The search's goal, checked by the checker instead of the search's folds.
+    """The search's goal, checked by the checker instead of the search's arithmetic.
 
     The two-run coloring of [goal], goal = min(C(m, a) - 1, n_max), is red on
-    1..q-1 and blue on q..goal, q = ceil((m-1)/a). Returns (goal, runs): goal is
-    0 unless that coloring is nonempty and valid, and runs counts its nonempty
-    runs, which the search folds to check it.
+    1..q-1 and blue on q..goal, q = ceil((m-1)/a). Returns goal, or 0 unless
+    that coloring is nonempty and valid.
     """
     q, goal = ceil_div(eq.m - 1, eq.a), min(ceiling_formula(eq) - 1, n_max)
     if goal < 1:
-        return 0, 0
+        return 0
     valid = is_valid_coloring(Coloring.from_red(goal, range(1, min(q, goal + 1))), eq)
-    return (goal if valid else 0), 1 + (goal >= q)
+    return goal if valid else 0
 
 
 def fold_every_child(eq, n_max):
@@ -241,15 +250,14 @@ def fold_every_child(eq, n_max):
     max(best + 1, goal), with two_run_goal's goal: a node is skipped iff
     propagate finds a conflict, and propagate_runs must find one too and end in
     the same classes. Children start from propagate's folded states. Returns
-    (nodes, checks, element_checks, unfolded, seed_runs): checks count one per
-    propagated run, as the search does, element_checks one per propagated
-    element, unfolded the children the search does not fold, and seed_runs the
-    runs the search folds to check its goal. A child is unfolded when its x is
-    blocked in the class it joins, and then must hold a solution, or when an
-    ancestor forced x into a class: then it counts one check, and its sibling
-    must hold a solution.
+    (nodes, checks, element_checks, unfolded): checks count one per propagated
+    run, as the search does, element_checks one per propagated element, and
+    unfolded the children the search does not fold. A child is unfolded when
+    its x is blocked in the class it joins, and then must hold a solution, or
+    when an ancestor forced x into a class: then it counts one check, and its
+    sibling must hold a solution.
     """
-    goal, seed_runs = two_run_goal(eq, n_max)
+    goal = two_run_goal(eq, n_max)
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
     pinned = _add_element(empty, 1, 0, eq.a, capmask)
@@ -289,7 +297,7 @@ def fold_every_child(eq, n_max):
                 assert _has_solution(child), (x, to_red)
             elif not _has_solution(child):
                 stack.append((x, child, blue_p) if to_red else (x, red_p, child))
-    return nodes, checks, element_checks, unfolded, seed_runs
+    return nodes, checks, element_checks, unfolded
 
 
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
@@ -304,11 +312,11 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
     assert out.stats.checks == want[3]
-    # the pinned root is one fold and one check; no other fold, the goal's runs and
-    # propagated runs included, has an element blocked in the class it joins
+    # the pinned root is one fold and one check; no other fold, propagated runs
+    # included, has an element blocked in the class it joins
     assert not any(folds[1:])
-    nodes, checks, _, unfolded, seed_runs = fold_every_child(RadoEquation(m, a), n_max)
-    assert len(folds) - seed_runs + unfolded == checks == out.stats.checks
+    nodes, checks, _, unfolded = fold_every_child(RadoEquation(m, a), n_max)
+    assert len(folds) + unfolded == checks == out.stats.checks
     assert nodes == out.stats.nodes
 
 
@@ -332,7 +340,7 @@ def same_answer_fewer_nodes(m, a, n_max):
     assert out.stats.nodes <= nodes, (m, a, n_max)
     # the search skips the nodes that element-by-element propagation skips, and
     # folding runs checks no more than folding their elements one by one
-    tree_nodes, run_checks, element_checks, _, _ = fold_every_child(eq, n_max)
+    tree_nodes, run_checks, element_checks, _ = fold_every_child(eq, n_max)
     assert (out.stats.nodes, out.stats.checks) == (tree_nodes, run_checks), (m, a, n_max)
     assert run_checks <= element_checks, (m, a, n_max)
     return out.stats.checks, checks
@@ -350,6 +358,24 @@ def test_propagation_keeps_the_answer_on_the_grid():
 def test_propagation_keeps_the_answer_on_pinned_trees(params):
     new, old = same_answer_fewer_nodes(*params)
     assert new <= old
+
+
+def test_the_run_test_matches_a_search_over_sums():
+    # the goal's test, by interval arithmetic, against the bitset of the sums of m-1
+    # elements of lo..hi built one summand at a time: a solution is an a*t in it with
+    # t in lo..hi; the grid holds (m, a) = (2, 1), every lo = hi and empty runs
+    seen = set()
+    for m in range(2, 11):
+        for lo in range(1, 31):
+            for hi in range(lo - 1, 31):
+                sums = 1  # {0}, the sum of no element
+                for _ in range(m - 1):
+                    sums = reduce(or_, [sums << x for x in range(lo, hi + 1)], 0)
+                for a in range(1, 8):
+                    want = any(sums >> a * t & 1 for t in range(lo, hi + 1))
+                    assert _run_has_solution(lo, hi, m, a) == want, (m, a, lo, hi)
+                    seen.add(want)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize(("m", "a", "n_max"), [(40, 3, 177), (24, 2, 146)])
@@ -381,7 +407,7 @@ def test_the_first_descent_follows_forced_colors(monkeypatch):
 
 
 @pytest.mark.parametrize(("m", "a", "n_max", "timeout", "want"), [
-    (40, 3, 177, 0.0, (CUTOFF, "timeout", 1, 168)),  # the deadline passes before the root
+    (40, 3, 177, 0.0, (CUTOFF, "timeout", 168, 168)),  # the deadline passes before the root
     (40, 3, 100, None, (CUTOFF, "n_max", 100, 100)),  # goal = n_max < C - 1
     (18, 2, 40, None, (CUTOFF, "n_max", 40, 40)),
     (2, 3, 16, None, (CUTOFF, "n_max", 16, 0)),  # C = 1: no goal
@@ -398,13 +424,35 @@ def test_cutoffs_keep_their_depth(m, a, n_max, timeout, want):
 
 def test_a_cutoff_on_the_trail_colors_only_its_depth(monkeypatch):
     # the deadline passes at the second poll, 8 nodes into (24, 2)'s first descent; the
-    # trail has forced red 1..11 by then, but the certificate colors [8] only
+    # trail has forced red 1..11 by then, yet the certificate is not the trail's: it is
+    # the goal the search checked before the DFS, the two-run coloring of [137]
     clock = iter([0.0, 0.0, 10.0, 10.0])  # start, two polls, the elapsed time
     monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     monkeypatch.setattr(search, "_POLL_MASK", 7)
-    out = exact_rado_number(RadoEquation(24, 2), n_max=146, timeout=1.0)
-    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 8)
-    assert out.certificate == Coloring.from_red(8, range(1, 9))
+    eq = RadoEquation(24, 2)
+    out = exact_rado_number(eq, n_max=146, timeout=1.0)
+    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 137)
+    assert out.certificate == Coloring.from_red(137, range(1, 12))
+    assert is_valid_coloring(out.certificate, eq)
+
+
+def test_the_deadline_is_polled_along_the_trail(monkeypatch):
+    # (100, 2) at C = 2475: most of its nodes lie on runs of forced colors, which the
+    # search passes in jumps, yet it reads the deadline before the root and every 128th
+    # node as if it popped them one at a time; the fake clock records the search's node
+    # count at each read
+    polls = []
+
+    def perf_counter():
+        polls.append(sys._getframe(1).f_locals.get("nodes"))
+        return 0.0
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=perf_counter))
+    out = exact_rado_number(RadoEquation(100, 2), n_max=2475, timeout=1.0)
+    assert (out.stats.stop, out.rado_number) == (EXACT, 2475)
+    nodes = out.stats.nodes
+    assert polls[0] is None and polls[-1] == nodes  # the clock's start and stop
+    assert polls[1:-1] == [v for v in range(1, nodes) if v & search._POLL_MASK == 1]
 
 
 @pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3), (100, 2), (200, 6)])
@@ -434,8 +482,10 @@ def test_timeout_reports_cutoff():
     assert out.status == CUTOFF
     assert out.rado_number is None
     assert is_valid_coloring(out.certificate, RadoEquation(5, 1))
-    # the deadline is polled before the pinned root is expanded
-    assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (1, 1, 1)
+    # the deadline is polled before the pinned root is expanded, and the search
+    # reports the goal it checked before the DFS
+    assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (15, 1, 1)
+    assert out.deepest_valid == out.stats.seed == out.certificate.n
 
 
 def test_validates_parameters():
