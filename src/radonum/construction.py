@@ -1,9 +1,10 @@
 """Explicit solution-free colorings that certify Rado number lower bounds.
 
 The general construction colors a short prefix of [C(m, a) - 1] red and the
-rest blue; it is solution-free for every a >= 3, m >= 3 and therefore shows
-the Rado number is at least C(m, a). Two hand-built colorings cover the
-a = 3 small cases where the general construction is not tight.
+rest blue; it is solution-free for every a >= 1 and m >= 2 (the proof is in
+the search module's docstring) and therefore shows the Rado number is at least
+C(m, a). Two hand-built colorings cover the a = 3 small cases where the
+general construction is not tight.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from .formula import ceil_div, ceiling_formula
 def lower_bound_coloring(eq: RadoEquation) -> Coloring:
     """Solution-free coloring of [C(m, a) - 1] with red prefix [ceil((m-1)/a) - 1].
 
-    Requires a >= 3 and m >= 3. When C(m, a) = 1 the interval [C - 1] is
-    empty and the empty coloring is returned.
+    With q = ceil((m-1)/a), red is 1..q-1 and blue q..C-1. A red sum of m-1
+    elements is at least m-1 > a(q-1), a blue one at least (m-1)q > a(C-1),
+    so neither class holds a solution, for every a >= 1 and m >= 2; see
+    radonum.search. When C(m, a) = 1 the interval [C - 1] is empty and the
+    empty coloring is returned.
     """
-    if eq.a < 3:
-        raise ValueError(f"construction needs a >= 3, got a={eq.a}")
-    if eq.m < 3:
-        raise ValueError(f"construction needs m >= 3, got m={eq.m}")
     bound = ceiling_formula(eq)
     if bound == 1:
         return Coloring(0)

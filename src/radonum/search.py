@@ -26,10 +26,9 @@ class, as far as these shapes go, with L_0 = {0}:
 Solutions with y twice or more on the left are not looked for. Every value
 involved is at most a*y, so the cap at a*n_max loses nothing for y <= n_max.
 Since a class only grows, blocked only grows: _add_element ORs the new y into
-the parent's mask with whole-integer operations, for children that survive
-the solution check. The shapes are sound, so a child whose x is blocked in
-its class holds a solution: the search counts its check and prunes it
-without folding. Only a child whose bit is clear is folded and tested.
+the parent's mask with whole-integer operations, for children that survive the
+solution check. The shapes are sound: a class that takes a y it blocks holds a
+solution.
 
 Goal: before the DFS, the search checks the paper's lower-bound coloring of
 [goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
@@ -41,50 +40,49 @@ a >= 1: a red sum is at least m-1 > a(q-1), a blue one at least
 (m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds it
 and the final depth is at least goal; a timeout below goal reports it.
 
-Propagation: a popped node of depth d propagates forced colors over the
-window W = d+2 .. top, top = max(best_depth+1, goal), leaving out the y
-already in a class. The lowest y in W that is blocked in exactly one class,
-and not yet folded, is folded into the other class with _add_element,
-together with the forced y right above it that the same class blocks: the
-run y..y+w that ends below the first y not forced that way. This repeats
-until no y is forced. The node is skipped, its children unchecked, on a
-conflict: a y in W blocked in both classes, before any fold or after one, or
-a fold that holds a solution. This is sound: a descendant's classes contain
-the node's, so a solution that y closes at the node stays closed below it.
-A descendant that reaches depth top colors all of W; by induction over the
-folds, each forced y has its forced color there (the other color closes a
-solution in a class the descendant's contains), so the descendant contains
-the conflict, which cannot be. The subtree thus holds only colorings of
-depth < top: of depth <= best_depth, and best_depth never falls, or below
-goal, and the final depth is at least goal. None of them can be the first
-coloring of the final depth, and top <= n_max, so none is the cut-off node
-either. Since the DFS pops in preorder, every node that can set a new best
-is still visited in the same order. The status, rado_number, deepest_valid
-and certificate are therefore those of the plain search; only the node and
-check counts fall. (y = d+1 is left to the child checks: each reads its
-class's blocked bit first, and folds only when it is clear, so a child is
-pruned iff its class holds a solution.) The test before the
-first fold, one AND of the two masks and W, is the forced-element lookahead
-of exhaustive van der Waerden searches (Kouril and Paul, The van der Waerden
-number W(2,6) is 1132, Exp. Math. 2008); the folds are the unit propagation
-of SAT solvers (Heule, Kullmann and Marek, The Boolean Pythagorean Triples
-problem, SAT 2016).
+Propagation: a popped node of depth d propagates forced colors over the window
+W = d+1 .. top, top = max(best_depth+1, goal), leaving out the y already in a
+class; x = d+1 is in W, since x <= best_depth+1 <= top. The lowest y in W that
+is blocked in exactly one class, and not yet folded, is folded into the other
+class with _add_element, together with the forced y right above it that the
+same class blocks: the run y..y+w that ends below the first y not forced that
+way. This repeats until no y is forced. The node is skipped, its children
+unchecked, on a conflict: a y in W blocked in both classes, before any fold or
+after one, or a fold that holds a solution. This is sound: a descendant's
+classes contain the node's, so a solution that y closes at the node stays
+closed below it. A descendant that reaches depth top colors all of W; by
+induction over the folds, each forced y has its forced color there (the other
+color closes a solution in a class the descendant's contains), so the
+descendant contains the conflict, which cannot be. The subtree thus holds only
+colorings of depth < top: of depth <= best_depth, and best_depth never falls,
+or below goal, and the final depth is at least goal. None of them can be the
+first coloring of the final depth, and top <= n_max, so none is the cut-off
+node either. Since the DFS pops in preorder, every node that can set a new
+best is still visited in the same order. The status, rado_number,
+deepest_valid and certificate are therefore those of the plain search; only
+the node and check counts fall. The test before the first fold, one AND of the
+two masks and W, is the forced-element lookahead of exhaustive van der Waerden
+searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132, Exp.
+Math. 2008); the folds are the unit propagation of SAT solvers (Heule,
+Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
 
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
 past the node, as on the assignment trail of SAT solvers. This is sound by the
 argument above: every descendant that colors a forced y gives it its forced
 color, so a child whose class holds a solution with the forced y has no
-descendant of depth top or more, and pruning it loses nothing. A child whose x
-an ancestor forced is pushed without a fold and counts one check: its sibling
-would put x into the class that blocks it. Such a child has the node's states
-and a window within the node's, so it folds nothing and finds no conflict; if
-its own x is colored too, its one child is pushed the same way. The node thus
+descendant of depth top or more, and pruning it loses nothing. A node whose x
+is colored after its propagation, forced by an ancestor or at the node itself,
+pushes its one child without a fold and counts one check: the sibling would
+put x into the class that blocks it. Such a child has the node's states and a
+window within the node's, so it folds nothing and finds no conflict; if its
+own x is colored too, its one child is pushed the same way. The node thus
 jumps along the colored run x..x+k-1, counting k checks and the k-1 nodes it
 passes, and pushes depth+k. k stops at n_max - depth and before the next
 deadline poll, so the stop node, polls and counts are those of popping each
 node; a passed node could raise best_depth only below goal, since no colored y
-lies above top. The states hold forced elements above depth, so the
+lies above top. Otherwise x is blocked in neither class, and both children are
+folded and tested. The states hold forced elements above depth, so the
 certificate's red set is layer 1 masked to [1, depth]; a forced y is left out
 of W once it is in a class, and a class member's blocked bit is clear while
 its class is solution-free, so the AND over W needs no mask of the colored y.
@@ -107,11 +105,11 @@ on. Hence nodes, status, rado_number, deepest_valid and the certificate do
 not depend on the folding unit; only checks do.
 
 Counting: nodes counts every node, a skipped one and one passed in a jump
-included, and checks every child tested (blocked or folded), every child whose
-x an ancestor forced, and every propagated run, however long; the goal's test
-counts nothing. A propagation without a conflict prunes nothing, so on a small
-tree checks can exceed those of a search that stops at the test before the
-first fold; nodes cannot.
+included, and checks every child folded, every child whose x is forced, and
+every propagated run, however long; the goal's test counts nothing. A
+propagation without a conflict prunes nothing, so on a small tree checks can
+exceed those of a search that stops at the test before the first fold; nodes
+cannot.
 
 Determinism contract: the red branch is explored before the blue branch, and
 the reported certificate is the first coloring reaching the final depth in
@@ -329,20 +327,19 @@ def exact_rado_number(
                 break
         depth, red_state, blue_state = stack.pop()
         nodes += 1
-        # layer 1 is the class itself, the forced elements above depth included
-        colored = red_state[0][0] | blue_state[0][0]
         if depth > best_depth:
             best_depth, best_red = depth, red_state[0][0] & ((2 << depth) - 1)
         if depth >= n_max:
             stop = N_MAX
             break
-        window = (2 << max(best_depth + 1, goal)) - (4 << depth)  # y in depth+2 .. top
+        window = (2 << max(best_depth + 1, goal)) - (2 << depth)  # y in depth+1 .. top
         # a y blocked in both classes is colored by no extension, so none goes deeper than
         # y - 1 < top; a y blocked in one class only takes the other color in every
         # extension that colors it: fold it there with the forced y right above it that the
-        # same class blocks, lowest first, until a conflict or none is left
+        # same class blocks, lowest first, until a conflict or none is left; layer 1 is the
+        # class itself, the forced elements above depth included
         conflict = red_state[2] & blue_state[2] & window
-        red_p, blue_p, free = red_state, blue_state, window & ~colored
+        red_p, blue_p, free = red_state, blue_state, window & ~(red_state[0][0] | blue_state[0][0])
         while not conflict and (forced := (red_p[2] ^ blue_p[2]) & free):
             y_bit = forced & -forced
             to_red = blue_p[2] & y_bit
@@ -362,23 +359,21 @@ def exact_rado_number(
         # the children start from the folded states: the forced colors stay on the trail
         x = depth + 1
         bit = 1 << x
-        if colored & bit:  # an ancestor forced x: jump along the colored x..x+k-1, see Trail
-            colored = red_p[0][0] | blue_p[0][0]
+        colored = red_p[0][0] | blue_p[0][0]
+        if colored & bit:  # x is forced: jump along the colored x..x+k-1, see Trail
             k = (colored & ~(colored + bit)).bit_length() - x
             k = min(k, n_max - depth, ((1 - nodes) & _POLL_MASK) + 1)  # stop node, next poll
             checks, nodes = checks + k, nodes + k - 1
             stack.append((depth + k, red_p, blue_p))
             continue
-        # a child whose x is blocked in its class holds a solution: counted, not folded
+        # x is free, blocked in neither class: both children are folded and tested
         checks += 2
-        if not blue_p[2] & bit:
-            child = _add_element(blue_p, x, 0, a, capmask)
-            if not _has_solution(child):
-                stack.append((x, red_p, child))
-        if not red_p[2] & bit:
-            child = _add_element(red_p, x, 0, a, capmask)
-            if not _has_solution(child):
-                stack.append((x, child, blue_p))
+        child = _add_element(blue_p, x, 0, a, capmask)
+        if not _has_solution(child):
+            stack.append((x, red_p, child))
+        child = _add_element(red_p, x, 0, a, capmask)
+        if not _has_solution(child):
+            stack.append((x, child, blue_p))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 

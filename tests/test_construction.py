@@ -46,15 +46,20 @@ def test_red_prefix_length():
             assert len(red) < col.n
 
 
-def test_rejects_unsupported_parameters():
-    with pytest.raises(ValueError):
-        lower_bound_coloring(RadoEquation(8, 2))
-    with pytest.raises(ValueError):
-        lower_bound_coloring(RadoEquation(2, 3))
+@pytest.mark.parametrize(("m", "a"), [(8, 2), (100, 2), (3, 1), (2, 3)])
+def test_two_runs_for_every_a(m, a):
+    # red 1..q-1 and blue q..C-1 is solution-free for a < 3 and m = 2 as well
+    eq = RadoEquation(m, a)
+    q, c = ceil_div(m - 1, a), ceiling_formula(eq)
+    col = lower_bound_coloring(eq)
+    assert col.n == c - 1
+    assert col.red_elements() == tuple(range(1, q))
+    assert col.blue_bits == (1 << c) - (1 << q)  # empty when C = 1
+    assert is_valid_coloring(col, eq)
 
 
 def test_solution_free_small_grid():
-    for a in (3, 4):
+    for a in range(1, 5):
         for m in range(3, 2 * a * a + 7):
             eq = RadoEquation(m, a)
             assert is_valid_coloring(lower_bound_coloring(eq), eq), (m, a)

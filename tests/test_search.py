@@ -112,21 +112,21 @@ def test_thread_count_does_not_change_results():
 
 # (m, a, n_max) -> (status, rado_number, nodes, checks, certificate red bits)
 PINNED_TREES = [
-    ((14, 2, 54), (EXACT, 46, 47, 58, 126)),
-    ((16, 2, 68), (EXACT, 60, 61, 74, 254)),
-    ((20, 3, 53), (EXACT, 45, 47, 59, 126)),
-    ((25, 3, 72), (EXACT, 64, 66, 79, 254)),
-    ((45, 6, 67), (EXACT, 59, 67, 81, 254)),
+    ((14, 2, 54), (EXACT, 46, 47, 55, 126)),
+    ((16, 2, 68), (EXACT, 60, 61, 72, 254)),
+    ((20, 3, 53), (EXACT, 45, 47, 57, 126)),
+    ((25, 3, 72), (EXACT, 64, 66, 77, 254)),
+    ((45, 6, 67), (EXACT, 59, 67, 79, 254)),
     ((18, 2, 40), (CUTOFF, None, 41, 51, 510)),
     # the blocked-y mask's edge cases: a = 1 (shape 3 never fires), m = 2 (L_0 = {0})
-    ((5, 1, 30), (EXACT, 19, 33, 51, 458766)),
-    ((8, 1, 70), (EXACT, 55, 111, 144, 35465847065542782)),
+    ((5, 1, 30), (EXACT, 19, 33, 41, 458766)),
+    ((8, 1, 70), (EXACT, 55, 111, 128, 35465847065542782)),
     ((2, 3, 16), (CUTOFF, None, 17, 31, 94134)),
     # the perfbench deep points and a ladder point
-    ((24, 2, 146), (EXACT, 138, 139, 157, 4094)),
-    ((40, 3, 177), (EXACT, 169, 171, 194, 8190)),
-    ((60, 6, 107), (EXACT, 99, 107, 125, 1022)),
-    ((100, 6, 281), (EXACT, 281, 287, 318, 131070)),
+    ((24, 2, 146), (EXACT, 138, 139, 154, 4094)),
+    ((40, 3, 177), (EXACT, 169, 171, 192, 8190)),
+    ((60, 6, 107), (EXACT, 99, 107, 123, 1022)),
+    ((100, 6, 281), (EXACT, 281, 287, 316, 131070)),
 ]
 
 
@@ -244,18 +244,17 @@ def two_run_goal(eq, n_max):
 
 
 def fold_every_child(eq, n_max):
-    """exact_rado_number's tree with every child folded, blocked bit set or not.
+    """exact_rado_number's tree with every child of a free x folded.
 
-    Propagation is the element-by-element reference over depth+2 .. top, top =
+    Propagation is the element-by-element reference over depth+1 .. top, top =
     max(best + 1, goal), with two_run_goal's goal: a node is skipped iff
     propagate finds a conflict, and propagate_runs must find one too and end in
     the same classes. Children start from propagate's folded states. Returns
     (nodes, checks, element_checks, unfolded): checks count one per propagated
     run, as the search does, element_checks one per propagated element, and
-    unfolded the children the search does not fold. A child is unfolded when
-    its x is blocked in the class it joins, and then must hold a solution, or
-    when an ancestor forced x into a class: then it counts one check, and its
-    sibling must hold a solution.
+    unfolded the children the search does not fold: those whose x is in a
+    class after propagation, which count one check each and whose sibling must
+    hold a solution. A node that branches has its x blocked in neither class.
     """
     goal = two_run_goal(eq, n_max)
     capmask = (1 << (eq.a * n_max + 1)) - 1
@@ -269,7 +268,7 @@ def fold_every_child(eq, n_max):
         best = max(best, depth)
         if depth >= n_max:
             break
-        lo, hi = depth + 2, max(best + 1, goal)
+        lo, hi = depth + 1, max(best + 1, goal)
         conflict, folds, red_p, blue_p = propagate(red, blue, lo, hi, eq.a, capmask)
         run_conflict, runs, red_r, blue_r = propagate_runs(red, blue, lo, hi, eq.a, capmask)
         assert run_conflict == conflict
@@ -279,23 +278,21 @@ def fold_every_child(eq, n_max):
             continue
         assert (red_r[0][0], blue_r[0][0]) == (red_p[0][0], blue_p[0][0])
         x = depth + 1
-        if (red[0][0] | blue[0][0]) >> x & 1:
+        if (red_p[0][0] | blue_p[0][0]) >> x & 1:
             checks += 1
             element_checks += 1
             unfolded += 1
-            sibling = blue_p if red[0][0] >> x & 1 else red_p
+            sibling = blue_p if red_p[0][0] >> x & 1 else red_p
             assert _has_solution(_add_element(sibling, x, 0, eq.a, capmask)), x
             stack.append((x, red_p, blue_p))
             continue
+        assert not (red_p[2] | blue_p[2]) >> x & 1, x
         for to_red in (False, True):  # blue child first, as the search pushes it
             parent = red_p if to_red else blue_p
             checks += 1
             element_checks += 1
             child = _add_element(parent, x, 0, eq.a, capmask)
-            if parent[2] >> x & 1:
-                unfolded += 1
-                assert _has_solution(child), (x, to_red)
-            elif not _has_solution(child):
+            if not _has_solution(child):
                 stack.append((x, child, blue_p) if to_red else (x, red_p, child))
     return nodes, checks, element_checks, unfolded
 
