@@ -1,6 +1,10 @@
 """Decide whether a 2-coloring admits a monochromatic solution of L(m, a).
 
-The fast path builds, per color class S, a layered sumset table: layer k is
+A color class that is one run lo..hi, as both classes of a lower-bound
+coloring are, is decided by arithmetic: its sums of m-1 elements are every
+integer in (m-1)*lo .. (m-1)*hi, so core.least_run_target, the run lemma the
+search's goal uses too, gives the least target, and the witness's left side
+has a closed form. Any other class S gets a layered sumset table: layer k is
 the bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at cap = a*n. A monochromatic solution exists
 iff some target t in S has a*t present in layer m-1. The targets that do are
@@ -8,19 +12,21 @@ found at once: layer m-1 decimated by a (core.decimate, the search's shape-1
 test), ANDed with S; the lowest one is the witness's x_m. The layers come from
 core.fold_layers, which the search's run folds share: one shift per maximal
 run of consecutive elements of S plus at most ceil(log2(w+1)) shift-ORs per
-distinct run width w, never more than |S| shifts (a lower-bound coloring's
-classes are one run each), and one shift and one AND per layer once a layer
-repeats the one before it by a shift of min S, as a dense class does after a
-few layers. A small multiset enumeration oracle provides an independent
-cross-check.
+distinct run width w, never more than |S| shifts, and one shift and one AND
+per layer once a layer repeats the one before it by a shift of min S, as a
+dense class does after a few layers. The left side is backtracked from the
+table, smallest element first, each element as many times as it fits. A
+small multiset enumeration oracle provides an independent cross-check.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, repeat
+from typing import Iterable
 
 from .core import (
-    Color, Coloring, RadoEquation, Witness, decimate, fold_layers, iter_bits, smear_steps
+    Color, Coloring, RadoEquation, Witness, decimate, fold_layers, iter_bits, least_run_target,
+    smear_steps,
 )
 
 NAIVE_GUARD = 1_000_000
@@ -52,26 +58,59 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     return fold_layers(repeat(0, depth), plan, min_s, capmask)
 
 
-def _greedy_left_side(layers: list[int], elements: list[int], total: int, count: int) -> list[int]:
+def _greedy_left_side(
+    layers: list[int], elements: Iterable[int], total: int, count: int
+) -> list[int]:
     """Backtrack a sum of `count` class elements, smallest element first.
 
-    Always succeeds when total is in layers[count - 1]; the result is
-    non-decreasing because picking the minimum feasible element at each step
-    keeps every smaller element infeasible later on.
+    Always succeeds when total is in layers[count - 1]. The result is the
+    one that picking the least feasible element at each step gives: an
+    element e infeasible for the remainder r with k summands left stays so
+    after any pick p, since r - p - e in L_{k-2} would put r - e in L_{k-1}.
+    So the ascending elements are walked once, and each is taken as many
+    times c as fit, the largest c <= k with r - c*e in L_{k-c}. Those c form
+    a prefix of 0..k, since r - c*e in L_{k-c} puts r - j*e = r - c*e +
+    (c-j)*e in L_{k-j} for j < c, so galloping over c = 1, 2, 4, ... and
+    bisecting the last gap finds the largest one.
     """
-    remaining = total
+    sums = [1, *layers]  # sums[k]: the sums of exactly k elements, bit 0 the empty sum
+    remaining, k = total, count
+
+    def fits(c: int) -> bool:
+        rest = remaining - c * e
+        return rest >= 0 and (sums[k - c] >> rest) & 1 == 1
+
     out: list[int] = []
-    for k in range(count, 0, -1):
-        prev = layers[k - 2] if k >= 2 else 1  # bit 0 is the empty sum
-        for e in elements:
-            rest = remaining - e
-            if rest >= 0 and (prev >> rest) & 1:
-                out.append(e)
-                remaining = rest
-                break
-        else:
-            raise RuntimeError("sumset table backtracking failed; table is inconsistent")
-    return out
+    for e in elements:
+        if not fits(1):
+            continue
+        fit, over = 1, 2
+        while over <= k and fits(over):
+            fit, over = over, 2 * over
+        over = min(over, k + 1)
+        while over - fit > 1:
+            mid = (fit + over) // 2
+            fit, over = (mid, over) if fits(mid) else (fit, mid)
+        out += [e] * fit
+        remaining, k = remaining - fit * e, k - fit
+        if not k:
+            return out
+    raise RuntimeError("sumset table backtracking failed; table is inconsistent")
+
+
+def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
+    """_greedy_left_side for the run lo..hi, in closed form, for total in count*lo .. count*hi.
+
+    The least element at each step is lo while the rest can still reach total
+    with hi, so the sum is lo repeated, then one lo + r, then hi repeated q
+    times, with total - count*lo = q*(hi - lo) + r; the middle term goes when
+    r = 0.
+    """
+    if lo == hi:
+        return [lo] * count
+    q, r = divmod(total - count * lo, hi - lo)
+    middle = [lo + r] if r else []
+    return [lo] * (count - q - len(middle)) + middle + [hi] * q
 
 
 def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
@@ -81,16 +120,24 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     qualifying target first, and the left side is reconstructed greedily by
     smallest element. Values may repeat; a witness can sit in one element.
     """
-    cap = eq.a * col.n
-    capmask = (1 << (cap + 1)) - 1
     depth = eq.m - 1
     for color in (Color.RED, Color.BLUE):
         bits = col.class_bits(color)
+        if not bits:
+            continue
+        low = bits & -bits
+        if not bits & (bits + low):  # one run lo..hi: no table
+            lo, hi = low.bit_length() - 1, bits.bit_length() - 1
+            t = least_run_target(lo, hi, eq.m, eq.a)
+            if t:
+                return Witness((*_run_left_side(lo, hi, eq.a * t, depth), t), color)
+            continue
+        capmask = (1 << (eq.a * col.n + 1)) - 1
         layers = _sumset_layers(bits, depth, capmask)
         hits = decimate(layers[-1], eq.a) & bits  # t <= n, so a*t <= cap
         if hits:
             t = (hits & -hits).bit_length() - 1
-            left = _greedy_left_side(layers, list(iter_bits(bits)), eq.a * t, depth)
+            left = _greedy_left_side(layers, iter_bits(bits), eq.a * t, depth)
             return Witness((*left, t), color)
     return None
 

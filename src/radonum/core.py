@@ -5,8 +5,8 @@ positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers; the bitset helpers (iter_bits,
-smear_steps, decimate) and the sumset fold (fold_layers) by the checker and
-the search.
+smear_steps, decimate), the run lemma (least_run_target) and the sumset fold
+(fold_layers) by the checker and the search.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -43,11 +43,20 @@ def json_int(value, what: str) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of a nonnegative mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of a nonnegative mask in ascending order.
+
+    Walks the reversed base-2 string, where bit p sits at index p, with
+    str.find: linear in the mask's width. Clearing one bit at a time would
+    rebuild the whole integer per bit, quadratic on a dense mask. An empty
+    mask, as most of the search's new-s masks are, builds no string.
+    """
+    if not mask:
+        return
+    digits = bin(mask)[:1:-1]
+    p = digits.find("1")
+    while p >= 0:
+        yield p
+        p = digits.find("1", p + 1)
 
 
 def smear_steps(w: int) -> list[int]:
@@ -77,6 +86,18 @@ def decimate(bits: int, step: int) -> int:
         return bits
     digits = bin(bits)[2:]  # bit p sits at index len - 1 - p
     return int(digits[(len(digits) - 1) % step :: step], 2)
+
+
+def least_run_target(lo: int, hi: int, m: int, a: int) -> int:
+    """The least t in the run lo..hi with a*t a sum of m-1 of its elements, or 0 if none.
+
+    The sums of k elements of a run are every integer in k*lo .. k*hi, so the
+    t that close a solution are those of lo..hi with (m-1)*lo <= a*t <=
+    (m-1)*hi, an interval. An empty run (hi < lo) has none. Needs lo >= 1,
+    so that 0 is never such a t.
+    """
+    t = max(lo, -(-(m - 1) * lo // a))  # the least t in the run with a*t >= (m-1)*lo
+    return t if t <= hi and a * t <= (m - 1) * hi else 0
 
 
 def fold_layers(

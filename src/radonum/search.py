@@ -34,9 +34,10 @@ Goal: before the DFS, the search checks the paper's lower-bound coloring of
 [goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
 blue q..goal. The sums of m-1 elements of a run lo..hi are all of
 (m-1)*lo .. (m-1)*hi, so a few integer operations tell whether the run holds a
-solution. goal is kept only if neither run does, else set to 0: the coloring
-is checked, not trusted; stats.seed reports goal. It is solution-free for every
-a >= 1: a red sum is at least m-1 > a(q-1), a blue one at least
+solution: core.least_run_target, the run lemma the checker applies to its
+one-run classes. goal is kept only if neither run does, else set to 0: the
+coloring is checked, not trusted; stats.seed reports goal. It is solution-free
+for every a >= 1: a red sum is at least m-1 > a(q-1), a blue one at least
 (m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds it
 and the final depth is at least goal; a timeout below goal reports it.
 
@@ -125,7 +126,9 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Coloring, RadoEquation, decimate, fold_layers, iter_bits, smear_steps
+from .core import (
+    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target, smear_steps
+)
 
 EXACT = "exact"
 CUTOFF = "cutoff"
@@ -225,12 +228,6 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     return new_layers, new_targets, blocked, full
 
 
-def _run_has_solution(lo: int, hi: int, m: int, a: int) -> bool:
-    """Whether the run lo..hi holds a solution: its m-1 sums are all of (m-1)*lo .. (m-1)*hi."""
-    t = max(lo, -(-(m - 1) * lo // a))  # the least t in the run with a*t >= (m-1)*lo
-    return t <= hi and a * t <= (m - 1) * hi
-
-
 def _has_solution(state: _ClassState) -> bool:
     """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
     return bool(state[0][-1] & state[1])
@@ -312,7 +309,7 @@ def exact_rado_number(
     # the goal: the paper's coloring of [goal], red 1..q-1 and blue q..goal, kept only
     # if neither run holds a solution (an empty run holds none)
     q, goal = ceil_div(m - 1, a), min(ceiling_formula(eq) - 1, n_max)
-    if any(_run_has_solution(lo, hi, m, a) for lo, hi in ((1, min(q - 1, goal)), (q, goal))):
+    if any(least_run_target(lo, hi, m, a) for lo, hi in ((1, min(q - 1, goal)), (q, goal))):
         goal = 0
     stack = []
     if not _has_solution(pinned):

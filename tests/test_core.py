@@ -1,5 +1,7 @@
 """Domain type behavior: validation, witness checks, JSON round-trips."""
 
+import random
+
 import pytest
 
 from radonum import (
@@ -46,6 +48,11 @@ def test_check64_bounds():
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101101)) == [0, 2, 3, 5]
+    # a dense mask of 10^5 bits, walked in linear time, and wide random and sparse ones
+    assert list(iter_bits((1 << 100_001) - 2)) == list(range(1, 100_001))
+    rng = random.Random(7)
+    for mask in (rng.getrandbits(3000), (1 << 20_000) | (1 << 3) | 1):
+        assert list(iter_bits(mask)) == [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def test_coloring_basics():

@@ -3,13 +3,17 @@
 The shared bitset helpers core.decimate and core.smear_steps are compared
 with set references. The checker's run-length sumset layers, with their tail
 that repeats by a shift of min S, are compared with the per-element reference
-sumset_layers,
-down to the witnesses find_mono_solution returns; core.fold_layers, which
-builds them, walks its run plan only up to that tail. The incremental sumset
-fold, of one element or of a run in one call, its saturated-layer index and
-the lookahead's blocked-y mask are compared with the layer-at-a-time checker,
-the reference layers, the naive oracle, the per-y test blocks and plain
-enumeration, and exact_rado_number with a search that tries every coloring.
+sumset_layers, down to the witnesses find_mono_solution returns;
+core.fold_layers, which builds them, walks its run plan only up to that tail.
+The run lemma core.least_run_target with the closed-form left side of a
+one-run class, and the galloping backtrack of every other class, are compared
+with those layers and the one-summand greedy_left_side, and
+find_mono_solution with a checker built from both references. The
+incremental sumset fold, of one element or of a run in one call, its
+saturated-layer index and the lookahead's blocked-y mask are compared with
+the layer-at-a-time checker, the reference layers, the naive oracle, the per-y
+test blocks and plain enumeration, and exact_rado_number with a search that
+tries every coloring.
 """
 
 import itertools
@@ -30,8 +34,10 @@ from radonum import (
     lower_bound_coloring,
     naive_find_mono_solution,
 )
-from radonum.checker import _sumset_layers
-from radonum.core import Color, decimate, fold_layers, iter_bits, smear_steps
+from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers
+from radonum.core import (
+    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, smear_steps
+)
 from radonum.search import (
     CUTOFF,
     EXACT,
@@ -56,6 +62,44 @@ def sumset_layers(class_bits, depth, capmask):
             acc |= prev << e
         layers.append(acc & capmask)
     return layers
+
+
+def greedy_left_side(layers, elements, total, count):
+    """The reference for checker._greedy_left_side: one summand per step.
+
+    Each step rescans the elements from the smallest and takes the first e
+    whose remainder total - e is a sum of the summands left.
+    """
+    remaining = total
+    out = []
+    for k in range(count, 0, -1):
+        prev = layers[k - 2] if k >= 2 else 1  # bit 0 is the empty sum
+        for e in elements:
+            rest = remaining - e
+            if rest >= 0 and (prev >> rest) & 1:
+                out.append(e)
+                remaining = rest
+                break
+        else:
+            raise RuntimeError("sumset table backtracking failed; table is inconsistent")
+    return out
+
+
+def reference_find_mono_solution(col, eq):
+    """The reference for checker.find_mono_solution: per-element layers for every class.
+
+    Red before blue, the least t with a*t in L_{m-1}, and the left side by the
+    one-summand greedy: the order and witness the checker promises.
+    """
+    capmask = (1 << (eq.a * col.n + 1)) - 1
+    for color in (Color.RED, Color.BLUE):
+        bits = col.class_bits(color)
+        layers = sumset_layers(bits, eq.m - 1, capmask)
+        targets = [t for t in iter_bits(bits) if layers[-1] >> (eq.a * t) & 1]
+        if targets:
+            left = greedy_left_side(layers, list(iter_bits(bits)), eq.a * targets[0], eq.m - 1)
+            return Witness((*left, targets[0]), color)
+    return None
 
 
 def interval(lo, hi):
@@ -255,6 +299,82 @@ def test_witnesses_match_reference_layers(monkeypatch, m, a):
     monkeypatch.setattr(checker, "_sumset_layers", sumset_layers)
     assert fast == [find_mono_solution(col, eq) for col in colorings]
     assert fast[0] is None and all(fast[1:])
+
+
+@pytest.mark.parametrize(("m", "a"), [(32, 3), (52, 5), (82, 8), (3, 1), (9, 2)])
+def test_witnesses_match_reference_checker(m, a):
+    # the lower-bound coloring, whose classes are one run each, every one-element
+    # flip of it, and seeded colorings of a few runs and random ones, against
+    # the checker that builds per-element layers for every class
+    eq = RadoEquation(m, a)
+    base = lower_bound_coloring(eq)
+    rng = random.Random(m * a + 1)
+    colorings = [base] + [Coloring(base.n, base.red_bits ^ (1 << x)) for x in range(1, base.n + 1)]
+    colorings += [Coloring(base.n, rng.getrandbits(base.n) << 1) for _ in range(20)]
+    for _ in range(20):
+        cuts = sorted(rng.sample(range(1, base.n + 2), rng.randint(1, 4)))
+        colorings.append(Coloring(base.n, sum_bits(
+            interval(lo, hi - 1) for lo, hi in zip([1, *cuts][::2], cuts[::2]))))
+    for col in colorings:
+        assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq), col
+    assert find_mono_solution(base, eq) is None
+
+
+def test_one_run_classes_build_no_table(monkeypatch):
+    # each class of a lower-bound coloring is one run, decided by the run lemma
+    # alone; so is a class of 10^7 elements, whose witness is in closed form
+    def no_table(*args):
+        raise AssertionError("a one-run class built a sumset table")
+
+    monkeypatch.setattr(checker, "_sumset_layers", no_table)
+    for eq in (RadoEquation(600, 3), RadoEquation(2000, 3), RadoEquation(100, 2)):
+        assert find_mono_solution(lower_bound_coloring(eq), eq) is None
+    witness = find_mono_solution(Coloring(10**7, 1 << 1), RadoEquation(3, 3))
+    assert witness == Witness((2, 4, 2), Color.BLUE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.integers(1, 60),
+    width=st.integers(0, 59),
+    m=st.integers(2, 12),
+    a=st.integers(1, 9),
+)
+def test_one_run_classes_match_reference(lo, width, m, a):
+    # a run lo..hi, a single element when width is 0: the run lemma's least t
+    # and the closed-form left side against the reference layers and greedy
+    hi = min(lo + width, 60)
+    bits = interval(lo, hi)
+    eq = RadoEquation(m, a)
+    layers = sumset_layers(bits, m - 1, (1 << (a * hi + 1)) - 1)
+    t = next((t for t in range(lo, hi + 1) if layers[-1] >> (a * t) & 1), 0)
+    assert least_run_target(lo, hi, m, a) == t
+    if t:
+        want = greedy_left_side(layers, list(range(lo, hi + 1)), a * t, m - 1)
+        assert _run_left_side(lo, hi, a * t, m - 1) == want
+    # as the red class, and as the blue one above a red run 1..lo-1, of [hi]
+    for col in (Coloring(hi, bits), Coloring(hi, interval(1, lo - 1))):
+        assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    class_bits=st.one_of(
+        runs, scattered, dense, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])
+    ),
+    count=st.integers(1, 12),
+    pick=st.integers(0, 10**6),
+)
+def test_galloping_backtrack_matches_reference(class_bits, count, pick):
+    # every sum of count elements of a class, not just a*t: each element is taken
+    # as often as it fits, found by galloping, against one summand per step
+    assume(class_bits)
+    layers = sumset_layers(class_bits, count, (1 << (count * class_bits.bit_length())) - 1)
+    sums = list(iter_bits(layers[-1]))
+    total = sums[pick % len(sums)]
+    want = greedy_left_side(layers, list(iter_bits(class_bits)), total, count)
+    assert _greedy_left_side(layers, iter_bits(class_bits), total, count) == want
+    assert sum(want) == total and want == sorted(want)
 
 
 def blocks(state, y, a):

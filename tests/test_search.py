@@ -20,13 +20,13 @@ from radonum import (
     lower_bound_coloring,
     search,
 )
+from radonum.core import least_run_target
 from radonum.search import (
     CUTOFF,
     EXACT,
     _add_element,
     _empty_state,
     _has_solution,
-    _run_has_solution,
 )
 
 
@@ -358,9 +358,10 @@ def test_propagation_keeps_the_answer_on_pinned_trees(params):
 
 
 def test_the_run_test_matches_a_search_over_sums():
-    # the goal's test, by interval arithmetic, against the bitset of the sums of m-1
-    # elements of lo..hi built one summand at a time: a solution is an a*t in it with
-    # t in lo..hi; the grid holds (m, a) = (2, 1), every lo = hi and empty runs
+    # the run lemma of the goal and the checker, by interval arithmetic, against the
+    # bitset of the sums of m-1 elements of lo..hi built one summand at a time: a
+    # solution is an a*t in it with t in lo..hi, and the lemma returns the least such
+    # t, or 0; the grid holds (m, a) = (2, 1), every lo = hi and empty runs
     seen = set()
     for m in range(2, 11):
         for lo in range(1, 31):
@@ -369,9 +370,9 @@ def test_the_run_test_matches_a_search_over_sums():
                 for _ in range(m - 1):
                     sums = reduce(or_, [sums << x for x in range(lo, hi + 1)], 0)
                 for a in range(1, 8):
-                    want = any(sums >> a * t & 1 for t in range(lo, hi + 1))
-                    assert _run_has_solution(lo, hi, m, a) == want, (m, a, lo, hi)
-                    seen.add(want)
+                    want = next((t for t in range(lo, hi + 1) if sums >> a * t & 1), 0)
+                    assert least_run_target(lo, hi, m, a) == want, (m, a, lo, hi)
+                    seen.add(bool(want))
     assert seen == {False, True}
 
 
