@@ -6,7 +6,9 @@ red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers; the bitset helpers (iter_bits,
 smear_steps, decimate), the run lemma (least_run_target) and the sumset fold
-(fold_layers) by the checker and the search.
+(fold_layers) by the checker and the search. The two-run lemma
+(two_runs_hold_solution) decides the search's propagated runs that leave
+their class as two runs; the checker's two-run classes still build layers.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -98,6 +100,47 @@ def least_run_target(lo: int, hi: int, m: int, a: int) -> int:
     """
     t = max(lo, -(-(m - 1) * lo // a))  # the least t in the run with a*t >= (m-1)*lo
     return t if t <= hi and a * t <= (m - 1) * hi else 0
+
+
+def two_runs_hold_solution(l1: int, h1: int, l2: int, h2: int, m: int, a: int) -> bool:
+    """Whether the class l1..h1, l2..h2 holds a solution: some a*t is a sum of m-1 elements.
+
+    Needs 1 <= l1 <= h1 < l2 <= h2. With k = m-1, the sums of k elements,
+    j of them from the upper run, are every integer of I_j = [(k-j)*l1 +
+    j*l2, (k-j)*h1 + j*h2]. Both ends grow with j, so only the j whose I_j
+    meets [a*l1, a*h2], where every a*t lies, matter. The gap from I_j to
+    I_{j+1} is g(j) = (l2-l1) - k*(h1-l1) - 1 - j*((h2-l2) - (h1-l1)): the
+    two touch iff g(j) <= 0, and since g is linear, the touching j form one
+    stretch whose intervals merge into one. Each interval [A, B] left holds
+    a*t for some t of a run l..h iff max(l, ceil(A/a)) <= min(h, B//a), the
+    run lemma of least_run_target. This is the two-run case of the
+    structure of h-fold sumsets (Nathanson, Sums of finite sets of
+    integers, 1972).
+    """
+    k, d, slope = m - 1, l2 - l1, (h2 - l2) - (h1 - l1)
+    first = max(0, -((k * h1 - a * l1) // (h2 - h1)))  # the least j with end >= a*l1
+    last = min(k, (a * h2 - k * l1) // d)  # the largest j with start <= a*h2
+    if first > last:
+        return False
+    c = d - k * (h1 - l1) - 1  # g(j) = c - j*slope
+    # the j in first..last-1 whose I_j touches I_{j+1}: lo..hi, none if lo > hi
+    if slope > 0:
+        lo, hi = max(first, -(-c // slope)), last - 1
+    elif slope < 0:
+        lo, hi = first, min(last - 1, c // slope)
+    else:
+        lo, hi = first, last - 1 if c <= 0 else first - 1
+    if lo > hi:  # no two touch: I_last stands alone, as the others do
+        lo, hi = last, last - 1
+    # (i, j): the union of I_i .. I_j, one interval
+    spans = [(j, j) for j in range(first, lo)] + [(lo, hi + 1)]
+    spans += [(j, j) for j in range(hi + 2, last + 1)]
+    for i, j in spans:
+        low, high = (k - i) * l1 + i * l2, (k - j) * h1 + j * h2
+        t_low, t_high = -(-low // a), high // a
+        if max(l1, t_low) <= min(h1, t_high) or max(l2, t_low) <= min(h2, t_high):
+            return True
+    return False
 
 
 def fold_layers(

@@ -67,6 +67,20 @@ searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132, Exp.
 Math. 2008); the folds are the unit propagation of SAT solvers (Heule,
 Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
 
+A propagated run y..y+w, w >= 1, that leaves its class as exactly two runs of
+consecutive integers is decided by arithmetic before any layer is folded: the
+sums of m-1 elements of two runs are a union of intervals, one per count of
+elements taken from the upper run, and core.two_runs_hold_solution tests them
+against the targets. If the class holds a solution, the fold returns the
+shared state _SOLVED, which only _has_solution reads, and the node is skipped;
+otherwise it folds the layers as before, since the search reads the class's
+blocked mask on. The lemma decides the same bit as the fold's solution test:
+every target is at most a*n_max, the cap, so the uncapped lemma and the capped
+layers agree. On perfbench's atlas points every such run holds a solution,
+274 a pass. Single elements (w = 0) are always folded: of the 587 a pass that
+leave two runs there, 187 hold one, and the search reads the others' layers
+on, so the test would mostly be paid on top of the fold.
+
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
 past the node, as on the assignment trail of SAT solvers. This is sound by the
@@ -107,7 +121,9 @@ not depend on the folding unit; only checks do.
 
 Counting: nodes counts every node, a skipped one and one passed in a jump
 included, and checks every child folded, every child whose x is forced, and
-every propagated run, however long; the goal's test counts nothing. A
+every propagated run, however long; the goal's test counts nothing. A run
+decided by the two-run lemma counts one check, as its fold would, and skips
+the node the fold's solution would skip, so it changes neither count. A
 propagation without a conflict prunes nothing, so on a small tree checks can
 exceed those of a search that stops at the test before the first fold; nodes
 cannot.
@@ -127,7 +143,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target, smear_steps
+    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target, smear_steps,
+    two_runs_hold_solution,
 )
 
 EXACT = "exact"
@@ -143,6 +160,10 @@ _POLL_MASK = 127  # poll the deadline every this many expanded nodes
 # that is saturated; see the module docstring
 _ClassState = tuple[tuple[int, ...], int, int, int]
 
+# a class that holds a solution, decided without its layers: _has_solution reads its
+# last layer and targets, {0} both, as a solution, and no other code reads it
+_SOLVED: _ClassState = ((1,), 1, 0, 0)
+
 
 def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
     """State of an empty class. It blocks no y, except for L(2, 1): y = y."""
@@ -150,7 +171,29 @@ def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
 
 
 def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
-    """Class state after adding the run of elements x..x+w, w >= 0.
+    """Class state after adding the run of elements x..x+w, w >= 0: the search's one fold.
+
+    A run (w >= 1) that leaves its class as exactly two runs l1..h1, l2..h2
+    is first decided by core.two_runs_hold_solution: if the class holds a
+    solution, no layer is built and the result is _SOLVED. Every other fold
+    goes through _layer_fold. Layer 1 is the class: its elements are at most
+    n_max, below the cap.
+    """
+    if w:
+        bits = state[0][0] | ((2 << w) - 1) << x
+        starts = bits & ~(bits << 1)
+        if starts.bit_count() == 2:
+            l1 = (starts & -starts).bit_length() - 1
+            h1 = (bits & ~(bits + (1 << l1))).bit_length() - 1  # the end of the first run
+            if two_runs_hold_solution(
+                l1, h1, starts.bit_length() - 1, bits.bit_length() - 1, len(state[0]) + 1, a
+            ):
+                return _SOLVED
+    return _layer_fold(state, x, w, a, capmask)
+
+
+def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
+    """Class state after adding the run of elements x..x+w, w >= 0, by folding its layers.
 
     The new layers are L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
     smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,

@@ -8,12 +8,14 @@ core.fold_layers, which builds them, walks its run plan only up to that tail.
 The run lemma core.least_run_target with the closed-form left side of a
 one-run class, and the galloping backtrack of every other class, are compared
 with those layers and the one-summand greedy_left_side, and
-find_mono_solution with a checker built from both references. The
-incremental sumset fold, of one element or of a run in one call, its
-saturated-layer index and the lookahead's blocked-y mask are compared with
-the layer-at-a-time checker, the reference layers, the naive oracle, the per-y
-test blocks and plain enumeration, and exact_rado_number with a search that
-tries every coloring.
+find_mono_solution with a checker built from both references. The two-run
+lemma core.two_runs_hold_solution is compared with the reference layers of
+two runs, and the search's fold, which decides such classes by it, with its
+layer fold. The incremental sumset fold, of one element or of a run in one
+call, its saturated-layer index and the lookahead's blocked-y mask are
+compared with the layer-at-a-time checker, the reference layers, the naive
+oracle, the per-y test blocks and plain enumeration, and exact_rado_number
+with a search that tries every coloring.
 """
 
 import itertools
@@ -36,7 +38,8 @@ from radonum import (
 )
 from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers
 from radonum.core import (
-    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, smear_steps
+    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, smear_steps,
+    two_runs_hold_solution,
 )
 from radonum.search import (
     CUTOFF,
@@ -44,6 +47,7 @@ from radonum.search import (
     _add_element,
     _empty_state,
     _has_solution,
+    _layer_fold,
     exact_rado_number,
 )
 
@@ -357,6 +361,52 @@ def test_one_run_classes_match_reference(lo, width, m, a):
         assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq)
 
 
+def two_runs_reference(l1, h1, l2, h2, m, a):
+    """Whether the class l1..h1, l2..h2 holds a solution, by the reference layers."""
+    bits = interval(l1, h1) | interval(l2, h2)
+    layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
+    return bool(decimate(layers[-1], a) & bits)
+
+
+@settings(max_examples=600, deadline=None)
+@given(m=st.integers(2, 9), a=st.integers(1, 7), data=st.data())
+def test_two_run_lemma_matches_reference(m, a, data):
+    # two runs within 1..60, single elements and a gap of one element drawn often,
+    # so that h2-l2 falls above, below and on h1-l1, with all, some or no I_j touching
+    width = st.one_of(st.just(0), st.integers(0, 30))
+    l1 = data.draw(st.integers(1, 58))
+    h1 = min(l1 + data.draw(width), 58)
+    l2 = min(h1 + 1 + data.draw(st.one_of(st.just(1), st.integers(1, 30))), 60)
+    h2 = min(l2 + data.draw(width), 60)
+    assert two_runs_hold_solution(l1, h1, l2, h2, m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
+
+
+@pytest.mark.parametrize(
+    ("runs", "m", "touching", "a_without", "a_with"),
+    [
+        # h2-l2 > h1-l1: the gap g(j) falls with j
+        ((20, 22, 24, 28), 4, [True, True, True], 2, 3),
+        ((1, 1, 10, 11), 4, [False, False, False], 4, 3),  # a single element: 1+1+1 = 3*1
+        ((1, 1, 5, 8), 4, [False, True, True], 5, 4),
+        # h2-l2 < h1-l1: g(j) grows with j
+        ((10, 14, 16, 17), 3, [True, True], 1, 2),  # g(1) = 0: I_1 and I_2 just touch
+        ((1, 2, 10, 10), 4, [False, False, False], 8, 2),
+        ((10, 12, 15, 15), 4, [True, True, False], 1, 2),
+        # h2-l2 = h1-l1: g is constant; a gap of one element, 13
+        ((10, 12, 14, 16), 3, [True, True], 1, 2),
+        ((1, 2, 9, 10), 4, [False, False, False], 1, 2),
+    ],
+)
+def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
+    l1, h1, l2, h2 = runs
+    k = m - 1
+    ends = [((k - j) * l1 + j * l2, (k - j) * h1 + j * h2) for j in range(k + 1)]  # I_j
+    assert [ends[j + 1][0] <= ends[j][1] + 1 for j in range(k)] == touching
+    for a, want in ((a_without, False), (a_with, True)):
+        assert two_runs_hold_solution(l1, h1, l2, h2, m, a) is want
+        assert two_runs_reference(l1, h1, l2, h2, m, a) is want
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     class_bits=st.one_of(
@@ -471,12 +521,16 @@ def test_saturated_tail_matches_reference(m, a, n, data):
 def check_run_fold(state, bits, x, w, m, a, n):
     """Folds the run x..x+w into the state of the class bits in one call.
 
-    Compares the result with the reference layers of the union, its targets
-    {a*t}, its first saturated layer and, while the class is solution-free,
-    blocks for every y; returns the new state and class.
+    Compares the layer fold's result with the reference layers of the union,
+    its targets {a*t}, its first saturated layer and, while the class is
+    solution-free, blocks for every y; the search's fold, which decides a
+    class left as two runs by the two-run lemma, must give the same solution
+    test. Returns the layer fold's state and the new class.
     """
     capmask = (1 << (a * n + 1)) - 1
-    state = _add_element(state, x, w, a, capmask)
+    solved = _has_solution(_add_element(state, x, w, a, capmask))
+    state = _layer_fold(state, x, w, a, capmask)
+    assert _has_solution(state) == solved
     bits |= interval(x, x + w)
     layers = sumset_layers(bits, m - 1, capmask)
     assert list(state[0]) == layers

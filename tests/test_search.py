@@ -24,9 +24,11 @@ from radonum.core import least_run_target
 from radonum.search import (
     CUTOFF,
     EXACT,
+    _SOLVED,
     _add_element,
     _empty_state,
     _has_solution,
+    _layer_fold,
 )
 
 
@@ -315,6 +317,30 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     nodes, checks, _, unfolded = fold_every_child(RadoEquation(m, a), n_max)
     assert len(folds) + unfolded == checks == out.stats.checks
     assert nodes == out.stats.nodes
+
+
+@pytest.mark.parametrize(("params", "decided"), [
+    ((24, 2, 146), 0),
+    ((40, 3, 177), 0),
+    ((60, 6, 107), 5),
+])
+def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
+    # the perfbench deep points: a propagated run that leaves its class as two runs
+    # holding a solution builds no layers, and the tree keeps its pinned counts
+    m, a, n_max = params
+    solved = []
+
+    def spy(*args):
+        out = _add_element(*args)
+        if out is _SOLVED:
+            solved.append(args[1:3])
+            assert _has_solution(_layer_fold(*args))  # the fold it skipped agrees
+        return out
+
+    monkeypatch.setattr(search, "_add_element", spy)
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
+    assert len(solved) == decided and all(w for _, w in solved)
+    assert (out.stats.nodes, out.stats.checks) == dict(PINNED_TREES)[params][2:4]
 
 
 # m 2..12 x a 1..7 x five bounds, and a few larger m, each cut off or refuted
