@@ -5,8 +5,9 @@ positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers; the bitset helpers (iter_bits,
-smear_steps, decimate), the run lemma (least_run_target) and the sumset fold
-(fold_layers) by the checker and the search. The two-run lemma
+smear_steps, decimate) and the run lemma (least_run_target) by the checker
+and the search; the sumset fold (fold_layers) by the checker and the
+search's runs that leave their class as two runs or more. The two-run lemma
 (two_runs_hold_solution) decides the search's propagated runs that leave
 their class as two runs; the checker's two-run classes still build layers.
 

@@ -12,9 +12,10 @@ full): layers[k-1] is the bitset of sums of exactly k class elements
 (repetition allowed, k = 1..m-1) and targets is the bitset {a*t : t in class},
 both truncated at a*n_max, the largest target. Coloring element x folds it
 into one class with at most m-1 shifts (see _add_element; a run of forced
-colors goes through core.fold_layers, the checker's fold), and the child is
-pruned iff the folded last layer meets the folded targets. The other class
-keeps its parent state by reference. full is the index of the first
+colors that leaves one run is written down, any other goes through
+core.fold_layers, the checker's fold), and the child is pruned iff the
+folded last layer meets the folded targets. The other class keeps its
+parent state by reference. full is the index of the first
 saturated layer, L_k = [k*min S, a*n_max]: adding a larger element cannot
 change it, so layers from full on are reused, not folded.
 
@@ -79,7 +80,8 @@ every target is at most a*n_max, the cap, so the uncapped lemma and the capped
 layers agree. On perfbench's atlas points every such run holds a solution,
 274 a pass. Single elements (w = 0) are always folded: of the 587 a pass that
 leave two runs there, 187 hold one, and the search reads the others' layers
-on, so the test would mostly be paid on top of the fold.
+on, so the test would mostly be paid on top of the fold. A run that leaves
+its class as one run lo..hi needs no fold either: L'_k = [k*lo, k*hi], capped.
 
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
@@ -176,8 +178,8 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     A run (w >= 1) that leaves its class as exactly two runs l1..h1, l2..h2
     is first decided by core.two_runs_hold_solution: if the class holds a
     solution, no layer is built and the result is _SOLVED. Every other fold
-    goes through _layer_fold. Layer 1 is the class: its elements are at most
-    n_max, below the cap.
+    goes through _layer_fold, which writes a one-run class's layers down.
+    Layer 1 is the class: its elements are at most n_max, below the cap.
     """
     if w:
         bits = state[0][0] | ((2 << w) - 1) << x
@@ -197,10 +199,12 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
 
     The new layers are L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
     smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
-    with the one-run plan [([x], smear_steps(w))]. A single element (w = 0)
-    costs one shift per layer, no more than the fold's stable tail, so it is
-    folded here without the tail's test. Adding elements already in the class
-    leaves the state unchanged.
+    with the one-run plan [([x], smear_steps(w))]. A run (w >= 1) that leaves
+    the class as one run lo..hi is written down instead, L'_k = [k*lo, k*hi]
+    capped: no layer is shifted past the cap. A single element (w = 0) costs
+    one shift per layer, no more than the fold's stable tail, so it is folded
+    here without the tail's test. Adding elements already in the class leaves
+    the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
@@ -240,7 +244,13 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
     else:
         steps = smear_steps(w)
-        head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
+        bits = layers[0] | ((2 << w) - 1) << x
+        if bits & (bits + min_bit):  # two runs or more
+            head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
+        else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
+            hi = bits.bit_length() - 1
+            head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]
+            head += [capmask >> k * min_s << k * min_s for k in range(len(head) + 1, full + 1)]
     reused = len(layers) - len(head)
     # L'_k is saturated when it holds all cap + 1 - k*min S values of its interval
     while full and head[full - 1].bit_count() == max(0, cap + 1 - full * min_s):

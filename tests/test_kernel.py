@@ -12,10 +12,11 @@ find_mono_solution with a checker built from both references. The two-run
 lemma core.two_runs_hold_solution is compared with the reference layers of
 two runs, and the search's fold, which decides such classes by it, with its
 layer fold. The incremental sumset fold, of one element or of a run in one
-call, its saturated-layer index and the lookahead's blocked-y mask are
-compared with the layer-at-a-time checker, the reference layers, the naive
-oracle, the per-y test blocks and plain enumeration, and exact_rado_number
-with a search that tries every coloring.
+call (written down when it leaves one run), its saturated-layer index and
+the lookahead's blocked-y mask are compared with the layer-at-a-time
+checker, the reference layers, the naive oracle, the per-y test blocks and
+plain enumeration, and exact_rado_number with a search that tries every
+coloring.
 """
 
 import itertools
@@ -35,6 +36,7 @@ from radonum import (
     find_mono_solution,
     lower_bound_coloring,
     naive_find_mono_solution,
+    search,
 )
 from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers
 from radonum.core import (
@@ -554,10 +556,13 @@ def check_run_fold(state, bits, x, w, m, a, n):
     data=st.data(),
 )
 def test_run_fold_matches_reference(m, a, n, data):
-    # a few runs after a prefix of single elements, all in any order: runs into an
-    # empty class, below min S, over members and above them, and runs long enough
-    # for the layers to repeat by a shift of min S before they saturate
-    prefix = data.draw(st.lists(st.integers(1, n), max_size=8))
+    # a few runs after a prefix of single elements or of one run, all in any order:
+    # runs into an empty class, below min S, over members and above them, runs that
+    # leave one run, and runs long enough for the layers to repeat by a shift of
+    # min S before they saturate
+    run = st.tuples(st.integers(1, n), st.integers(0, n)).map(
+        lambda t: list(range(t[0], min(t[0] + t[1], n) + 1)))
+    prefix = data.draw(st.one_of(st.lists(st.integers(1, n), max_size=8), run))
     state, bits = fold(prefix, m, a, n), sum_bits(1 << x for x in prefix)
     for _ in range(data.draw(st.integers(1, 3))):
         x = data.draw(st.integers(1, n))
@@ -575,12 +580,24 @@ def test_run_fold_matches_reference(m, a, n, data):
         (2, 4, 17, [8, 14], 5, 12),  # m = 2: L_0 = {0}
         # {7} + [9, 21]: L_3 repeats L_2 by a shift of min S = 7, and L_7 saturates
         (8, 2, 22, [7, 19], 9, 12),
+        # results of one run, written down: [12, 20] into an empty class, where
+        # only L_1 and L_2 lie below the cap, 40, and L_4 .. L_29 are empty
+        (30, 2, 20, [], 12, 8),
+        (8, 2, 12, [3, 4, 5, 9, 10], 6, 2),  # [6, 8] joins [3, 5] and [9, 10]
+        (7, 2, 14, [8, 9, 10], 4, 3),  # [4, 7] below min S extends [8, 10] down
+        (10, 3, 15, [5, 6, 7, 8], 9, 3),  # [9, 12] above [5, 8]: L_6 .. L_9 are reused
     ],
 )
-def test_run_fold_cases(m, a, n, prefix, x, w):
-    state, bits = fold(prefix, m, a, n), sum_bits(1 << t for t in prefix)
-    state, _ = check_run_fold(state, bits, x, w, m, a, n)
+def test_run_fold_cases(monkeypatch, m, a, n, prefix, x, w):
+    folds = []
+    monkeypatch.setattr(search, "fold_layers", lambda *args: folds.append(args) or fold_layers(*args))
+    parent, bits = fold(prefix, m, a, n), sum_bits(1 << t for t in prefix)
+    state, bits = check_run_fold(parent, bits, x, w, m, a, n)
     assert not _has_solution(state)  # so the whole mask was compared
+    # a result of one run is written down, any other folded by core.fold_layers
+    assert bool(folds) == bool(bits & (bits + (bits & -bits)))
+    if prefix and x > min(prefix):  # min S stays: the saturated tail is reused
+        assert all(new is old for new, old in zip(state[0][parent[3]:], parent[0][parent[3]:]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -343,6 +343,20 @@ def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
     assert (out.stats.nodes, out.stats.checks) == dict(PINNED_TREES)[params][2:4]
 
 
+@pytest.mark.parametrize(("params", "want"), PINNED_TREES)
+def test_one_run_classes_are_written_down(monkeypatch, params, want):
+    # every propagated run on these trees leaves its class as one run, whose layers
+    # are written down, or as two runs that the lemma decides: none is folded by
+    # core.fold_layers, and the tree keeps its pinned counts
+    m, a, n_max = params
+    folds = []
+    real = search.fold_layers
+    monkeypatch.setattr(search, "fold_layers", lambda *args: folds.append(args) or real(*args))
+    out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
+    assert not folds
+    assert (out.stats.nodes, out.stats.checks) == want[2:4]
+
+
 # m 2..12 x a 1..7 x five bounds, and a few larger m, each cut off or refuted
 PROPAGATION_GRID = [
     *((m, a, n_max) for m in range(2, 13) for a in range(1, 8) for n_max in (4, 9, 15, 22, 40)),
