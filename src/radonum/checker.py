@@ -4,7 +4,12 @@ A color class that is one run lo..hi, as both classes of a lower-bound
 coloring are, is decided by arithmetic: its sums of m-1 elements are every
 integer in (m-1)*lo .. (m-1)*hi, so core.least_run_target, the run lemma the
 search's goal uses too, gives the least target, and the witness's left side
-has a closed form. Any other class S gets a layered sumset table: layer k is
+has a closed form. So is a class of two runs, such as a class of a
+lower-bound coloring with one element flipped: its sums of m-1 elements
+are a union of intervals, one per count of elements from the upper run, so
+core.least_two_run_target, the two-run lemma the search's propagation uses
+too, gives the least target, and the left side is the lesser of two closed
+forms. A class S of three runs or more gets a layered sumset table: layer k is
 the bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at cap = a*n. A monochromatic solution exists
 iff some target t in S has a*t present in layer m-1. The targets that do are
@@ -26,7 +31,7 @@ from typing import Iterable
 
 from .core import (
     Color, Coloring, RadoEquation, Witness, decimate, fold_layers, iter_bits, least_run_target,
-    smear_steps,
+    least_two_run_target, smear_steps,
 )
 
 NAIVE_GUARD = 1_000_000
@@ -113,6 +118,50 @@ def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
     return [lo] * (count - q - len(middle)) + middle + [hi] * q
 
 
+def _two_run_left_side(l1: int, h1: int, l2: int, h2: int, total: int, count: int) -> list[int]:
+    """_greedy_left_side for the class of two runs l1..h1, l2..h2, in closed form.
+
+    Needs 1 <= l1 <= h1 < l2 <= h2 and total a sum of count class elements.
+
+    The greedy's sum, ascending, is the lexicographically least ascending
+    list of count class elements with that total. Let k = count and T =
+    total. With i elements from the upper run, the list is k-i elements of
+    l1..h1 summing to some T1, then i of l2..h2 summing to T - T1. A smaller
+    T1 gives a smaller lower part (_run_left_side: more leading l1s, or as
+    many and a smaller next element), so the least list for i, f(i), takes
+    the least feasible T1 = max((k-i)*l1, T - i*h2). Such a list exists iff
+    T lies in [(k-i)*l1 + i*l2, (k-i)*h1 + i*h2], that is iff i lies in
+    first..last below.
+
+    f falls up to i*-1 and rises from i* = ceil((T - k*l1)/(h2 - l1)) on:
+    - For i >= i*, T1 = (k-i)*l1: f(i) is k-i copies of l1, then upper
+      elements, so f(i+1), with one l1 fewer, is larger.
+    - For i < i*, T1 exceeds (k-i)*l1 by e = (T - k*l1) - i*(h2-l1) > 0, so
+      h1 > l1 (else i is not feasible), and with D = h1 - l1, f(i) is
+      k-i-ceil(e/D) copies of l1, then v = l1 + e - (ceil(e/D)-1)*D > l1.
+      From i to i+1 < i*, e falls by h2 - l1 > D, so ceil(e/D) falls by at
+      least 1 and the count of leading l1s does not fall. If it rises, f(i+1)
+      holds l1 where f(i) holds v; if not, ceil(e/D) fell by exactly 1, and
+      v falls by h2 - h1 > 0. Either way f(i+1) < f(i).
+    Also first <= i* and i*-1 <= last: (T - k*h1)/(h2 - h1) <= (T - k*l1)/(h2
+    - l1) for T <= k*h2, where both are k, since the left one grows faster
+    with T; and l2 - l1 <= h2 - l1. So the least f(i) over first..last is at
+    i*-1 or i*, whichever has a list, or the lesser of the two if both have:
+    a comparison of at most two lists, with no table. Neither end of
+    first..last nor i*+1 can win unless it is one of those two.
+    """
+    k = count
+    first = max(0, -(-(total - k * h1) // (h2 - h1)))
+    last = min(k, (total - k * l1) // (l2 - l1))
+    pivot = -(-(total - k * l1) // (h2 - l1))  # i*
+
+    def side(i: int) -> list[int]:
+        lower = max((k - i) * l1, total - i * h2)
+        return _run_left_side(l1, h1, lower, k - i) + _run_left_side(l2, h2, total - lower, i)
+
+    return min(side(i) for i in (pivot - 1, pivot) if first <= i <= last)
+
+
 def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     """First monochromatic solution of L(m, a) under col, or None.
 
@@ -123,22 +172,29 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     depth = eq.m - 1
     for color in (Color.RED, Color.BLUE):
         bits = col.class_bits(color)
-        if not bits:
-            continue
-        low = bits & -bits
-        if not bits & (bits + low):  # one run lo..hi: no table
-            lo, hi = low.bit_length() - 1, bits.bit_length() - 1
+        starts = bits & ~(bits << 1)  # the first element of each run
+        runs = starts.bit_count()
+        if runs == 1:  # one run lo..hi: no table
+            lo, hi = (bits & -bits).bit_length() - 1, bits.bit_length() - 1
             t = least_run_target(lo, hi, eq.m, eq.a)
             if t:
                 return Witness((*_run_left_side(lo, hi, eq.a * t, depth), t), color)
-            continue
-        capmask = (1 << (eq.a * col.n + 1)) - 1
-        layers = _sumset_layers(bits, depth, capmask)
-        hits = decimate(layers[-1], eq.a) & bits  # t <= n, so a*t <= cap
-        if hits:
-            t = (hits & -hits).bit_length() - 1
-            left = _greedy_left_side(layers, iter_bits(bits), eq.a * t, depth)
-            return Witness((*left, t), color)
+        elif runs == 2:  # two runs l1..h1, l2..h2: no table either
+            l1, h2 = (bits & -bits).bit_length() - 1, bits.bit_length() - 1
+            h1 = (bits & ~(bits + (1 << l1))).bit_length() - 1  # the end of the first run
+            l2 = starts.bit_length() - 1
+            t = least_two_run_target(l1, h1, l2, h2, eq.m, eq.a)
+            if t:
+                left = _two_run_left_side(l1, h1, l2, h2, eq.a * t, depth)
+                return Witness((*left, t), color)
+        elif runs:
+            capmask = (1 << (eq.a * col.n + 1)) - 1
+            layers = _sumset_layers(bits, depth, capmask)
+            hits = decimate(layers[-1], eq.a) & bits  # t <= n, so a*t <= cap
+            if hits:
+                t = (hits & -hits).bit_length() - 1
+                left = _greedy_left_side(layers, iter_bits(bits), eq.a * t, depth)
+                return Witness((*left, t), color)
     return None
 
 

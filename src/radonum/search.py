@@ -71,7 +71,7 @@ Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
 A propagated run y..y+w, w >= 1, that leaves its class as exactly two runs of
 consecutive integers is decided by arithmetic before any layer is folded: the
 sums of m-1 elements of two runs are a union of intervals, one per count of
-elements taken from the upper run, and core.two_runs_hold_solution tests them
+elements taken from the upper run, and core.least_two_run_target tests them
 against the targets. If the class holds a solution, the fold returns the
 shared state _SOLVED, which only _has_solution reads, and the node is skipped;
 otherwise it folds the layers as before, since the search reads the class's
@@ -145,8 +145,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target, smear_steps,
-    two_runs_hold_solution,
+    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target,
+    least_two_run_target, smear_steps,
 )
 
 EXACT = "exact"
@@ -176,7 +176,7 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     """Class state after adding the run of elements x..x+w, w >= 0: the search's one fold.
 
     A run (w >= 1) that leaves its class as exactly two runs l1..h1, l2..h2
-    is first decided by core.two_runs_hold_solution: if the class holds a
+    is first decided by core.least_two_run_target: if the class holds a
     solution, no layer is built and the result is _SOLVED. Every other fold
     goes through _layer_fold, which writes a one-run class's layers down.
     Layer 1 is the class: its elements are at most n_max, below the cap.
@@ -187,7 +187,7 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
         if starts.bit_count() == 2:
             l1 = (starts & -starts).bit_length() - 1
             h1 = (bits & ~(bits + (1 << l1))).bit_length() - 1  # the end of the first run
-            if two_runs_hold_solution(
+            if least_two_run_target(
                 l1, h1, starts.bit_length() - 1, bits.bit_length() - 1, len(state[0]) + 1, a
             ):
                 return _SOLVED

@@ -9,9 +9,10 @@ The run lemma core.least_run_target with the closed-form left side of a
 one-run class, and the galloping backtrack of every other class, are compared
 with those layers and the one-summand greedy_left_side, and
 find_mono_solution with a checker built from both references. The two-run
-lemma core.two_runs_hold_solution is compared with the reference layers of
-two runs, and the search's fold, which decides such classes by it, with its
-layer fold. The incremental sumset fold, of one element or of a run in one
+lemma core.least_two_run_target with the closed-form left side of a two-run
+class is compared with the reference layers of two runs and with brute
+force, and the search's fold, which decides such classes by the lemma, with
+its layer fold. The incremental sumset fold, of one element or of a run in one
 call (written down when it leaves one run), its saturated-layer index and
 the lookahead's blocked-y mask are compared with the layer-at-a-time
 checker, the reference layers, the naive oracle, the per-y test blocks and
@@ -38,10 +39,10 @@ from radonum import (
     naive_find_mono_solution,
     search,
 )
-from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers
+from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers, _two_run_left_side
 from radonum.core import (
-    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, smear_steps,
-    two_runs_hold_solution,
+    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, least_two_run_target,
+    smear_steps,
 )
 from radonum.search import (
     CUTOFF,
@@ -295,7 +296,9 @@ def test_fold_walks_the_plan_only_until_the_stable_tail(base, added, plan, depth
 def test_witnesses_match_reference_layers(monkeypatch, m, a):
     # the lower-bound coloring, every one-element flip of it and seeded random
     # colorings, with the layers built by run-length smearing and its shifted
-    # tail and by the per-element reference
+    # tail and by the per-element reference. The classes of the first two are
+    # one or two runs, decided by the lemmas with no layers, so this compares
+    # the layers on classes of three runs or more only: the random colorings
     eq = RadoEquation(m, a)
     base = lower_bound_coloring(eq)
     rng = random.Random(m * a)
@@ -364,39 +367,51 @@ def test_one_run_classes_match_reference(lo, width, m, a):
 
 
 def two_runs_reference(l1, h1, l2, h2, m, a):
-    """Whether the class l1..h1, l2..h2 holds a solution, by the reference layers."""
+    """The least t of the class l1..h1, l2..h2 with a*t a sum of m-1 elements, or 0.
+
+    By the reference layers.
+    """
     bits = interval(l1, h1) | interval(l2, h2)
     layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
-    return bool(decimate(layers[-1], a) & bits)
+    hits = decimate(layers[-1], a) & bits
+    return (hits & -hits).bit_length() - 1 if hits else 0
+
+
+def two_runs(data, top=60):
+    """Two runs l1..h1 < l2..h2 within 1..top.
+
+    Single elements and a gap of one element are drawn often, so that h2-l2
+    falls above, below and on h1-l1, with all, some or no sums I_j touching.
+    """
+    width = st.one_of(st.just(0), st.integers(0, top // 2))
+    l1 = data.draw(st.integers(1, top - 2))
+    h1 = min(l1 + data.draw(width), top - 2)
+    l2 = min(h1 + 1 + data.draw(st.one_of(st.just(1), st.integers(1, top // 2))), top)
+    h2 = min(l2 + data.draw(width), top)
+    return l1, h1, l2, h2
 
 
 @settings(max_examples=600, deadline=None)
 @given(m=st.integers(2, 9), a=st.integers(1, 7), data=st.data())
 def test_two_run_lemma_matches_reference(m, a, data):
-    # two runs within 1..60, single elements and a gap of one element drawn often,
-    # so that h2-l2 falls above, below and on h1-l1, with all, some or no I_j touching
-    width = st.one_of(st.just(0), st.integers(0, 30))
-    l1 = data.draw(st.integers(1, 58))
-    h1 = min(l1 + data.draw(width), 58)
-    l2 = min(h1 + 1 + data.draw(st.one_of(st.just(1), st.integers(1, 30))), 60)
-    h2 = min(l2 + data.draw(width), 60)
-    assert two_runs_hold_solution(l1, h1, l2, h2, m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
+    l1, h1, l2, h2 = two_runs(data)
+    assert least_two_run_target(l1, h1, l2, h2, m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
 
 
 @pytest.mark.parametrize(
     ("runs", "m", "touching", "a_without", "a_with"),
     [
-        # h2-l2 > h1-l1: the gap g(j) falls with j
+        # h2-l2 > h1-l1: the gap g(j) falls with j; with a_with, t = 20: 20+20+20 = 3*20
         ((20, 22, 24, 28), 4, [True, True, True], 2, 3),
         ((1, 1, 10, 11), 4, [False, False, False], 4, 3),  # a single element: 1+1+1 = 3*1
-        ((1, 1, 5, 8), 4, [False, True, True], 5, 4),
+        ((1, 1, 5, 8), 4, [False, True, True], 5, 4),  # t = 5 in the upper run: 5+7+8 = 4*5
         # h2-l2 < h1-l1: g(j) grows with j
-        ((10, 14, 16, 17), 3, [True, True], 1, 2),  # g(1) = 0: I_1 and I_2 just touch
-        ((1, 2, 10, 10), 4, [False, False, False], 8, 2),
-        ((10, 12, 15, 15), 4, [True, True, False], 1, 2),
+        ((10, 14, 16, 17), 3, [True, True], 1, 2),  # g(1) = 0: I_1 and I_2 just touch; t = 10
+        ((1, 2, 10, 10), 4, [False, False, False], 8, 2),  # t = 2: 1+1+2 = 2*2
+        ((10, 12, 15, 15), 4, [True, True, False], 1, 2),  # t = 15: 10+10+10 = 2*15
         # h2-l2 = h1-l1: g is constant; a gap of one element, 13
-        ((10, 12, 14, 16), 3, [True, True], 1, 2),
-        ((1, 2, 9, 10), 4, [False, False, False], 1, 2),
+        ((10, 12, 14, 16), 3, [True, True], 1, 2),  # t = 10
+        ((1, 2, 9, 10), 4, [False, False, False], 1, 2),  # t = 2
     ],
 )
 def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
@@ -404,9 +419,73 @@ def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
     k = m - 1
     ends = [((k - j) * l1 + j * l2, (k - j) * h1 + j * h2) for j in range(k + 1)]  # I_j
     assert [ends[j + 1][0] <= ends[j][1] + 1 for j in range(k)] == touching
-    for a, want in ((a_without, False), (a_with, True)):
-        assert two_runs_hold_solution(l1, h1, l2, h2, m, a) is want
-        assert two_runs_reference(l1, h1, l2, h2, m, a) is want
+    assert least_two_run_target(l1, h1, l2, h2, m, a_without) == 0
+    assert two_runs_reference(l1, h1, l2, h2, m, a_without) == 0
+    t = least_two_run_target(l1, h1, l2, h2, m, a_with)
+    assert t and t == two_runs_reference(l1, h1, l2, h2, m, a_with)
+
+
+@settings(max_examples=600, deadline=None)
+@given(m=st.integers(2, 12), a=st.integers(1, 9), data=st.data())
+def test_two_run_classes_match_reference(m, a, data):
+    # two runs as the red class, and as the blue one: [h2]'s other class is one
+    # run, two runs or empty, so no class builds a table
+    def no_table(*args):
+        raise AssertionError("a class of one or two runs built a sumset table")
+
+    l1, h1, l2, h2 = two_runs(data)
+    bits = interval(l1, h1) | interval(l2, h2)
+    eq = RadoEquation(m, a)
+    layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
+    t = next((t for t in iter_bits(bits) if layers[-1] >> (a * t) & 1), 0)
+    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    for col in (Coloring(h2, bits), Coloring(h2, interval(1, h2) & ~bits)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checker, "_sumset_layers", no_table)
+            got = find_mono_solution(col, eq)
+        assert got == reference_find_mono_solution(col, eq)
+
+
+@pytest.mark.parametrize(
+    ("runs", "m", "a", "t", "upper", "left"),
+    [
+        # with T = a*t, k = m-1 and i* = ceil((T - k*l1)/(h2 - l1)), the least
+        # list with i upper elements falls up to i*-1 and rises from i* on.
+        # i*-1 = 1 and i* = 2 both have lists, [2, 6] and [4, 4], as many
+        # leading 1s (none): the next element decides
+        ((1, 2, 4, 6), 3, 8, 1, 1, [2, 6]),
+        # i*-1 = 0 and i* = 1 both have lists, [1, 1, 2, 2, 2] and
+        # [1, 1, 1, 1, 4]: i* has more leading 1s
+        ((1, 2, 4, 4), 6, 2, 4, 1, [1, 1, 1, 1, 4]),
+        # i* = 1 has no list: the upper end of the i with a list, i*-1 = 0, wins
+        ((1, 2, 4, 4), 4, 1, 4, 0, [1, 1, 2]),
+        # i*-1 = 0 has no list: the lower end, i* = 1, wins; i*+1 can win only
+        # as the lower end, but that end is never above i*
+        ((1, 2, 4, 4), 3, 5, 1, 1, [1, 4]),
+        # l1 = h1: the lower run is one element, only i >= i* have lists
+        ((1, 1, 3, 4), 3, 1, 4, 1, [1, 3]),
+        ((1, 1, 3, 4), 5, 3, 3, 2, [1, 1, 3, 4]),
+    ],
+)
+def test_two_run_left_side_cases(runs, m, a, t, upper, left):
+    l1, h1, l2, h2 = runs
+    k, total = m - 1, a * t
+    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    # the least ascending list with i upper elements, by brute force, for each i
+    elements = [*range(l1, h1 + 1), *range(l2, h2 + 1)]
+    best = {}
+    for combo in itertools.combinations_with_replacement(elements, k):
+        if sum(combo) == total:
+            i = sum(x >= l2 for x in combo)
+            best[i] = min(best.get(i, list(combo)), list(combo))
+    pivot = -(-(total - k * l1) // (h2 - l1))
+    assert min(best) <= pivot <= max(best) + 1  # so i*-1 or i* has a list
+    assert min(best.values()) == best[upper] == left
+    assert upper in (pivot - 1, pivot)
+    assert _two_run_left_side(l1, h1, l2, h2, total, k) == left
+    bits = interval(l1, h1) | interval(l2, h2)
+    layers = sumset_layers(bits, k, (1 << (total + 1)) - 1)
+    assert greedy_left_side(layers, elements, total, k) == left
 
 
 @settings(max_examples=400, deadline=None)
