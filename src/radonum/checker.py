@@ -11,16 +11,18 @@ core.least_two_run_target, the two-run lemma the search's propagation uses
 too, gives the least target, and the left side is the lesser of two closed
 forms. A class S of three runs or more gets a layered sumset table: layer k is
 the bitset of integers expressible as a sum of exactly k elements of S with
-repetition allowed, truncated at cap = a*n. A monochromatic solution exists
-iff some target t in S has a*t present in layer m-1. The targets that do are
-found at once: layer m-1 decimated by a (core.decimate, the search's shape-1
-test), ANDed with S; the lowest one is the witness's x_m. The layers come from
-core.fold_layers, which the search's run folds share: one shift per maximal
-run of consecutive elements of S plus at most ceil(log2(w+1)) shift-ORs per
-distinct run width w, never more than |S| shifts, and one shift and one AND
-per layer once a layer repeats the one before it by a shift of min S, as a
-dense class does after a few layers. The left side is backtracked from the
-table, smallest element first, each element as many times as it fits. A
+repetition allowed, truncated at cap = a*max S, since every target a*t is at
+most that. A monochromatic solution exists iff some target t in S has a*t
+present in layer m-1. The targets that do are found at once: layer m-1
+decimated by a (core.decimate, the search's shape-1 test), ANDed with S; the
+lowest one is the witness's x_m. The layers come from core.fold_layers, which
+the search's run folds share: one shift per maximal run of consecutive
+elements of S plus at most ceil(log2(w+1)) shift-ORs per distinct run width
+w, never more than |S| shifts. The table stops at the layer L_j whose
+successor is L_j shifted by min S, as a dense class's does after a few
+layers: every later layer is a shift of L_j too, so layer m-1 costs one shift
+and one AND, and the left side, backtracked smallest element first, each
+element as many times as it fits, reads any later layer as a bit of L_j. A
 small multiset enumeration oracle provides an independent cross-check.
 """
 
@@ -38,17 +40,18 @@ NAIVE_GUARD = 1_000_000
 
 
 def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
-    """Layered sumset table of one color class, built a layer at a time.
+    """Layered sumset table of one color class, built a layer at a time, up to its stable tail.
 
     Entry k-1 holds the sums of exactly k class elements (repetition
-    allowed, k = 1..depth) as a bitmask, every layer truncated to capmask.
-    Sums only grow, so truncation never loses a reachable value below the cap.
-    The class is split once into maximal runs p..p+w, with the run starts
-    grouped by w, widest first: the plan that core.fold_layers folds into
-    empty layers.
+    allowed) as a bitmask, every layer truncated to capmask. Sums only grow,
+    so truncation never loses a reachable value below the cap. The table is
+    L_1 .. L_j, j <= depth, with L_k = (L_j << (k-j)*min S) & capmask for
+    j < k <= depth (core.fold_layers). The class is split once into maximal
+    runs p..p+w, with the run starts grouped by w, widest first: the plan
+    that core.fold_layers folds into empty layers.
     """
-    if not class_bits:  # no min S to shift by; every layer is empty
-        return [0] * depth
+    if not class_bits:  # every layer is empty, a shift of the first by anything
+        return [0]
     starts_by_width: dict[int, list[int]] = {}
     run_starts = iter_bits(class_bits & ~(class_bits << 1))
     run_ends = iter_bits(class_bits & ~(class_bits >> 1))
@@ -68,22 +71,29 @@ def _greedy_left_side(
 ) -> list[int]:
     """Backtrack a sum of `count` class elements, smallest element first.
 
-    Always succeeds when total is in layers[count - 1]. The result is the
-    one that picking the least feasible element at each step gives: an
-    element e infeasible for the remainder r with k summands left stays so
-    after any pick p, since r - p - e in L_{k-2} would put r - e in L_{k-1}.
-    So the ascending elements are walked once, and each is taken as many
-    times c as fit, the largest c <= k with r - c*e in L_{k-c}. Those c form
-    a prefix of 0..k, since r - c*e in L_{k-c} puts r - j*e = r - c*e +
-    (c-j)*e in L_{k-j} for j < c, so galloping over c = 1, 2, 4, ... and
-    bisecting the last gap finds the largest one.
+    layers is a table L_1 .. L_j of _sumset_layers, and total a sum in
+    L_count no larger than its cap. A layer past the table is read, not
+    built: bit r of L_k, k > j, is bit r - (k-j)*min S of L_j, since L_k =
+    (L_j << (k-j)*min S) & capmask and every remainder r is at most total.
+
+    The result is the one that picking the least feasible element at each
+    step gives: an element e infeasible for the remainder r with k summands
+    left stays so after any pick p, since r - p - e in L_{k-2} would put r -
+    e in L_{k-1}. So the ascending elements are walked once, and each is
+    taken as many times c as fit, the largest c <= k with r - c*e in
+    L_{k-c}. Those c form a prefix of 0..k, since r - c*e in L_{k-c} puts r
+    - i*e = r - c*e + (c-i)*e in L_{k-i} for i < c, so galloping over c =
+    1, 2, 4, ... and bisecting the last gap finds the largest one.
     """
     sums = [1, *layers]  # sums[k]: the sums of exactly k elements, bit 0 the empty sum
+    j, min_s = len(layers), (layers[0] & -layers[0]).bit_length() - 1  # min S: L_1 is S
     remaining, k = total, count
 
     def fits(c: int) -> bool:
-        rest = remaining - c * e
-        return rest >= 0 and (sums[k - c] >> rest) & 1 == 1
+        rest, row = remaining - c * e, k - c
+        if row > j:  # L_{k-c} is L_j shifted by (k-c-j)*min S
+            rest, row = rest - (row - j) * min_s, j
+        return rest >= 0 and (sums[row] >> rest) & 1 == 1
 
     out: list[int] = []
     for e in elements:
@@ -188,9 +198,10 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
                 left = _two_run_left_side(l1, h1, l2, h2, eq.a * t, depth)
                 return Witness((*left, t), color)
         elif runs:
-            capmask = (1 << (eq.a * col.n + 1)) - 1
+            capmask = (1 << (eq.a * (bits.bit_length() - 1) + 1)) - 1  # cap a*max S
             layers = _sumset_layers(bits, depth, capmask)
-            hits = decimate(layers[-1], eq.a) & bits  # t <= n, so a*t <= cap
+            shift = (depth - len(layers)) * ((bits & -bits).bit_length() - 1)
+            hits = decimate((layers[-1] << shift) & capmask, eq.a) & bits  # L_{m-1}
             if hits:
                 t = (hits & -hits).bit_length() - 1
                 left = _greedy_left_side(layers, iter_bits(bits), eq.a * t, depth)

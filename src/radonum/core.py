@@ -6,11 +6,12 @@ red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers; the bitset helpers (iter_bits,
 smear_steps, decimate) and the run lemma (least_run_target) by the checker
-and the search; the sumset fold (fold_layers) by the checker's classes of
-three runs or more and the search's runs that leave their class as two runs
-or more. The two-run lemma (least_two_run_target) decides the checker's
-two-run classes and the search's propagated runs that leave their class as
-two runs.
+and the search; the sumset fold (fold_layers), which keeps the layers only
+up to the first that repeats its predecessor shifted by min S, by the
+checker's classes of three runs or more and the search's runs that leave
+their class as two runs or more. The two-run lemma (least_two_run_target)
+decides the checker's two-run classes and the search's propagated runs that
+leave their class as two runs.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -154,7 +155,7 @@ def least_two_run_target(l1: int, h1: int, l2: int, h2: int, m: int, a: int) -> 
 def fold_layers(
     layers: Iterable[int], plan: list[tuple[list[int], list[int]]], min_s: int, capmask: int
 ) -> list[int]:
-    """Sumset layers L'_k = (L_k | (L'_{k-1} + R)) & capmask, one per given L_k, L'_0 = {0}.
+    """Sumset layers L'_k = (L_k | (L'_{k-1} + R)) & capmask, L'_0 = {0}, up to the stable tail.
 
     If L_k holds the sums of exactly k elements of a class S (all empty for
     S empty), L'_k holds those of S' = S + R: such a sum either avoids R or
@@ -168,17 +169,19 @@ def fold_layers(
     then smear: a layer costs one shift per run and ceil(log2(gap+1)) per
     distinct width, not |R|.
 
-    Stable tail: once L'_k = (L'_{k-1} << min_s) & capmask, every later layer
+    Stable tail: once L'_{j+1} = (L'_j << min_s) & capmask, every later layer
     is the one before it shifted by min_s and capped, because L'_{k+1} =
     L'_k + S' = (L'_{k-1} + S') + min S' = L'_k + min S', and truncating at
-    the cap commutes with the shift since sums only grow. From there a layer
-    costs one shift and one AND; a dense class gets there after a few layers.
-    This is the truncated form of the structure theorem for h-fold sumsets
+    the cap commutes with the shift since sums only grow. So only the prefix
+    L'_1 .. L'_j is returned, for the least such j >= 1, or one layer per
+    given L_k if none repeats: L'_k = (L'_j << (k-j)*min_s) & capmask for
+    k > j, which callers shift out as they need it, or read as bit r -
+    (k-j)*min_s of L'_j. A dense class gets there after a few layers. This is
+    the truncated form of the structure theorem for h-fold sumsets
     (Nathanson, Sums of finite sets of integers, 1972).
     """
     out = []
     prev = 1
-    layers = iter(layers)
     for layer in layers:
         acc = 0
         for starts, steps in plan:
@@ -188,11 +191,8 @@ def fold_layers(
                 acc |= acc << step
         shifted = (prev << min_s) & capmask
         prev = (layer | acc) & capmask
-        out.append(prev)
-        if prev == shifted:
+        if prev == shifted and out:
             break
-    for _ in layers:
-        prev = (prev << min_s) & capmask
         out.append(prev)
     return out
 

@@ -199,12 +199,14 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
 
     The new layers are L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
     smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
-    with the one-run plan [([x], smear_steps(w))]. A run (w >= 1) that leaves
-    the class as one run lo..hi is written down instead, L'_k = [k*lo, k*hi]
-    capped: no layer is shifted past the cap. A single element (w = 0) costs
-    one shift per layer, no more than the fold's stable tail, so it is folded
-    here without the tail's test. Adding elements already in the class leaves
-    the state unchanged.
+    with the one-run plan [([x], smear_steps(w))], which stops before the
+    first layer that repeats its predecessor shifted by min S; the layers
+    from there up to index full are shifted out here, one shift each. A run
+    (w >= 1) that leaves the class as one run lo..hi is written down instead,
+    L'_k = [k*lo, k*hi] capped: no layer is shifted past the cap. A single
+    element (w = 0) costs one shift per layer, no more than the fold's stable
+    tail, so it is folded here without the tail's test. Adding elements
+    already in the class leaves the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
@@ -247,6 +249,8 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         bits = layers[0] | ((2 << w) - 1) << x
         if bits & (bits + min_bit):  # two runs or more
             head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
+            for _ in range(full - len(head)):  # the stable tail, one shift a layer
+                head.append((head[-1] << min_s) & capmask)
         else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
             hi = bits.bit_length() - 1
             head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]

@@ -9,6 +9,7 @@ from radonum import (
     Coloring,
     RadoEquation,
     Witness,
+    checker,
     find_mono_solution,
     is_valid_coloring,
     naive_find_mono_solution,
@@ -52,7 +53,32 @@ def test_sumset_table_recurrence_and_support():
 
 def test_sumset_table_truncates_at_cap():
     layers = _sumset_layers(0b1000, 3, capmask(5))  # class {3}, cap 5
-    assert layers == [0b1000, 0, 0]  # 6 and 9 exceed the cap
+    # L_2 = {6} & cap is L_1 shifted by min S = 3 and capped: the table stops at L_1
+    assert layers == [0b1000]
+    reference = [0b1000]  # the per-element recurrence L_{k+1} = (L_k << 3) & cap
+    for _ in range(2):
+        reference.append((reference[-1] << 3) & capmask(5))
+    assert reference == [0b1000, 0, 0]  # 6 and 9 exceed the cap
+    while len(layers) < 3:  # the layers past the table, one shift of min S each
+        layers.append((layers[-1] << 3) & capmask(5))
+    assert layers == reference
+
+
+def test_three_run_tables_stop_at_the_first_repeat(monkeypatch):
+    # red {1, 3, 5} and blue {2, 4} + [6, 10^5] are three runs each; both tables
+    # repeat by a shift of min S after three layers, so layer 999 of blue, of
+    # 300,000 bits, is one shift of layer 3, not the last of 999 layers
+    tables = []
+    real = checker._sumset_layers
+    monkeypatch.setattr(
+        checker, "_sumset_layers", lambda *args: tables.append(real(*args)) or tables[-1]
+    )
+    witness = find_mono_solution(Coloring.from_red(10**5, [1, 3, 5]), RadoEquation(1000, 3))
+    assert witness.to_dict() == {"color": "blue", "groups": [[999, 2], [1, 666]]}
+    assert len(tables) == 2 and all(len(layers) <= 3 for layers in tables)
+    # each table is capped at a*max S, 15 for red and 300,000 for blue, which its
+    # third layer reaches; capped at a*n, red would never repeat and keep 999 layers
+    assert [max(layers).bit_length() - 1 for layers in tables] == [15, 3 * 10**5]
 
 
 def test_all_red_interval_has_solution():

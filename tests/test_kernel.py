@@ -1,14 +1,16 @@
 """The search's and the checker's kernels against references and brute force.
 
 The shared bitset helpers core.decimate and core.smear_steps are compared
-with set references. The checker's run-length sumset layers, with their tail
-that repeats by a shift of min S, are compared with the per-element reference
-sumset_layers, down to the witnesses find_mono_solution returns;
-core.fold_layers, which builds them, walks its run plan only up to that tail.
-The run lemma core.least_run_target with the closed-form left side of a
-one-run class, and the galloping backtrack of every other class, are compared
-with those layers and the one-summand greedy_left_side, and
-find_mono_solution with a checker built from both references. The two-run
+with set references. The checker's run-length sumset layers stop before the
+first layer that repeats its predecessor by a shift of min S; shifted out to
+every layer, they are compared with the per-element reference sumset_layers,
+down to the witnesses find_mono_solution returns, and core.fold_layers, which
+builds them, walks its run plan only up to that repeat. The run lemma
+core.least_run_target with the closed-form left side of a one-run class, and
+the galloping backtrack of every other class, which reads the layers past
+the table as bits of its last layer, are compared with those layers and the
+one-summand greedy_left_side, and find_mono_solution with a checker built
+from both references. The two-run
 lemma core.least_two_run_target with the closed-form left side of a two-run
 class is compared with the reference layers of two runs and with brute
 force, and the search's fold, which decides such classes by the lemma, with
@@ -121,6 +123,34 @@ def sum_bits(masks):
     return out
 
 
+def first_shift_stable(layers, class_bits, capmask):
+    """The first k with L_{k+1} = (L_k << min S) & capmask, 1-based, or None.
+
+    Multiplying by the lowest set bit is the shift by min S, and gives 0 for
+    the empty class, whose layers are all empty.
+    """
+    low = class_bits & -class_bits
+    for k in range(1, len(layers)):
+        if layers[k] == (layers[k - 1] * low) & capmask:
+            return k
+    return None
+
+
+def assert_stable_prefix(prefix, reference, class_bits, capmask):
+    """prefix is reference up to the layer before its first repeat by a shift of min S.
+
+    The prefix L_1 .. L_j is shifted out, L_k = (L_j << (k-j)*min S) &
+    capmask, to every layer of the reference, and j must be the first k with
+    L_{k+1} a shift of L_k, or every layer if none is.
+    """
+    low = class_bits & -class_bits
+    layers = list(prefix)
+    while layers and len(layers) < len(reference):
+        layers.append((layers[-1] * low) & capmask)
+    assert layers == reference
+    assert len(prefix) == (first_shift_stable(reference, class_bits, capmask) or len(reference))
+
+
 @settings(max_examples=300, deadline=None)
 @given(members=st.sets(st.integers(0, 400), max_size=40), step=st.integers(1, 9))
 def test_decimate_matches_set_reference(members, step):
@@ -182,7 +212,8 @@ dense = st.lists(st.booleans(), min_size=80, max_size=80).map(
 )
 def test_run_length_layers_match_reference(class_bits, depth, cap):
     capmask = (1 << (cap + 1)) - 1
-    assert _sumset_layers(class_bits, depth, capmask) == sumset_layers(class_bits, depth, capmask)
+    reference = sumset_layers(class_bits, depth, capmask)
+    assert_stable_prefix(_sumset_layers(class_bits, depth, capmask), reference, class_bits, capmask)
 
 
 @pytest.mark.parametrize(
@@ -205,21 +236,8 @@ def test_run_length_layers_match_reference(class_bits, depth, cap):
 def test_run_length_layers_edges(class_bits, depth, cap):
     capmask = (1 << (cap + 1)) - 1
     layers = _sumset_layers(class_bits, depth, capmask)
-    assert len(layers) == depth
-    assert layers == sumset_layers(class_bits, depth, capmask)
-
-
-def first_shift_stable(layers, class_bits, capmask):
-    """The first k with L_{k+1} = (L_k << min S) & capmask, 1-based, or None.
-
-    Multiplying by the lowest set bit is the shift by min S, and gives 0 for
-    the empty class, whose layers are all empty.
-    """
-    low = class_bits & -class_bits
-    for k in range(1, len(layers)):
-        if layers[k] == (layers[k - 1] * low) & capmask:
-            return k
-    return None
+    assert 1 <= len(layers) <= depth
+    assert_stable_prefix(layers, sumset_layers(class_bits, depth, capmask), class_bits, capmask)
 
 
 @pytest.mark.parametrize(
@@ -237,8 +255,9 @@ def first_shift_stable(layers, class_bits, capmask):
 def test_shift_stable_tail(class_bits, depth, cap, stable, saturated):
     capmask = (1 << (cap + 1)) - 1
     reference = sumset_layers(class_bits, depth, capmask)
-    assert _sumset_layers(class_bits, depth, capmask) == reference
-    assert first_shift_stable(reference, class_bits, capmask) == stable
+    prefix = _sumset_layers(class_bits, depth, capmask)
+    assert_stable_prefix(prefix, reference, class_bits, capmask)
+    assert first_shift_stable(reference, class_bits, capmask) == stable == len(prefix)
     # saturated as in the search: L_k = [k*min S, cap], empty once k*min S > cap
     lo = (class_bits & -class_bits).bit_length() - 1
     full = [
@@ -287,7 +306,9 @@ def test_fold_walks_the_plan_only_until_the_stable_tail(base, added, plan, depth
     )
     assert walks < depth
     plan = [(WalkedStarts(starts), steps) for starts, steps in plan]
-    assert fold_layers(sumset_layers(base, depth, capmask), plan, min_s, capmask) == reference
+    prefix = fold_layers(sumset_layers(base, depth, capmask), plan, min_s, capmask)
+    assert_stable_prefix(prefix, reference, union, capmask)
+    assert len(prefix) == walks - 1  # the walk that found the repeat kept no layer
     assert [starts.walks for starts, _ in plan] == [walks] * len(plan)
 
 
@@ -500,12 +521,41 @@ def test_galloping_backtrack_matches_reference(class_bits, count, pick):
     # every sum of count elements of a class, not just a*t: each element is taken
     # as often as it fits, found by galloping, against one summand per step
     assume(class_bits)
-    layers = sumset_layers(class_bits, count, (1 << (count * class_bits.bit_length())) - 1)
+    capmask = (1 << (count * class_bits.bit_length())) - 1
+    layers = sumset_layers(class_bits, count, capmask)
+    prefix = _sumset_layers(class_bits, count, capmask)
+    assert_stable_prefix(prefix, layers, class_bits, capmask)
     sums = list(iter_bits(layers[-1]))
     total = sums[pick % len(sums)]
     want = greedy_left_side(layers, list(iter_bits(class_bits)), total, count)
-    assert _greedy_left_side(layers, iter_bits(class_bits), total, count) == want
+    assert _greedy_left_side(prefix, iter_bits(class_bits), total, count) == want
     assert sum(want) == total and want == sorted(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    class_bits=st.one_of(runs, dense, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])),
+    cap=st.integers(0, 2000),
+    past=st.integers(1, 30),
+    pick=st.integers(0, 10**6),
+)
+def test_greedy_reads_layers_past_the_prefix(class_bits, cap, past, pick):
+    # counts past the table's last layer L_j: each later layer is read as a bit
+    # of L_j, against the one-summand greedy on every layer of the reference
+    assume(class_bits)
+    capmask = (1 << (cap + 1)) - 1
+    j = len(_sumset_layers(class_bits, 64, capmask))
+    assume(j < 64)
+    count = j + past
+    prefix = _sumset_layers(class_bits, count, capmask)
+    layers = sumset_layers(class_bits, count, capmask)
+    assert_stable_prefix(prefix, layers, class_bits, capmask)
+    assert len(prefix) == j < count
+    sums = list(iter_bits(layers[-1]))
+    assume(sums)
+    total = sums[pick % len(sums)]
+    want = greedy_left_side(layers, list(iter_bits(class_bits)), total, count)
+    assert _greedy_left_side(prefix, iter_bits(class_bits), total, count) == want
 
 
 def blocks(state, y, a):
@@ -566,7 +616,8 @@ def test_fold_matches_sumset_table(m, a, n, data):
         state = _add_element(state, x, 0, a, capmask)
         bits |= 1 << x
         layers, targets = state[:2]
-        assert list(layers) == _sumset_layers(bits, m - 1, capmask)
+        assert list(layers) == sumset_layers(bits, m - 1, capmask)
+        assert_stable_prefix(_sumset_layers(bits, m - 1, capmask), list(layers), bits, capmask)
         assert targets == sum(1 << (a * t) for t in iter_bits(bits))
 
 
