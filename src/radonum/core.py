@@ -4,14 +4,13 @@ The equation family is L(m, a): x1 + x2 + ... + x_{m-1} = a*x_m over the
 positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
-checker, construction, and search layers; the bitset helpers (iter_bits,
-smear_steps, decimate) and the run lemma (least_run_target) by the checker
-and the search; the sumset fold (fold_layers), which keeps the layers only
-up to the first that repeats its predecessor shifted by min S, by the
-checker's classes of three runs or more and the search's runs that leave
-their class as two runs or more. The two-run lemma (least_two_run_target)
-decides the checker's two-run classes and the search's propagated runs that
-leave their class as two runs.
+checker, construction, and search layers, and the rest by the checker and
+the search: the bitset helpers (iter_bits, smear_steps, decimate); the one
+entry that decides a class of at most two runs of consecutive integers by the
+run and two-run lemmas (least_class_target), with its witness's left side in
+closed form (class_left_side); and the sumset fold (fold_layers, planned by
+run_plan for a whole class), which keeps the layers only up to the first that
+repeats its predecessor shifted by min S.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -150,6 +149,117 @@ def least_two_run_target(l1: int, h1: int, l2: int, h2: int, m: int, a: int) -> 
         if t <= min(h2, t_high):
             return t
     return 0
+
+
+def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
+    """The least ascending list of count elements of lo..hi with sum total, in count*lo .. count*hi.
+
+    The least element at each step is lo while the rest can still reach total
+    with hi, so the list is lo repeated, then one lo + r, then hi repeated q
+    times, with total - count*lo = q*(hi - lo) + r; no middle term if r = 0.
+    """
+    q, r = divmod(total - count * lo, hi - lo or 1)  # lo = hi: total = count*lo, q = r = 0
+    middle = [lo + r] if r else []
+    return [lo] * (count - q - len(middle)) + middle + [hi] * q
+
+
+def _two_run_left_side(l1: int, h1: int, l2: int, h2: int, total: int, count: int) -> list[int]:
+    """The least ascending list of count elements of the runs l1..h1, l2..h2 that sums to total.
+
+    Needs 1 <= l1 <= h1 < l2 <= h2 and total a sum of count class elements.
+
+    Least is lexicographic, the list that picking the least feasible element
+    at each step gives. Let k = count and T = total. With i elements from the
+    upper run, the list is k-i elements of l1..h1 summing to some T1, then i
+    of l2..h2 summing to T - T1. A smaller T1 gives a smaller lower part
+    (_run_left_side: more leading l1s, or as many and a smaller next
+    element), so the least list for i, f(i), takes the least feasible T1 =
+    max((k-i)*l1, T - i*h2). Such a list exists iff T lies in [(k-i)*l1 +
+    i*l2, (k-i)*h1 + i*h2], that is iff i lies in first..last below.
+
+    f falls up to i*-1 and rises from i* = ceil((T - k*l1)/(h2 - l1)) on:
+    - For i >= i*, T1 = (k-i)*l1: f(i) is k-i copies of l1, then upper
+      elements, so f(i+1), with one l1 fewer, is larger.
+    - For i < i*, T1 exceeds (k-i)*l1 by e = (T - k*l1) - i*(h2-l1) > 0, so
+      h1 > l1 (else i is not feasible), and with D = h1 - l1, f(i) is
+      k-i-ceil(e/D) copies of l1, then v = l1 + e - (ceil(e/D)-1)*D > l1.
+      From i to i+1 < i*, e falls by h2 - l1 > D, so ceil(e/D) falls by at
+      least 1 and the count of leading l1s does not fall. If it rises, f(i+1)
+      holds l1 where f(i) holds v; if not, ceil(e/D) fell by exactly 1, and
+      v falls by h2 - h1 > 0. Either way f(i+1) < f(i).
+    Also first <= i* and i*-1 <= last: (T - k*h1)/(h2 - h1) <= (T - k*l1)/(h2
+    - l1) for T <= k*h2, where both are k, since the left one grows faster
+    with T; and l2 - l1 <= h2 - l1. So the least f(i) over first..last is at
+    i*-1 or i*, whichever has a list, or the lesser of the two if both have:
+    a comparison of at most two lists, with no table. Neither end of
+    first..last nor i*+1 can win unless it is one of those two.
+    """
+    k = count
+    first = max(0, -(-(total - k * h1) // (h2 - h1)))
+    last = min(k, (total - k * l1) // (l2 - l1))
+    pivot = -(-(total - k * l1) // (h2 - l1))  # i*
+
+    def side(i: int) -> list[int]:
+        lower = max((k - i) * l1, total - i * h2)
+        return _run_left_side(l1, h1, lower, k - i) + _run_left_side(l2, h2, total - lower, i)
+
+    return min(side(i) for i in (pivot - 1, pivot) if first <= i <= last)
+
+
+def _run_ends(bits: int) -> tuple[int, ...] | None:
+    """The ends of a class's runs: (), (lo, hi) or (l1, h1, l2, h2), or None for three or more."""
+    if not bits:
+        return ()
+    low = bits & -bits
+    upper = bits & (bits + low)  # the carry clears the first run
+    if not upper:
+        return low.bit_length() - 1, bits.bit_length() - 1
+    l2 = upper & -upper
+    if upper & (upper + l2):
+        return None
+    l1, h1 = low.bit_length() - 1, (bits ^ upper).bit_length() - 1
+    return l1, h1, l2.bit_length() - 1, bits.bit_length() - 1
+
+
+def least_class_target(bits: int, m: int, a: int) -> int | None:
+    """The least t of a class of at most two runs with a*t a sum of m-1 of its elements.
+
+    0 if there is none, as for the empty class; None for a class of three
+    runs or more, which needs a sumset table (fold_layers). One run goes to
+    the run lemma, two to the two-run lemma. Needs min S >= 1.
+    """
+    ends = _run_ends(bits)
+    if not ends:
+        return None if ends is None else 0
+    if len(ends) == 2:
+        return least_run_target(ends[0], ends[1], m, a)
+    return least_two_run_target(ends[0], ends[1], ends[2], ends[3], m, a)
+
+
+def class_left_side(bits: int, total: int, count: int) -> list[int]:
+    """The least ascending list of count elements of a class of one or two runs summing to total.
+
+    total must be such a sum. Least is lexicographic, as in the checker's
+    greedy backtrack, smallest element first; the closed forms need no table.
+    """
+    ends = _run_ends(bits)
+    if len(ends) == 2:
+        return _run_left_side(ends[0], ends[1], total, count)
+    return _two_run_left_side(ends[0], ends[1], ends[2], ends[3], total, count)
+
+
+def run_plan(bits: int) -> list[tuple[list[int], list[int]]]:
+    """fold_layers' plan for a nonempty class: its maximal runs, starts grouped by width."""
+    starts_by_width: dict[int, list[int]] = {}
+    run_starts = iter_bits(bits & ~(bits << 1))
+    run_ends = iter_bits(bits & ~(bits >> 1))
+    for p, q in zip(run_starts, run_ends):
+        starts_by_width.setdefault(q - p, []).append(p)
+    widths = sorted(starts_by_width, reverse=True)
+    return [
+        (starts_by_width[w], smear_steps(w - narrower))
+        for w, narrower in zip(widths, [*widths[1:], 0])
+    ]
 
 
 def fold_layers(

@@ -14,10 +14,11 @@ both truncated at a*n_max, the largest target. Coloring element x folds it
 into one class with at most m-1 shifts (see _add_element; a run of forced
 colors that leaves one run is written down, any other goes through
 core.fold_layers, the checker's fold), and the child is pruned iff the
-folded last layer meets the folded targets. The other class keeps its
-parent state by reference. full is the index of the first
-saturated layer, L_k = [k*min S, a*n_max]: adding a larger element cannot
-change it, so layers from full on are reused, not folded.
+folded last layer meets the folded targets: the fold then returns None, and
+no state of a class with a solution is ever built. The other class keeps
+its parent state by reference. full is the index of the first saturated
+layer, L_k = [k*min S, a*n_max]: adding a larger element cannot change it,
+so layers from full on are reused, not folded.
 
 blocked is the bitset of the y that would close a solution if added to the
 class, as far as these shapes go, with L_0 = {0}:
@@ -27,20 +28,20 @@ class, as far as these shapes go, with L_0 = {0}:
 Solutions with y twice or more on the left are not looked for. Every value
 involved is at most a*y, so the cap at a*n_max loses nothing for y <= n_max.
 Since a class only grows, blocked only grows: _add_element ORs the new y into
-the parent's mask with whole-integer operations, for children that survive the
-solution check. The shapes are sound: a class that takes a y it blocks holds a
-solution.
+the parent's mask with whole-integer operations. The shapes are sound: a class
+that takes a y it blocks holds a solution.
 
 Goal: before the DFS, the search checks the paper's lower-bound coloring of
 [goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
 blue q..goal. The sums of m-1 elements of a run lo..hi are all of
 (m-1)*lo .. (m-1)*hi, so a few integer operations tell whether the run holds a
-solution: core.least_run_target, the run lemma the checker applies to its
-one-run classes. goal is kept only if neither run does, else set to 0: the
-coloring is checked, not trusted; stats.seed reports goal. It is solution-free
-for every a >= 1: a red sum is at least m-1 > a(q-1), a blue one at least
-(m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree holds it
-and the final depth is at least goal; a timeout below goal reports it.
+solution: core.least_class_target, the run-class entry the checker applies to
+its classes of one or two runs. goal is kept only if neither run does, else
+set to 0: the coloring is checked, not trusted; stats.seed reports goal. It is
+solution-free for every a >= 1: a red sum is at least m-1 > a(q-1), a blue one
+at least (m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree
+holds it and the final depth is at least goal; a timeout below goal reports
+it, with the red mask built for the check.
 
 Propagation: a popped node of depth d propagates forced colors over the window
 W = d+1 .. top, top = max(best_depth+1, goal), leaving out the y already in a
@@ -68,20 +69,17 @@ searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132, Exp.
 Math. 2008); the folds are the unit propagation of SAT solvers (Heule,
 Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
 
-A propagated run y..y+w, w >= 1, that leaves its class as exactly two runs of
-consecutive integers is decided by arithmetic before any layer is folded: the
-sums of m-1 elements of two runs are a union of intervals, one per count of
-elements taken from the upper run, and core.least_two_run_target tests them
-against the targets. If the class holds a solution, the fold returns the
-shared state _SOLVED, which only _has_solution reads, and the node is skipped;
-otherwise it folds the layers as before, since the search reads the class's
-blocked mask on. The lemma decides the same bit as the fold's solution test:
-every target is at most a*n_max, the cap, so the uncapped lemma and the capped
-layers agree. On perfbench's atlas points every such run holds a solution,
+A propagated run y..y+w, w >= 1, that leaves its class as one or two runs of
+consecutive integers is decided by arithmetic before any layer is built, by
+core.least_class_target, the checker's entry for such classes. If the class
+holds a solution, the fold returns None and the node is skipped; otherwise
+it builds the layers, since the search reads the class's blocked mask on. The
+lemmas decide the same bit as the fold's solution test: every target is at
+most a*n_max, the cap, so the uncapped lemmas and the capped layers agree.
+On perfbench's atlas points every run that leaves two runs holds a solution,
 274 a pass. Single elements (w = 0) are always folded: of the 587 a pass that
 leave two runs there, 187 hold one, and the search reads the others' layers
-on, so the test would mostly be paid on top of the fold. A run that leaves
-its class as one run lo..hi needs no fold either: L'_k = [k*lo, k*hi], capped.
+on, so the test would mostly be paid on top of the fold.
 
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
@@ -123,9 +121,8 @@ not depend on the folding unit; only checks do.
 
 Counting: nodes counts every node, a skipped one and one passed in a jump
 included, and checks every child folded, every child whose x is forced, and
-every propagated run, however long; the goal's test counts nothing. A run
-decided by the two-run lemma counts one check, as its fold would, and skips
-the node the fold's solution would skip, so it changes neither count. A
+every propagated run, however long, whether its class is decided by the
+run-class entry or by its layers; the goal's test counts nothing. A
 propagation without a conflict prunes nothing, so on a small tree checks can
 exceed those of a search that stops at the test before the first fold; nodes
 cannot.
@@ -145,8 +142,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_run_target,
-    least_two_run_target, smear_steps,
+    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_class_target, smear_steps,
 )
 
 EXACT = "exact"
@@ -162,51 +158,30 @@ _POLL_MASK = 127  # poll the deadline every this many expanded nodes
 # that is saturated; see the module docstring
 _ClassState = tuple[tuple[int, ...], int, int, int]
 
-# a class that holds a solution, decided without its layers: _has_solution reads its
-# last layer and targets, {0} both, as a solution, and no other code reads it
-_SOLVED: _ClassState = ((1,), 1, 0, 0)
-
 
 def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
     """State of an empty class. It blocks no y, except for L(2, 1): y = y."""
     return (0,) * (m - 1), 0, capmask << 1 if (m, a) == (2, 1) else 0, m - 1
 
 
-def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
-    """Class state after adding the run of elements x..x+w, w >= 0: the search's one fold.
+def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState | None:
+    """Class state after adding the run of elements x..x+w, w >= 0, or None if it holds a solution.
 
-    A run (w >= 1) that leaves its class as exactly two runs l1..h1, l2..h2
-    is first decided by core.least_two_run_target: if the class holds a
-    solution, no layer is built and the result is _SOLVED. Every other fold
-    goes through _layer_fold, which writes a one-run class's layers down.
-    Layer 1 is the class: its elements are at most n_max, below the cap.
-    """
-    if w:
-        bits = state[0][0] | ((2 << w) - 1) << x
-        starts = bits & ~(bits << 1)
-        if starts.bit_count() == 2:
-            l1 = (starts & -starts).bit_length() - 1
-            h1 = (bits & ~(bits + (1 << l1))).bit_length() - 1  # the end of the first run
-            if least_two_run_target(
-                l1, h1, starts.bit_length() - 1, bits.bit_length() - 1, len(state[0]) + 1, a
-            ):
-                return _SOLVED
-    return _layer_fold(state, x, w, a, capmask)
-
-
-def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState:
-    """Class state after adding the run of elements x..x+w, w >= 0, by folding its layers.
-
-    The new layers are L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
+    The search's one fold. A run (w >= 1) that leaves the class as one or two
+    runs is decided first by core.least_class_target, with no layer built if
+    the class holds a solution (see the module docstring). The new layers are
+    L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
     smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
     with the one-run plan [([x], smear_steps(w))], which stops before the
-    first layer that repeats its predecessor shifted by min S; the layers
-    from there up to index full are shifted out here, one shift each. A run
-    (w >= 1) that leaves the class as one run lo..hi is written down instead,
-    L'_k = [k*lo, k*hi] capped: no layer is shifted past the cap. A single
-    element (w = 0) costs one shift per layer, no more than the fold's stable
-    tail, so it is folded here without the tail's test. Adding elements
-    already in the class leaves the state unchanged.
+    first layer that repeats its predecessor shifted by min S; the layers from
+    there up to index full are shifted out here, one shift each. A run that
+    leaves the class as one run lo..hi is written down instead, L'_k =
+    [k*lo, k*hi] capped: no layer is shifted past the cap. A single element
+    (w = 0) costs one shift per layer, no more than the fold's stable tail, so
+    it is folded here without the tail's test. The class holds a solution iff
+    the new L'_{m-1} meets the new targets. Layer 1 is the class: its elements
+    are at most n_max, below the cap. Adding elements already in the class
+    leaves the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
@@ -230,10 +205,12 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         targets.bit_length(), whatever the order elements arrive in.
     A reused L'_{m-1} or L'_{m-2} adds nothing to shapes 1 and 3, nor new s:
     the solution-free state that last changed it ORed its y in already.
-    blocked is left as the parent's once the class holds a solution: such a
-    child is pruned, so its mask is never read.
     """
     layers, targets, blocked, full = state
+    if w:
+        bits = layers[0] | ((2 << w) - 1) << x
+        if least_class_target(bits, len(layers) + 1, a):  # one or two runs holding a solution
+            return None
     min_bit = layers[0] & -layers[0]  # the bit of min S, 0 while the class is empty
     if not min_bit or min_bit > 1 << x:  # x is the new min S: fold every layer
         full, min_bit = len(layers), 1 << x
@@ -246,7 +223,6 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
     else:
         steps = smear_steps(w)
-        bits = layers[0] | ((2 << w) - 1) << x
         if bits & (bits + min_bit):  # two runs or more
             head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
             for _ in range(full - len(head)):  # the stable tail, one shift a layer
@@ -265,7 +241,7 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         new_targets |= new_targets << a * step
     new_targets |= targets
     if new_layers[-1] & new_targets:
-        return new_layers, new_targets, blocked, full
+        return None
     below = new_layers[-2] if len(layers) > 1 else 1  # L'_{m-2}
     if not reused:  # a reused layer's y are in the parent's mask already
         blocked |= decimate(new_layers[-1], a)
@@ -283,11 +259,6 @@ def _layer_fold(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _Cl
         for s in iter_bits(new):
             blocked |= targets >> s
     return new_layers, new_targets, blocked, full
-
-
-def _has_solution(state: _ClassState) -> bool:
-    """Whether the class alone solves L(m, a): some a*t is a sum of m-1 elements."""
-    return bool(state[0][-1] & state[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,12 +335,13 @@ def exact_rado_number(
     from .formula import ceil_div, ceiling_formula
 
     # the goal: the paper's coloring of [goal], red 1..q-1 and blue q..goal, kept only
-    # if neither run holds a solution (an empty run holds none)
+    # if neither class, one run or empty, holds a solution
     q, goal = ceil_div(m - 1, a), min(ceiling_formula(eq) - 1, n_max)
-    if any(least_run_target(lo, hi, m, a) for lo, hi in ((1, min(q - 1, goal)), (q, goal))):
+    goal_red = (2 << min(q - 1, goal)) - 2
+    if least_class_target(goal_red, m, a) or least_class_target((2 << goal) - 2 - goal_red, m, a):
         goal = 0
     stack = []
-    if not _has_solution(pinned):
+    if pinned is not None:
         best_depth, best_red = 1, 0b10
         stack.append((1, pinned, empty))
 
@@ -404,10 +376,10 @@ def exact_rado_number(
             y = y_bit.bit_length() - 1
             w = run.bit_length() - 1 - y
             if to_red:
-                red_p = folded = _add_element(red_p, y, w, a, capmask)
+                red_p = _add_element(red_p, y, w, a, capmask)
             else:
-                blue_p = folded = _add_element(blue_p, y, w, a, capmask)
-            conflict = _has_solution(folded) or red_p[2] & blue_p[2] & window
+                blue_p = _add_element(blue_p, y, w, a, capmask)
+            conflict = red_p is None or blue_p is None or red_p[2] & blue_p[2] & window
         if conflict:
             continue
         # the children start from the folded states: the forced colors stay on the trail
@@ -423,16 +395,16 @@ def exact_rado_number(
         # x is free, blocked in neither class: both children are folded and tested
         checks += 2
         child = _add_element(blue_p, x, 0, a, capmask)
-        if not _has_solution(child):
+        if child is not None:
             stack.append((x, red_p, child))
         child = _add_element(red_p, x, 0, a, capmask)
-        if not _has_solution(child):
+        if child is not None:
             stack.append((x, child, blue_p))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 
     if goal > best_depth:  # a timeout before the search reached the goal, which is valid
-        best_depth, best_red = goal, (2 << min(q - 1, goal)) - 2
+        best_depth, best_red = goal, goal_red
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis, stop, goal)
     status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)

@@ -5,18 +5,20 @@ with set references. The checker's run-length sumset layers stop before the
 first layer that repeats its predecessor by a shift of min S; shifted out to
 every layer, they are compared with the per-element reference sumset_layers,
 down to the witnesses find_mono_solution returns, and core.fold_layers, which
-builds them, walks its run plan only up to that repeat. The run lemma
-core.least_run_target with the closed-form left side of a one-run class, and
-the galloping backtrack of every other class, which reads the layers past
-the table as bits of its last layer, are compared with those layers and the
-one-summand greedy_left_side, and find_mono_solution with a checker built
-from both references. The two-run
-lemma core.least_two_run_target with the closed-form left side of a two-run
-class is compared with the reference layers of two runs and with brute
-force, and the search's fold, which decides such classes by the lemma, with
-its layer fold. The incremental sumset fold, of one element or of a run in one
-call (written down when it leaves one run), its saturated-layer index and
-the lookahead's blocked-y mask are compared with the layer-at-a-time
+builds them, walks its run plan only up to that repeat. The run-class entry
+core.least_class_target, through the run lemma core.least_run_target and the
+two-run lemma core.least_two_run_target, and the closed-form left side
+core.class_left_side are compared with the reference layers of one or two
+runs, the one-summand greedy_left_side and brute force; the entry returns 0
+for the empty class and None for three runs or more. The galloping backtrack
+of every other class, which reads the layers past the table as bits of its
+last layer, is compared with those layers and greedy_left_side, and
+find_mono_solution with a checker built from both references. The search's
+incremental fold, of one element or of a run in one call (decided by the
+run-class entry when it leaves one or two runs, and written down when it
+leaves one run and no solution), returns None exactly when the reference
+layers hold a solution; while they hold none, its layers, its saturated-layer
+index and the lookahead's blocked-y mask are compared with the layer-at-a-time
 checker, the reference layers, the naive oracle, the per-y test blocks and
 plain enumeration, and exact_rado_number with a search that tries every
 coloring.
@@ -41,20 +43,12 @@ from radonum import (
     naive_find_mono_solution,
     search,
 )
-from radonum.checker import _greedy_left_side, _run_left_side, _sumset_layers, _two_run_left_side
+from radonum.checker import _greedy_left_side, _sumset_layers
 from radonum.core import (
-    Color, Witness, decimate, fold_layers, iter_bits, least_run_target, least_two_run_target,
-    smear_steps,
+    Color, Witness, class_left_side, decimate, fold_layers, iter_bits, least_class_target,
+    least_run_target, least_two_run_target, smear_steps,
 )
-from radonum.search import (
-    CUTOFF,
-    EXACT,
-    _add_element,
-    _empty_state,
-    _has_solution,
-    _layer_fold,
-    exact_rado_number,
-)
+from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
 
 # solution shapes blocks covers: (copies of y on the left side, whether x_m = y)
 Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
@@ -379,9 +373,10 @@ def test_one_run_classes_match_reference(lo, width, m, a):
     layers = sumset_layers(bits, m - 1, (1 << (a * hi + 1)) - 1)
     t = next((t for t in range(lo, hi + 1) if layers[-1] >> (a * t) & 1), 0)
     assert least_run_target(lo, hi, m, a) == t
+    assert least_class_target(bits, m, a) == t
     if t:
         want = greedy_left_side(layers, list(range(lo, hi + 1)), a * t, m - 1)
-        assert _run_left_side(lo, hi, a * t, m - 1) == want
+        assert class_left_side(bits, a * t, m - 1) == want
     # as the red class, and as the blue one above a red run 1..lo-1, of [hi]
     for col in (Coloring(hi, bits), Coloring(hi, interval(1, lo - 1))):
         assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq)
@@ -460,11 +455,34 @@ def test_two_run_classes_match_reference(m, a, data):
     layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
     t = next((t for t in iter_bits(bits) if layers[-1] >> (a * t) & 1), 0)
     assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    assert least_class_target(bits, m, a) == t
+    if t:
+        want = greedy_left_side(layers, list(iter_bits(bits)), a * t, m - 1)
+        assert class_left_side(bits, a * t, m - 1) == want
     for col in (Coloring(h2, bits), Coloring(h2, interval(1, h2) & ~bits)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(checker, "_sumset_layers", no_table)
             got = find_mono_solution(col, eq)
         assert got == reference_find_mono_solution(col, eq)
+
+
+@pytest.mark.parametrize(
+    ("bits", "m", "a", "want"),
+    [
+        (0, 4, 2, 0),  # the empty class: no target
+        (0, 2, 1, 0),  # even for L(2, 1), where every element solves y = y
+        ((1 << 1) | (1 << 3) | (1 << 5), 4, 3, None),  # {1, 3, 5}: a table decides it
+        # three runs that hold 1 + 1 = 2*1, and a single element above two runs
+        (interval(1, 2) | interval(5, 6) | interval(9, 30), 3, 2, None),
+        (interval(3, 9) | interval(12, 14) | (1 << 40), 5, 7, None),
+    ],
+)
+def test_class_target_edges(bits, m, a, want):
+    assert least_class_target(bits, m, a) == want
+    # the classes of three runs go to the table, which finds what the reference does
+    col = Coloring(max(bits.bit_length() - 1, 0), bits)
+    assert find_mono_solution(col, RadoEquation(m, a)) == reference_find_mono_solution(
+        col, RadoEquation(m, a))
 
 
 @pytest.mark.parametrize(
@@ -503,8 +521,8 @@ def test_two_run_left_side_cases(runs, m, a, t, upper, left):
     assert min(best) <= pivot <= max(best) + 1  # so i*-1 or i* has a list
     assert min(best.values()) == best[upper] == left
     assert upper in (pivot - 1, pivot)
-    assert _two_run_left_side(l1, h1, l2, h2, total, k) == left
     bits = interval(l1, h1) | interval(l2, h2)
+    assert class_left_side(bits, total, k) == left
     layers = sumset_layers(bits, k, (1 << (total + 1)) - 1)
     assert greedy_left_side(layers, elements, total, k) == left
 
@@ -581,11 +599,19 @@ def blocks(state, y, a):
 
 
 def fold(elements, m, a, n):
+    """State of the class of elements, folded in order, or None once it holds a solution."""
     capmask = (1 << (a * n + 1)) - 1
     state = _empty_state(m, a, capmask)
     for x in elements:
         state = _add_element(state, x, 0, a, capmask)
+        if state is None:
+            break
     return state
+
+
+def targets_of(bits, a):
+    """The bitset {a*t : t in the class}."""
+    return sum_bits(1 << (a * t) for t in iter_bits(bits))
 
 
 def shapes_closed_by(members, y, m, a):
@@ -607,7 +633,8 @@ def shapes_closed_by(members, y, m, a):
     data=st.data(),
 )
 def test_fold_matches_sumset_table(m, a, n, data):
-    # elements arrive in any order and may repeat; every prefix is compared
+    # elements arrive in any order and may repeat; every prefix is compared while it
+    # is solution-free, and the fold returns None exactly when the reference holds one
     elements = data.draw(st.lists(st.integers(1, n), max_size=12))
     capmask = (1 << (a * n + 1)) - 1
     state = _empty_state(m, a, capmask)
@@ -615,10 +642,14 @@ def test_fold_matches_sumset_table(m, a, n, data):
     for x in elements:
         state = _add_element(state, x, 0, a, capmask)
         bits |= 1 << x
+        reference = sumset_layers(bits, m - 1, capmask)
+        if reference[-1] & targets_of(bits, a):
+            assert state is None
+            break
         layers, targets = state[:2]
-        assert list(layers) == sumset_layers(bits, m - 1, capmask)
+        assert list(layers) == reference
         assert_stable_prefix(_sumset_layers(bits, m - 1, capmask), list(layers), bits, capmask)
-        assert targets == sum(1 << (a * t) for t in iter_bits(bits))
+        assert targets == targets_of(bits, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -639,42 +670,45 @@ def test_saturated_tail_matches_reference(m, a, n, data):
         state = _add_element(state, x, 0, a, capmask)
         bits |= 1 << x
         layers = sumset_layers(bits, m - 1, capmask)
+        if layers[-1] & targets_of(bits, a):  # the fold returns None exactly then
+            assert state is None
+            break
         assert list(state[0]) == layers
         # L_k saturated: all of [k*min S, a*n], an empty set once k*min S > a*n;
         # full is the first saturated layer, and all later ones are saturated
         lows = [k * elements[0] for k in range(1, m)]
         saturated = [layer == (interval(lo, a * n) if lo <= a * n else 0) for lo, layer in zip(lows, layers)]
         assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
-        if not _has_solution(state):  # reused layers add nothing new to the mask
-            ys = range(1, n + 2)
-            assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+        # reused layers add nothing new to the mask
+        ys = range(1, n + 2)
+        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
 
 
 def check_run_fold(state, bits, x, w, m, a, n):
     """Folds the run x..x+w into the state of the class bits in one call.
 
-    Compares the layer fold's result with the reference layers of the union,
-    its targets {a*t}, its first saturated layer and, while the class is
-    solution-free, blocks for every y; the search's fold, which decides a
-    class left as two runs by the two-run lemma, must give the same solution
-    test. Returns the layer fold's state and the new class.
+    The fold must return None exactly when the reference layers of the union
+    hold a solution, whether the run-class lemmas or the layers decide it.
+    Otherwise its layers, its targets {a*t}, its first saturated layer and its
+    mask are compared with the reference layers and blocks for every y.
+    Returns the fold's state, None or not, and the new class.
     """
     capmask = (1 << (a * n + 1)) - 1
-    solved = _has_solution(_add_element(state, x, w, a, capmask))
-    state = _layer_fold(state, x, w, a, capmask)
-    assert _has_solution(state) == solved
+    state = _add_element(state, x, w, a, capmask)
     bits |= interval(x, x + w)
     layers = sumset_layers(bits, m - 1, capmask)
+    if layers[-1] & targets_of(bits, a):
+        assert state is None
+        return state, bits
     assert list(state[0]) == layers
-    assert state[1] == sum_bits(1 << (a * t) for t in iter_bits(bits))
+    assert state[1] == targets_of(bits, a)
     # full is the first layer that is all of [k*min S, a*n], an empty set once k*min S > a*n
     lo = (bits & -bits).bit_length() - 1
     saturated = [layer == (interval(k * lo, a * n) if k * lo <= a * n else 0)
                  for k, layer in enumerate(layers, start=1)]
     assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
-    if not _has_solution(state):  # a class with a solution keeps its parent's mask
-        ys = range(1, n + 2)
-        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+    ys = range(1, n + 2)
+    assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
     return state, bits
 
 
@@ -689,12 +723,14 @@ def test_run_fold_matches_reference(m, a, n, data):
     # a few runs after a prefix of single elements or of one run, all in any order:
     # runs into an empty class, below min S, over members and above them, runs that
     # leave one run, and runs long enough for the layers to repeat by a shift of
-    # min S before they saturate
+    # min S before they saturate; a class that holds a solution takes no more runs
     run = st.tuples(st.integers(1, n), st.integers(0, n)).map(
         lambda t: list(range(t[0], min(t[0] + t[1], n) + 1)))
     prefix = data.draw(st.one_of(st.lists(st.integers(1, n), max_size=8), run))
     state, bits = fold(prefix, m, a, n), sum_bits(1 << x for x in prefix)
     for _ in range(data.draw(st.integers(1, 3))):
+        if state is None:
+            break
         x = data.draw(st.integers(1, n))
         w = data.draw(st.integers(0, n - x))
         state, bits = check_run_fold(state, bits, x, w, m, a, n)
@@ -723,7 +759,7 @@ def test_run_fold_cases(monkeypatch, m, a, n, prefix, x, w):
     monkeypatch.setattr(search, "fold_layers", lambda *args: folds.append(args) or fold_layers(*args))
     parent, bits = fold(prefix, m, a, n), sum_bits(1 << t for t in prefix)
     state, bits = check_run_fold(parent, bits, x, w, m, a, n)
-    assert not _has_solution(state)  # so the whole mask was compared
+    assert state is not None  # so the whole mask was compared
     # a result of one run is written down, any other folded by core.fold_layers
     assert bool(folds) == bool(bits & (bits + (bits & -bits)))
     if prefix and x > min(prefix):  # min S stays: the saturated tail is reused
@@ -744,7 +780,7 @@ def test_prefix_check_matches_oracle(m, a, n, data):
     state = fold(order, m, a, n)
     # the oracle searches red first, so its witness color settles the red class alone
     witness = naive_find_mono_solution(Coloring.from_red(n, members), RadoEquation(m, a))
-    assert _has_solution(state) == (witness is not None and witness.color is Color.RED)
+    assert (state is None) == (witness is not None and witness.color is Color.RED)
 
 
 @settings(max_examples=300, deadline=None)
@@ -760,7 +796,7 @@ def test_blocked_mask_matches_blocks(m, a, n, data):
     elements = data.draw(st.lists(st.integers(1, n), max_size=12))
     for k in range(len(elements) + 1):
         state = fold(elements[:k], m, a, n)
-        if _has_solution(state):
+        if state is None:
             break
         ys = range(1, n + 2)
         assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
@@ -778,10 +814,10 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     members = data.draw(st.sets(st.integers(1, n))) if n else set()
     y = data.draw(st.integers(n + 1, n + 4))
     state = fold(sorted(members), m, a, n + 4)
-    assume(not _has_solution(state))  # the search reads only a solution-free class's mask
+    assume(state is not None)  # the search reads only a solution-free class's mask
     blocked = bool(state[2] >> y & 1)
     if blocked:  # sound: y really closes a solution
-        assert _has_solution(_add_element(state, y, 0, a, (1 << (a * (n + 4) + 1)) - 1))
+        assert _add_element(state, y, 0, a, (1 << (a * (n + 4) + 1)) - 1) is None
     # and it finds every solution with y at most once on the left
     covered = shapes_closed_by(members, y, m, a) & {Y_RIGHT, Y_LEFT, Y_BOTH}
     assert blocked == bool(covered)
@@ -800,7 +836,7 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
 def test_blocks_covers_each_case(m, a, members, y, shape):
     assert shapes_closed_by(members, y, m, a) == {shape}
     state = fold(sorted(members), m, a, y)
-    assert not _has_solution(state)
+    assert state is not None
     assert state[2] >> y & 1
 
 

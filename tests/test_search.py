@@ -20,24 +20,21 @@ from radonum import (
     lower_bound_coloring,
     search,
 )
-from radonum.core import least_run_target
-from radonum.search import (
-    CUTOFF,
-    EXACT,
-    _SOLVED,
-    _add_element,
-    _empty_state,
-    _has_solution,
-    _layer_fold,
-)
+from radonum.core import iter_bits, least_run_target
+from radonum.search import CUTOFF, EXACT, _add_element, _empty_state
 
 
 def fold(eq, n, elements):
-    """State of the class holding `elements`, folded in order, capped at a*n."""
+    """State of the class holding `elements`, folded in order, capped at a*n.
+
+    None once the class holds a solution.
+    """
     capmask = (1 << (eq.a * n + 1)) - 1
     state = _empty_state(eq.m, eq.a, capmask)
     for x in elements:
         state = _add_element(state, x, 0, eq.a, capmask)
+        if state is None:
+            break
     return state
 
 
@@ -150,7 +147,7 @@ def lookahead_only(eq, n_max):
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
     pinned = _add_element(empty, 1, 0, eq.a, capmask)
-    stack = [] if _has_solution(pinned) else [(0b10, 1, pinned, empty)]
+    stack = [] if pinned is None else [(0b10, 1, pinned, empty)]
     best, best_red = (1, 0b10) if stack else (0, 0)
     nodes = checks = 1
     while stack:
@@ -169,7 +166,7 @@ def lookahead_only(eq, n_max):
             if state[2] >> x & 1:
                 continue
             child = _add_element(state, x, 0, eq.a, capmask)
-            if not _has_solution(child):
+            if child is not None:
                 stack.append((red | 1 << x, x, child, blue_state) if to_red
                              else (red, x, red_state, child))
     return EXACT, best + 1, best, best_red, nodes, checks
@@ -198,7 +195,7 @@ def propagate(red, blue, lo, hi, a, capmask):
         to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
         states[to] = _add_element(states[to], y, 0, a, capmask)
         folds += 1
-        if _has_solution(states[to]):
+        if states[to] is None:  # the fold holds a solution
             return True, folds, *states
 
 
@@ -227,8 +224,8 @@ def propagate_runs(red, blue, lo, hi, a, capmask):
         to = blocked[run[0]][0]  # 0 = red, 1 = blue: the class where the run is not blocked
         for y in run:
             states[to] = _add_element(states[to], y, 0, a, capmask)
-        if _has_solution(states[to]):
-            return True, runs, *states
+            if states[to] is None:  # the run holds a solution
+                return True, runs, *states
 
 
 def two_run_goal(eq, n_max):
@@ -262,7 +259,7 @@ def fold_every_child(eq, n_max):
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
     pinned = _add_element(empty, 1, 0, eq.a, capmask)
-    stack = [] if _has_solution(pinned) else [(1, pinned, empty)]
+    stack = [] if pinned is None else [(1, pinned, empty)]
     best, nodes, checks, element_checks, unfolded = len(stack), 1, 1, 1, 0
     while stack:
         depth, red, blue = stack.pop()
@@ -285,7 +282,7 @@ def fold_every_child(eq, n_max):
             element_checks += 1
             unfolded += 1
             sibling = blue_p if red_p[0][0] >> x & 1 else red_p
-            assert _has_solution(_add_element(sibling, x, 0, eq.a, capmask)), x
+            assert _add_element(sibling, x, 0, eq.a, capmask) is None, x
             stack.append((x, red_p, blue_p))
             continue
         assert not (red_p[2] | blue_p[2]) >> x & 1, x
@@ -294,7 +291,7 @@ def fold_every_child(eq, n_max):
             checks += 1
             element_checks += 1
             child = _add_element(parent, x, 0, eq.a, capmask)
-            if not _has_solution(child):
+            if child is not None:
                 stack.append((x, child, blue_p) if to_red else (x, red_p, child))
     return nodes, checks, element_checks, unfolded
 
@@ -319,6 +316,17 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     assert nodes == out.stats.nodes
 
 
+def two_runs_reference(bits, m, a):
+    """The least t of the class with a*t a sum of m-1 of its elements, or 0.
+
+    By the bitset of those sums, built one summand at a time.
+    """
+    sums = 1  # {0}, the sum of no element
+    for _ in range(m - 1):
+        sums = reduce(or_, [sums << x for x in iter_bits(bits)], 0)
+    return next((t for t in iter_bits(bits) if sums >> a * t & 1), 0)
+
+
 @pytest.mark.parametrize(("params", "decided"), [
     ((24, 2, 146), 0),
     ((40, 3, 177), 0),
@@ -326,20 +334,23 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
 ])
 def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
     # the perfbench deep points: a propagated run that leaves its class as two runs
-    # holding a solution builds no layers, and the tree keeps its pinned counts
+    # holding a solution builds no layers, and the tree keeps its pinned counts; each
+    # run fold that returns None leaves two runs that the reference finds a solution in
     m, a, n_max = params
     solved = []
 
-    def spy(*args):
-        out = _add_element(*args)
-        if out is _SOLVED:
-            solved.append(args[1:3])
-            assert _has_solution(_layer_fold(*args))  # the fold it skipped agrees
+    def spy(state, x, w, a, capmask):
+        out = _add_element(state, x, w, a, capmask)
+        if out is None and w:
+            bits = state[0][0] | ((2 << w) - 1) << x
+            solved.append(bits)
+            starts = bits & ~(bits << 1)  # the first element of each run
+            assert starts.bit_count() == 2 and two_runs_reference(bits, m, a), (x, w)
         return out
 
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
-    assert len(solved) == decided and all(w for _, w in solved)
+    assert len(solved) == decided
     assert (out.stats.nodes, out.stats.checks) == dict(PINNED_TREES)[params][2:4]
 
 
@@ -545,7 +556,7 @@ def test_prefix_check_on_lower_bound_prefixes():
     for k in range(1, col.n + 1):
         color = col.color_of(k)
         states[color] = _add_element(states[color], k, 0, eq.a, capmask)
-        assert not _has_solution(states[color]), k
+        assert states[color] is not None, k
 
 
 def test_prefix_check_sees_new_solutions():
@@ -553,19 +564,19 @@ def test_prefix_check_sees_new_solutions():
     for m, a in [(3, 3), (4, 2), (5, 3), (3, 1)]:
         eq = RadoEquation(m, a)
         k = max(a, m - 1)
-        assert _has_solution(fold(eq, k, range(1, k + 1)))
+        assert fold(eq, k, range(1, k + 1)) is None
 
 
 def test_prefix_check_only_looks_at_the_changed_class():
     # red {1, 2} solves (3, 3) via 1+2=3*1; blue {3} alone does not
     eq = RadoEquation(3, 3)
-    assert _has_solution(fold(eq, 3, [1, 2]))
-    assert not _has_solution(fold(eq, 3, [3]))
+    assert fold(eq, 3, [1, 2]) is None
+    assert fold(eq, 3, [3]) is not None
 
 
 def test_prefix_check_empty():
     for m, a in [(3, 3), (2, 1), (6, 2)]:
-        assert not _has_solution(fold(RadoEquation(m, a), 4, []))
+        assert fold(RadoEquation(m, a), 4, []) is not None
 
 
 def test_known_values_match_search_where_applicable():
