@@ -158,7 +158,9 @@ def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
     with hi, so the list is lo repeated, then one lo + r, then hi repeated q
     times, with total - count*lo = q*(hi - lo) + r; no middle term if r = 0.
     """
-    q, r = divmod(total - count * lo, hi - lo or 1)  # lo = hi: total = count*lo, q = r = 0
+    if lo == hi:
+        return [lo] * count
+    q, r = divmod(total - count * lo, hi - lo)
     middle = [lo + r] if r else []
     return [lo] * (count - q - len(middle)) + middle + [hi] * q
 
@@ -225,8 +227,7 @@ def least_class_target(bits: int, m: int, a: int) -> int | None:
     """The least t of a class of at most two runs with a*t a sum of m-1 of its elements.
 
     0 if there is none, as for the empty class; None for a class of three
-    runs or more, which needs a sumset table (fold_layers). One run goes to
-    the run lemma, two to the two-run lemma. Needs min S >= 1.
+    runs or more, which needs a sumset table (fold_layers). Needs min S >= 1.
     """
     ends = _run_ends(bits)
     if not ends:
