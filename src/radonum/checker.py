@@ -3,7 +3,7 @@
 A color class of one or two runs of consecutive integers, as the classes of a
 lower-bound coloring are, and of such a coloring with one element flipped,
 needs no table: core.least_class_target, the run-class entry that the
-search's goal and propagation use too, gives its least target by the run and
+search's propagation uses too, gives its least target by the run and
 two-run lemmas, and core.class_left_side writes the witness's left side down
 in closed form. A class S of three runs or more gets a layered sumset table:
 layer k is the bitset of integers expressible as a sum of exactly k elements

@@ -2,9 +2,11 @@
 
 The general construction colors a short prefix of [C(m, a) - 1] red and the
 rest blue; it is solution-free for every a >= 1 and m >= 2 (the proof is in
-the search module's docstring) and therefore shows the Rado number is at least
-C(m, a). Two hand-built colorings cover the a = 3 small cases where the
-general construction is not tight.
+lower_bound_coloring's docstring, and checker.is_valid_coloring confirms it)
+and therefore shows the Rado number is at least C(m, a). It is the only code
+that builds this coloring: the search takes it as its goal. Two hand-built
+colorings cover the a = 3 small cases where the general construction is not
+tight.
 """
 
 from __future__ import annotations
@@ -14,19 +16,16 @@ from .formula import ceil_div, ceiling_formula
 
 
 def lower_bound_coloring(eq: RadoEquation) -> Coloring:
-    """Solution-free coloring of [C(m, a) - 1] with red prefix [ceil((m-1)/a) - 1].
+    """The paper's solution-free coloring of [C(m, a) - 1]: red 1..q-1, blue q..C-1.
 
-    With q = ceil((m-1)/a), red is 1..q-1 and blue q..C-1. A red sum of m-1
-    elements is at least m-1 > a(q-1), a blue one at least (m-1)q > a(C-1),
-    so neither class holds a solution, for every a >= 1 and m >= 2; see
-    radonum.search. When C(m, a) = 1 the interval [C - 1] is empty and the
-    empty coloring is returned.
+    q = ceil((m-1)/a). A red sum of m-1 elements is at least m-1 > a(q-1),
+    above a*t for every red t; a blue one is at least (m-1)q > a(C-1), since
+    aC < (m-1)q + a, above a*t for every blue t. So neither class holds a
+    solution, for every a >= 1 and m >= 2. When C(m, a) = 1, q = 1 as well
+    and the coloring is the empty one. Red is one mask of q bits, and no mask
+    of [C - 1] is built, so a large C costs no more than its red prefix.
     """
-    bound = ceiling_formula(eq)
-    if bound == 1:
-        return Coloring(0)
-    red_top = ceil_div(eq.m - 1, eq.a) - 1
-    return Coloring.from_red(bound - 1, range(1, red_top + 1))
+    return Coloring(ceiling_formula(eq) - 1, (1 << ceil_div(eq.m - 1, eq.a)) - 2)
 
 
 def small_case_coloring(m: int) -> Coloring:

@@ -344,7 +344,8 @@ class Coloring:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"need n >= 0, got n={self.n}")
-        if self.red_bits < 0 or self.red_bits & ~self.domain_bits:
+        # bit 0 and the bits above n, with no (n+1)-bit mask: a sparse [n] stays small
+        if self.red_bits < 0 or self.red_bits & 1 or self.red_bits >> (self.n + 1):
             raise ValueError("red elements must lie within 1..n")
 
     @classmethod

@@ -31,17 +31,13 @@ Since a class only grows, blocked only grows: _add_element ORs the new y into
 the parent's mask with whole-integer operations. The shapes are sound: a class
 that takes a y it blocks holds a solution.
 
-Goal: before the DFS, the search checks the paper's lower-bound coloring of
-[goal], goal = min(C(m, a) - 1, n_max) with q = ceil((m-1)/a): red 1..q-1 and
-blue q..goal. The sums of m-1 elements of a run lo..hi are all of
-(m-1)*lo .. (m-1)*hi, so a few integer operations tell whether the run holds a
-solution: core.least_class_target, the run-class entry the checker applies to
-its classes of one or two runs. goal is kept only if neither run does, else
-set to 0: the coloring is checked, not trusted; stats.seed reports goal. It is
-solution-free for every a >= 1: a red sum is at least m-1 > a(q-1), a blue one
-at least (m-1)q > a(C-1), since aC < (m-1)q + a. It colors 1 red, so the tree
-holds it and the final depth is at least goal; a timeout below goal reports
-it, with the red mask built for the check.
+Goal: before the DFS, the search takes the paper's lower-bound coloring of
+[C(m, a) - 1] from construction.lower_bound_coloring (its docstring holds the
+proof that it is solution-free), cut at n_max, and keeps its n as the goal
+only if checker.is_valid_coloring accepts it, else sets goal to 0: the
+coloring is checked, not trusted, by the checker that radonum check runs;
+stats.seed reports goal. It colors 1 red, so the tree holds it and the final
+depth is at least goal; a timeout below goal reports that same coloring.
 
 Propagation: a popped node of depth d propagates forced colors over the window
 W = d+1 .. top, top = max(best_depth+1, goal), leaving out the y already in a
@@ -269,7 +265,7 @@ class SearchStats:
     checks: int
     millis: float
     stop: str
-    seed: int  # the n of the verified two-run coloring that set the goal, 0 if none
+    seed: int  # the n of the checked lower-bound coloring that set the goal, 0 if none
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,15 +327,15 @@ def exact_rado_number(
     empty = _empty_state(m, a, capmask)
     pinned = _add_element(empty, 1, 0, a, capmask)
     # imported here, not with the module: an outcome keeps its module's namespace alive
-    # through its class, and that namespace then holds no reference to formula's
-    from .formula import ceil_div, ceiling_formula
+    # through its class, and that namespace then holds no reference to theirs
+    from .checker import is_valid_coloring
+    from .construction import lower_bound_coloring
 
-    # the goal: the paper's coloring of [goal], red 1..q-1 and blue q..goal, kept only
-    # if neither class, one run or empty, holds a solution
-    q, goal = ceil_div(m - 1, a), min(ceiling_formula(eq) - 1, n_max)
-    goal_red = (2 << min(q - 1, goal)) - 2
-    if least_class_target(goal_red, m, a) or least_class_target((2 << goal) - 2 - goal_red, m, a):
-        goal = 0
+    # the goal: the paper's coloring cut at n_max, kept only if the checker accepts it
+    goal_coloring = lower_bound_coloring(eq)
+    if goal_coloring.n > n_max:
+        goal_coloring = Coloring(n_max, goal_coloring.red_bits & ((2 << n_max) - 1))
+    goal = goal_coloring.n if is_valid_coloring(goal_coloring, eq) else 0
     stack = []
     if pinned is not None:
         best_depth, best_red = 1, 0b10
@@ -403,10 +399,10 @@ def exact_rado_number(
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
         stop = EXACT
 
-    if goal > best_depth:  # a timeout before the search reached the goal, which is valid
-        best_depth, best_red = goal, goal_red
+    # a timeout before the search reached the goal reports the goal's coloring
+    certificate = goal_coloring if goal > best_depth else Coloring(best_depth, best_red)
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis, stop, goal)
-    status, rado_number = (EXACT, best_depth + 1) if stop == EXACT else (CUTOFF, None)
-    return SearchOutcome(status, rado_number, best_depth, Coloring(best_depth, best_red), stats)
+    status, rado_number = (EXACT, certificate.n + 1) if stop == EXACT else (CUTOFF, None)
+    return SearchOutcome(status, rado_number, certificate.n, certificate, stats)
 

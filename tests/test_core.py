@@ -1,6 +1,7 @@
 """Domain type behavior: validation, witness checks, JSON round-trips."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_coloring_validation():
     empty = Coloring(0)
     assert empty.red_elements() == ()
     assert empty.blue_bits == 0
+
+
+def test_coloring_validation_builds_no_domain_mask():
+    # the checks read red_bits alone: [10^8] with red {1} allocates no 10^8-bit integer
+    tracemalloc.start()
+    try:
+        col = Coloring(10**8, 0b10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.red_elements() == (1,)
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        Coloring(3, 1 << 4)  # bit 4 is above n
 
 
 def test_coloring_json_round_trip():

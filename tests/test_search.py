@@ -13,8 +13,8 @@ from radonum import (
     RadoEquation,
     ceil_div,
     ceiling_formula,
+    construction,
     exact_rado_number,
-    formula,
     is_valid_coloring,
     known_rado_number,
     lower_bound_coloring,
@@ -433,7 +433,7 @@ def test_the_goal_is_checked_not_trusted(monkeypatch, m, a, n_max):
     plain = exact_rado_number(eq, n_max=n_max)
     assert plain.stats.seed == ceiling_formula(eq) - 1
     # C + 10 - 1 > R(m, a) - 1: the two runs of [min(C + 9, n_max)] hold a solution
-    monkeypatch.setattr(formula, "ceiling_formula", lambda eq: ceiling_formula(eq) + 10)
+    monkeypatch.setattr(construction, "ceiling_formula", lambda eq: ceiling_formula(eq) + 10)
     out = exact_rado_number(eq, n_max=n_max)
     assert out.stats.seed == 0
     assert (out.status, out.rado_number, out.deepest_valid, out.certificate) == (
@@ -535,6 +535,7 @@ def test_timeout_reports_cutoff():
     # reports the goal it checked before the DFS
     assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (15, 1, 1)
     assert out.deepest_valid == out.stats.seed == out.certificate.n
+    assert out.certificate == lower_bound_coloring(RadoEquation(5, 1))
 
 
 def test_validates_parameters():
