@@ -3,20 +3,39 @@
 A color class of one or two runs of consecutive integers, as the classes of a
 lower-bound coloring are, and of such a coloring with one element flipped,
 needs no table: core.least_class_target, the run-class entry that the
-search's propagation uses too, gives its least target by the run and
-two-run lemmas, and core.class_left_side writes the witness's left side down
-in closed form. A class S of three runs or more gets a layered sumset table:
-layer k is the bitset of integers expressible as a sum of exactly k elements
-of S with repetition allowed, truncated at cap = a*max S, since every target
-a*t is at most that. A monochromatic
-solution exists iff some target t in S has a*t present in layer m-1. The
-targets that do are found at once: layer m-1 decimated by a (core.decimate,
-the search's shape-1 test), ANDed with S; the lowest one is the witness's
-x_m. The layers come from core.fold_layers, which the search's run folds
-share: one shift per maximal run of consecutive elements of S plus at most
-ceil(log2(w+1)) shift-ORs per distinct run width w, never more than |S|
-shifts. The table stops at the layer L_j whose successor is L_j shifted by
-min S, as a dense class's does after a few layers: every later layer is a
+search's propagation uses too, gives its least target from the class's run
+ends by the run and two-run lemmas, and core.class_left_side writes the
+witness's left side down in closed form. Blue is read as the gaps of red:
+those below max red as a mask, and the run max red + 1 .. n as its two ends,
+so a blue class of one or two runs, as a sparse coloring's is, builds no mask
+of [n].
+
+A class S of three runs or more gets a layered sumset table: layer k is the
+bitset of integers expressible as a sum of exactly k elements of S with
+repetition allowed, truncated at a cap. A monochromatic solution exists iff
+some target t in S has a*t present in layer m-1. The cap comes from the least
+target the class can have, not from max S. Every sum of m-1 elements is at
+least (m-1)*min S (the first step of the run lemma, core.least_run_target),
+so every target is at least t_lo = ceil((m-1)*min S / a), and a class with
+t_lo > max S holds no solution and gets no table. Otherwise the table is
+capped at a*T, T = 2*max(min S, t_lo), and built from the elements up to
+a*T - (m-2)*min S only; if it holds no target t <= T, the class gets the
+table capped at a*max S, which every target a*t is below. The small table is
+skipped when 4*T > max S, where it would cost about as much as the full one.
+Both give the same witness, byte for byte: a way of writing a*t as m-1 class
+elements uses none above a*t - (m-2)*min S, since the other m-2 are at least
+min S each. The targets below a*T are such sums, and so is each bit the
+backtrack reads, r - c*e in L_{k-c} for a remainder r of a*t, t <= T, after
+the elements picked before it: with them and c copies of e it writes a*t. So
+the small table holds the same bits as the full one wherever either is read.
+
+The targets that hold a solution are found at once: layer m-1 decimated by a
+(core.decimate, the search's shape-1 test), ANDed with S; the lowest one is
+the witness's x_m. The layers come from core.fold_layers, which the search's
+run folds share: one shift per maximal run of consecutive elements of S plus
+at most ceil(log2(w+1)) shift-ORs per distinct run width w, never more than
+|S| shifts. The table stops at the layer L_j whose successor is L_j shifted
+by min S, as a dense class's does after a few layers: every later layer is a
 shift of L_j too, so layer m-1 costs one shift and one AND, and the left
 side, backtracked smallest element first, each element as many times as it
 fits, reads any later layer as a bit of L_j. A small multiset enumeration
@@ -30,7 +49,7 @@ from typing import Iterable
 
 from .core import (
     Color, Coloring, RadoEquation, Witness, class_left_side, decimate, fold_layers, iter_bits,
-    least_class_target, run_plan,
+    least_class_target, run_ends, run_plan,
 )
 
 NAIVE_GUARD = 1_000_000
@@ -46,6 +65,13 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     j < k <= depth (core.fold_layers). The class is split once into maximal
     runs, with the run starts grouped by width (core.run_plan): the plan that
     core.fold_layers folds into empty layers.
+
+    find_mono_solution passes a cap of a*T, T = 2*max(min S, t_lo) with t_lo
+    = ceil((m-1)*min S / a) the least target the class can have, and only
+    the elements up to a*T - (m-2)*min S, the largest a sum a*t, t <= T, of
+    m-1 elements can hold; if that table holds no target, the cap a*max S
+    and the whole class. Below a*T both read the same as the whole class's
+    table wherever the checker reads them (module docstring).
     """
     if not class_bits:  # every layer is empty, a shift of the first by anything
         return [0]
@@ -100,6 +126,55 @@ def _greedy_left_side(
     raise RuntimeError("sumset table backtracking failed; table is inconsistent")
 
 
+def _class_parts(col: Coloring, color: Color) -> tuple[int, int]:
+    """A color class as (below, tail): the elements of the mask below and the run tail..n.
+
+    The run is empty if tail > n, as red's is: red is its mask. Blue is the
+    gaps of red, those below max red and the run above it, so that the run
+    costs no mask.
+    """
+    red = col.red_bits
+    if color is Color.RED:
+        return red, col.n + 1
+    tail = max(1, red.bit_length())
+    return ((1 << tail) - 2) & ~red, tail
+
+
+def _class_upto(col: Coloring, color: Color, top: int) -> int:
+    """The elements of a color class up to top, a mask of at most top + 1 bits."""
+    mask = (2 << min(top, col.n)) - 2
+    return col.red_bits & mask if color is Color.RED else mask & ~col.red_bits
+
+
+def _table_witness(
+    col: Coloring, color: Color, min_s: int, max_s: int, eq: RadoEquation
+) -> Witness | None:
+    """The least witness of a class of three runs or more, by a sumset table capped near it.
+
+    The cap is a*T for T = 2*max(min S, t_lo), t_lo the least target the
+    class can have, and a*max S if that table holds no target t <= T (module
+    docstring): the witness is the one a table capped at a*max S gives.
+    """
+    a, depth = eq.a, eq.m - 1
+    t_lo = -(-depth * min_s // a)  # every sum of m-1 elements is at least (m-1)*min S
+    if t_lo > max_s:
+        return None
+    small = 2 * max(min_s, t_lo)
+    for top in (small, max_s) if 4 * small <= max_s else (max_s,):
+        # the targets up to top, and every element a sum a*t, t <= top, of m-1
+        # elements can hold: none above a*top - (m-2)*min S
+        bits = _class_upto(col, color, max(top, a * top - (depth - 1) * min_s))
+        capmask = (1 << (a * top + 1)) - 1
+        layers = _sumset_layers(bits, depth, capmask)
+        shift = (depth - len(layers)) * min_s
+        hits = decimate((layers[-1] << shift) & capmask, a) & bits  # L_{m-1}
+        if hits:
+            t = (hits & -hits).bit_length() - 1
+            left = _greedy_left_side(layers, iter_bits(bits), a * t, depth)
+            return Witness((*left, t), color)
+    return None
+
+
 def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     """First monochromatic solution of L(m, a) under col, or None.
 
@@ -107,21 +182,20 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     qualifying target first, and the left side is reconstructed greedily by
     smallest element. Values may repeat; a witness can sit in one element.
     """
-    depth = eq.m - 1
+    m, a, n = eq.m, eq.a, col.n
     for color in (Color.RED, Color.BLUE):
-        bits = col.class_bits(color)
-        t = least_class_target(bits, eq.m, eq.a)
+        below, tail = _class_parts(col, color)
+        ends = run_ends(below)
+        if tail <= n and ends is not None:  # blue's run above max red
+            ends = (*ends, tail, n) if len(ends) < 4 else None
+        t = least_class_target(ends, m, a)
         if t:  # one or two runs: no table
-            return Witness((*class_left_side(bits, eq.a * t, depth), t), color)
-        if t is None:  # three runs or more
-            capmask = (1 << (eq.a * (bits.bit_length() - 1) + 1)) - 1  # cap a*max S
-            layers = _sumset_layers(bits, depth, capmask)
-            shift = (depth - len(layers)) * ((bits & -bits).bit_length() - 1)
-            hits = decimate((layers[-1] << shift) & capmask, eq.a) & bits  # L_{m-1}
-            if hits:
-                t = (hits & -hits).bit_length() - 1
-                left = _greedy_left_side(layers, iter_bits(bits), eq.a * t, depth)
-                return Witness((*left, t), color)
+            return Witness((*class_left_side(ends, a * t, m - 1), t), color)
+        if t is None:  # three runs or more, so below holds min S
+            max_s = n if tail <= n else below.bit_length() - 1
+            witness = _table_witness(col, color, (below & -below).bit_length() - 1, max_s, eq)
+            if witness:
+                return witness
     return None
 
 

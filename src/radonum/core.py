@@ -8,7 +8,8 @@ checker, construction, and search layers, and the rest by the checker and
 the search: the bitset helpers (iter_bits, smear_steps, decimate); the one
 entry that decides a class of at most two runs of consecutive integers by the
 run and two-run lemmas (least_class_target), with its witness's left side in
-closed form (class_left_side); and the sumset fold (fold_layers, planned by
+closed form (class_left_side), both reading the class as its run ends
+(run_ends); and the sumset fold (fold_layers, planned by
 run_plan for a whole class), which keeps the layers only up to the first that
 repeats its predecessor shifted by min S.
 
@@ -208,7 +209,7 @@ def _two_run_left_side(l1: int, h1: int, l2: int, h2: int, total: int, count: in
     return min(side(i) for i in (pivot - 1, pivot) if first <= i <= last)
 
 
-def _run_ends(bits: int) -> tuple[int, ...] | None:
+def run_ends(bits: int) -> tuple[int, ...] | None:
     """The ends of a class's runs: (), (lo, hi) or (l1, h1, l2, h2), or None for three or more."""
     if not bits:
         return ()
@@ -223,13 +224,14 @@ def _run_ends(bits: int) -> tuple[int, ...] | None:
     return l1, h1, l2.bit_length() - 1, bits.bit_length() - 1
 
 
-def least_class_target(bits: int, m: int, a: int) -> int | None:
+def least_class_target(ends: tuple[int, ...] | None, m: int, a: int) -> int | None:
     """The least t of a class of at most two runs with a*t a sum of m-1 of its elements.
 
-    0 if there is none, as for the empty class; None for a class of three
-    runs or more, which needs a sumset table (fold_layers). Needs min S >= 1.
+    The class is given by its run ends, as run_ends returns them, so a run
+    needs no mask. 0 if there is none, as for the empty class; None for a
+    class of three runs or more (ends None), which needs a sumset table
+    (fold_layers). Needs min S >= 1.
     """
-    ends = _run_ends(bits)
     if not ends:
         return None if ends is None else 0
     if len(ends) == 2:
@@ -237,13 +239,13 @@ def least_class_target(bits: int, m: int, a: int) -> int | None:
     return least_two_run_target(ends[0], ends[1], ends[2], ends[3], m, a)
 
 
-def class_left_side(bits: int, total: int, count: int) -> list[int]:
+def class_left_side(ends: tuple[int, ...], total: int, count: int) -> list[int]:
     """The least ascending list of count elements of a class of one or two runs summing to total.
 
-    total must be such a sum. Least is lexicographic, as in the checker's
-    greedy backtrack, smallest element first; the closed forms need no table.
+    The class is given by its run ends, and total must be such a sum. Least
+    is lexicographic, as in the checker's greedy backtrack, smallest element
+    first; the closed forms need no table.
     """
-    ends = _run_ends(bits)
     if len(ends) == 2:
         return _run_left_side(ends[0], ends[1], total, count)
     return _two_run_left_side(ends[0], ends[1], ends[2], ends[3], total, count)

@@ -138,7 +138,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_class_target, smear_steps,
+    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_class_target, run_ends,
+    smear_steps,
 )
 
 EXACT = "exact"
@@ -205,7 +206,7 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     layers, targets, blocked, full = state
     if w:
         bits = layers[0] | ((2 << w) - 1) << x
-        if least_class_target(bits, len(layers) + 1, a):  # one or two runs holding a solution
+        if least_class_target(run_ends(bits), len(layers) + 1, a):  # one or two runs, solved
             return None
     min_bit = layers[0] & -layers[0]  # the bit of min S, 0 while the class is empty
     if not min_bit or min_bit > 1 << x:  # x is the new min S: fold every layer

@@ -12,6 +12,7 @@ from radonum import (
     checker,
     find_mono_solution,
     is_valid_coloring,
+    lower_bound_coloring,
     naive_find_mono_solution,
     verify_witness,
 )
@@ -65,9 +66,12 @@ def test_sumset_table_truncates_at_cap():
 
 
 def test_three_run_tables_stop_at_the_first_repeat(monkeypatch):
-    # red {1, 3, 5} and blue {2, 4} + [6, 10^5] are three runs each; both tables
-    # repeat by a shift of min S after three layers, so layer 999 of blue, of
-    # 300,000 bits, is one shift of layer 3, not the last of 999 layers
+    # red {1, 3, 5} and blue {2, 4} + [6, 10^5] are three runs each. Red's
+    # targets are at least ceil(999*1/3) = 333 > 5, so red builds no table;
+    # blue's are at least t_lo = ceil(999*2/3) = 666, so its table is capped at
+    # a*T = 3*1332 = 3,996 bits, not a*max S = 300,000, and built from the
+    # elements up to 3,996 - 998*2 = 2,000. It repeats by a shift of min S
+    # after two layers, so layer 999 is one shift of layer 2
     tables = []
     real = checker._sumset_layers
     monkeypatch.setattr(
@@ -75,10 +79,26 @@ def test_three_run_tables_stop_at_the_first_repeat(monkeypatch):
     )
     witness = find_mono_solution(Coloring.from_red(10**5, [1, 3, 5]), RadoEquation(1000, 3))
     assert witness.to_dict() == {"color": "blue", "groups": [[999, 2], [1, 666]]}
-    assert len(tables) == 2 and all(len(layers) <= 3 for layers in tables)
-    # each table is capped at a*max S, 15 for red and 300,000 for blue, which its
-    # third layer reaches; capped at a*n, red would never repeat and keep 999 layers
-    assert [max(layers).bit_length() - 1 for layers in tables] == [15, 3 * 10**5]
+    assert len(tables) == 1 and len(tables[0]) == 2
+    assert [layer.bit_length() - 1 for layer in tables[0]] == [2000, 3 * 1332]
+
+
+def test_blue_is_read_from_red_without_a_mask_of_n(monkeypatch):
+    # blue is the gaps of red: a blue class of one or two runs is read as run
+    # ends, and one of three runs or more only up to the bound its table reads,
+    # so no check below builds the (n+1)-bit blue mask of [n]
+    def no_mask(col):
+        raise AssertionError("the checker built the blue mask of [n]")
+
+    monkeypatch.setattr(Coloring, "blue_bits", property(no_mask))
+    eq = RadoEquation(20000, 1)
+    col = lower_bound_coloring(eq)  # red 1..19998, blue 19999..399,960,000
+    assert col.n == 399_960_000 and is_valid_coloring(col, eq)
+    witness = find_mono_solution(Coloring(col.n, col.red_bits ^ (1 << 5)), eq)
+    assert witness.to_dict() == {"color": "blue", "groups": [[19999, 5], [1, 99995]]}
+    # {2, 4} and 6..10^9: three runs, decided by a table of a*T = 3,996 bits
+    witness = find_mono_solution(Coloring.from_red(10**9, [1, 3, 5]), RadoEquation(1000, 3))
+    assert witness.to_dict() == {"color": "blue", "groups": [[999, 2], [1, 666]]}
 
 
 def test_all_red_interval_has_solution():

@@ -13,7 +13,9 @@ runs, the one-summand greedy_left_side and brute force; the entry returns 0
 for the empty class and None for three runs or more. The galloping backtrack
 of every other class, which reads the layers past the table as bits of its
 last layer, is compared with those layers and greedy_left_side, and
-find_mono_solution with a checker built from both references. The search's
+find_mono_solution with a checker built from both references; its tables,
+capped near the least target a class can have, also with one table per class
+capped at a*max S, and on [8] with the naive oracle and enumeration. The search's
 incremental fold, of one element or of a run in one call (decided by the
 run-class entry when it leaves one or two runs, and written down when it
 leaves one run and no solution), returns None exactly when the reference
@@ -46,7 +48,7 @@ from radonum import (
 from radonum.checker import _greedy_left_side, _sumset_layers
 from radonum.core import (
     Color, Witness, class_left_side, decimate, fold_layers, iter_bits, least_class_target,
-    least_run_target, least_two_run_target, smear_steps,
+    least_run_target, least_two_run_target, run_ends, smear_steps,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
 
@@ -357,6 +359,144 @@ def test_one_run_classes_build_no_table(monkeypatch):
     assert witness == Witness((2, 4, 2), Color.BLUE)
 
 
+def full_cap_find_mono_solution(col, eq):
+    """The reference for find_mono_solution's capped tables: one table per class, capped at a*max S.
+
+    Every nonempty class, of however many runs, gets the whole class's table
+    capped at a*max S, which every target is below, and the greedy backtrack:
+    the least t, then the least left side.
+    """
+    depth = eq.m - 1
+    for color in (Color.RED, Color.BLUE):
+        bits = col.class_bits(color)
+        if not bits:
+            continue
+        capmask = (1 << (eq.a * (bits.bit_length() - 1) + 1)) - 1
+        layers = _sumset_layers(bits, depth, capmask)
+        shift = (depth - len(layers)) * ((bits & -bits).bit_length() - 1)
+        hits = decimate((layers[-1] << shift) & capmask, eq.a) & bits
+        if hits:
+            t = (hits & -hits).bit_length() - 1
+            return Witness((*_greedy_left_side(layers, iter_bits(bits), eq.a * t, depth), t), color)
+    return None
+
+
+@st.composite
+def many_run_colorings(draw, n_max=150):
+    """Colorings of [n] whose classes are mostly of three runs or more.
+
+    Random red, a few red elements under a blue run to n, a residue class,
+    and random red above a threshold, so that red's min S, and with it the
+    least target it can have, is large.
+    """
+    n = draw(st.integers(0, n_max))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        red = draw(st.integers(0, (1 << n) - 1)) << 1
+    elif kind == 1:
+        red = sum_bits(1 << x for x in draw(st.lists(st.integers(1, max(n, 1)), max_size=5)))
+    elif kind == 2:
+        d = draw(st.integers(2, 6))
+        red = sum_bits(1 << x for x in range(draw(st.integers(1, d)), n + 1, d))
+    else:
+        red = draw(st.integers(0, (1 << n) - 1)) << 1 & -(1 << draw(st.integers(1, n + 1)))
+    return Coloring(n, red & ((2 << n) - 2))
+
+
+@settings(max_examples=600, deadline=None)
+@given(col=many_run_colorings(), m=st.integers(2, 40), a=st.integers(1, 9))
+def test_capped_tables_match_full_cap_reference(col, m, a):
+    # tables capped at a*T near the least target, blue read as the gaps of red,
+    # against one table per class capped at a*max S
+    eq = RadoEquation(m, a)
+    assert find_mono_solution(col, eq) == full_cap_find_mono_solution(col, eq)
+
+
+@settings(max_examples=400, deadline=None)
+@given(col=many_run_colorings(n_max=8), m=st.integers(2, 7), a=st.integers(1, 6))
+def test_capped_tables_match_naive_oracle(col, m, a):
+    # the naive oracle returns the first multiset in lexicographic order, not
+    # the least target's, so its witness is compared by existence and color,
+    # and the checker's by enumeration: the least target, then the least list
+    eq = RadoEquation(m, a)
+    fast, slow = find_mono_solution(col, eq), naive_find_mono_solution(col, eq)
+    assert (fast is None) == (slow is None)
+    if fast is None:
+        return
+    assert fast.color is slow.color and fast.values[-1] <= slow.values[-1]
+    elements = list(iter_bits(col.class_bits(fast.color)))
+    sums = {}
+    for combo in itertools.combinations_with_replacement(elements, m - 1):
+        sums.setdefault(sum(combo), combo)  # the first, least list of each sum
+    t = min(t for t in elements if a * t in sums)
+    assert fast.values == (*sums[a * t], t)
+
+
+def tables_built(monkeypatch):
+    """Record the caps of the tables find_mono_solution builds."""
+    caps = []
+    real = checker._sumset_layers
+
+    def spy(bits, depth, capmask):
+        caps.append(capmask.bit_length() - 1)
+        return real(bits, depth, capmask)
+
+    monkeypatch.setattr(checker, "_sumset_layers", spy)
+    return caps
+
+
+@pytest.mark.parametrize(
+    ("red", "n", "m", "a", "caps", "values"),
+    [
+        # min S = 5, t_lo = ceil(2*5/1) = 10, T = 20: the least target, 5 + 15 =
+        # 20, is exactly T, so the table capped at a*T = 20 finds it
+        ([5, 15, 20, 80], 80, 3, 1, [20], (5, 15, 20)),
+        # 5 + 16 = 21 = T + 1: the small table finds none, the a*max S one does
+        ([5, 16, 21, 84], 84, 3, 1, [20, 84], (5, 16, 21)),
+        # a = 3: t_lo = ceil(4*2/3) = 3, T = 6, cap 18; 2 + 2 + 6 + 8 = 3*6
+        ([2, 6, 7, 8, 24], 24, 5, 3, [18], (2, 2, 6, 8, 6)),
+        # t_lo = ceil(2*5/3) = 4, T = 10, cap 30; 11 + 22 = 3*11, T + 1
+        ([5, 11, 22, 44], 44, 3, 3, [30, 132], (11, 22, 11)),
+    ],
+)
+def test_least_target_at_and_past_the_small_cap(monkeypatch, red, n, m, a, caps, values):
+    eq = RadoEquation(m, a)
+    col = Coloring.from_red(n, red)
+    want = full_cap_find_mono_solution(col, eq)
+    built = tables_built(monkeypatch)
+    witness = find_mono_solution(col, eq)
+    assert witness == want and witness.color is Color.RED and witness.values == values
+    assert built == caps
+
+
+def test_least_target_bound_decides_without_a_table(monkeypatch):
+    # red {1, 3, 5} and blue {2, 4, 6} against (1000, 3): every sum of 999
+    # elements is at least 999*min S, so targets are at least 333 and 666,
+    # past max S in both classes; neither builds a table
+    eq = RadoEquation(1000, 3)
+    col = Coloring.from_red(6, [1, 3, 5])
+    built = tables_built(monkeypatch)
+    assert find_mono_solution(col, eq) is None
+    assert built == []
+    assert full_cap_find_mono_solution(col, eq) is None
+
+
+@pytest.mark.parametrize(
+    ("m", "a", "caps"), [(3, 1, [4, 4000]), (6, 4, [16, 16000]), (2000, 5, [4000, 20000])]
+)
+def test_solution_free_residue_class(monkeypatch, m, a, caps):
+    # x = 1 mod 3 in [4000] as red, max S = 4000: sums of m-1 elements are m-1
+    # mod 3, and a*t is a mod 3, which differs; the small table, a*T with T =
+    # 2*max(1, ceil((m-1)/a)), finds nothing and the one at a*max S confirms
+    # it; blue, the other residues, holds the witness
+    eq = RadoEquation(m, a)
+    col = Coloring(4000, sum_bits(1 << x for x in range(1, 4001, 3)))
+    built = tables_built(monkeypatch)
+    witness = find_mono_solution(col, eq)
+    assert built[:2] == caps and witness.color is Color.BLUE
+    assert witness == full_cap_find_mono_solution(col, eq)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     lo=st.integers(1, 60),
@@ -373,10 +513,10 @@ def test_one_run_classes_match_reference(lo, width, m, a):
     layers = sumset_layers(bits, m - 1, (1 << (a * hi + 1)) - 1)
     t = next((t for t in range(lo, hi + 1) if layers[-1] >> (a * t) & 1), 0)
     assert least_run_target(lo, hi, m, a) == t
-    assert least_class_target(bits, m, a) == t
+    assert least_class_target(run_ends(bits), m, a) == t
     if t:
         want = greedy_left_side(layers, list(range(lo, hi + 1)), a * t, m - 1)
-        assert class_left_side(bits, a * t, m - 1) == want
+        assert class_left_side(run_ends(bits), a * t, m - 1) == want
     # as the red class, and as the blue one above a red run 1..lo-1, of [hi]
     for col in (Coloring(hi, bits), Coloring(hi, interval(1, lo - 1))):
         assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq)
@@ -455,10 +595,10 @@ def test_two_run_classes_match_reference(m, a, data):
     layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
     t = next((t for t in iter_bits(bits) if layers[-1] >> (a * t) & 1), 0)
     assert least_two_run_target(l1, h1, l2, h2, m, a) == t
-    assert least_class_target(bits, m, a) == t
+    assert least_class_target(run_ends(bits), m, a) == t
     if t:
         want = greedy_left_side(layers, list(iter_bits(bits)), a * t, m - 1)
-        assert class_left_side(bits, a * t, m - 1) == want
+        assert class_left_side(run_ends(bits), a * t, m - 1) == want
     for col in (Coloring(h2, bits), Coloring(h2, interval(1, h2) & ~bits)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(checker, "_sumset_layers", no_table)
@@ -478,7 +618,7 @@ def test_two_run_classes_match_reference(m, a, data):
     ],
 )
 def test_class_target_edges(bits, m, a, want):
-    assert least_class_target(bits, m, a) == want
+    assert least_class_target(run_ends(bits), m, a) == want
     # the classes of three runs go to the table, which finds what the reference does
     col = Coloring(max(bits.bit_length() - 1, 0), bits)
     assert find_mono_solution(col, RadoEquation(m, a)) == reference_find_mono_solution(
@@ -522,7 +662,7 @@ def test_two_run_left_side_cases(runs, m, a, t, upper, left):
     assert min(best.values()) == best[upper] == left
     assert upper in (pivot - 1, pivot)
     bits = interval(l1, h1) | interval(l2, h2)
-    assert class_left_side(bits, total, k) == left
+    assert class_left_side(run_ends(bits), total, k) == left
     layers = sumset_layers(bits, k, (1 << (total + 1)) - 1)
     assert greedy_left_side(layers, elements, total, k) == left
 
