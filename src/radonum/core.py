@@ -110,45 +110,22 @@ def least_two_run_target(l1: int, h1: int, l2: int, h2: int, m: int, a: int) -> 
 
     Needs 1 <= l1 <= h1 < l2 <= h2. With k = m-1, the sums of k elements,
     j of them from the upper run, are every integer of I_j = [(k-j)*l1 +
-    j*l2, (k-j)*h1 + j*h2]. Both ends grow with j, so only the j whose I_j
-    meets [a*l1, a*h2], where every a*t lies, matter. The gap from I_j to
-    I_{j+1} is g(j) = (l2-l1) - k*(h1-l1) - 1 - j*((h2-l2) - (h1-l1)): the
-    two touch iff g(j) <= 0, and since g is linear, the touching j form one
-    stretch whose intervals merge into one. The spans left, merged or lone,
-    are disjoint and increase with j, so the first one in j order that holds
-    some a*t holds the least: the least t of the lower run in it if there is
-    one, else that of the upper run. A span [A, B] holds a*t for some t of a
-    run l..h iff max(l, ceil(A/a)) <= min(h, B//a), the run lemma of
-    least_run_target. This is the two-run case of the structure of h-fold
-    sumsets (Nathanson, Sums of finite sets of integers, 1972).
+    j*l2, (k-j)*h1 + j*h2], j = 0..k. Both ends grow with j, so v >= k*l1 is
+    a sum iff v <= the end of I_j for the last j whose I_j starts at or below
+    v. Each run, lower first, is walked from its least t with a*t >= k*l1: t
+    is returned if a*t is a sum, and otherwise every v up to the start of
+    I_{j+1} is not, so the walk jumps there, a gap at a time. This is the
+    two-run case of the structure of h-fold sumsets (Nathanson, Sums of
+    finite sets of integers, 1972).
     """
-    k, d, slope = m - 1, l2 - l1, (h2 - l2) - (h1 - l1)
-    first = max(0, -((k * h1 - a * l1) // (h2 - h1)))  # the least j with end >= a*l1
-    last = min(k, (a * h2 - k * l1) // d)  # the largest j with start <= a*h2
-    if first > last:
-        return 0
-    c = d - k * (h1 - l1) - 1  # g(j) = c - j*slope
-    # the j in first..last-1 whose I_j touches I_{j+1}: lo..hi, none if lo > hi
-    if slope > 0:
-        lo, hi = max(first, -(-c // slope)), last - 1
-    elif slope < 0:
-        lo, hi = first, min(last - 1, c // slope)
-    else:
-        lo, hi = first, last - 1 if c <= 0 else first - 1
-    if lo > hi:  # no two touch: I_last stands alone, as the others do
-        lo, hi = last, last - 1
-    # (i, j): the union of I_i .. I_j, one interval
-    spans = [(j, j) for j in range(first, lo)] + [(lo, hi + 1)]
-    spans += [(j, j) for j in range(hi + 2, last + 1)]
-    for i, j in spans:
-        low, high = (k - i) * l1 + i * l2, (k - j) * h1 + j * h2
-        t_low, t_high = -(-low // a), high // a
-        t = max(l1, t_low)
-        if t <= min(h1, t_high):
-            return t
-        t = max(l2, t_low)
-        if t <= min(h2, t_high):
-            return t
+    k, d = m - 1, l2 - l1
+    for lo, hi in ((l1, h1), (l2, h2)):
+        t = max(lo, -(-k * l1 // a))  # the least t of the run with a*t >= k*l1
+        while t <= hi and (v := a * t) <= k * h2:  # no sum lies above k*h2, the end of I_k
+            j = min(k, (v - k * l1) // d)  # the last I_j that starts at or below v
+            if v <= k * h1 + j * (h2 - h1):
+                return t
+            t = -(-(k * l1 + (j + 1) * d) // a)  # the least t with a*t >= the start of I_{j+1}
     return 0
 
 
@@ -352,12 +329,21 @@ class Coloring:
 
     @classmethod
     def from_red(cls, n: int, red: Iterable[int]) -> Coloring:
-        bits = 0
+        """The coloring of [n] whose red class is red, each element in 1..n.
+
+        The mask is read from a base-2 string of max(red) + 1 digits, bit x at
+        index x before the string is reversed, grown as larger elements come:
+        linear in max(red), not in n, so a sparse red set stays small. Setting
+        one bit at a time would copy the mask per element.
+        """
+        digits = bytearray(b"0")
         for x in red:
             if not 1 <= x <= n:
                 raise ValueError(f"red element {x} outside 1..{n}")
-            bits |= 1 << x
-        return cls(n, bits)
+            if x >= len(digits):
+                digits += b"0" * (x + 1 - len(digits))
+            digits[x] = ord("1")
+        return cls(n, int(digits[::-1], 2))
 
     @property
     def domain_bits(self) -> int:

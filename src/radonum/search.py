@@ -14,8 +14,8 @@ both truncated at a*n_max, the largest target. Coloring element x folds it
 into one class with at most m-1 shifts (see _add_element; a run of forced
 colors that leaves one run is written down, any other goes through
 core.fold_layers, the checker's fold), and the child is pruned iff the
-folded last layer meets the folded targets: the fold then returns None, and
-no state of a class with a solution is ever built. The other class keeps
+folded class holds a solution: the fold then returns None, and no state of
+a class with a solution is ever built. The other class keeps
 its parent state by reference. full is the index of the first saturated
 layer, L_k = [k*min S, a*n_max]: adding a larger element cannot change it,
 so layers from full on are reused, not folded.
@@ -65,17 +65,16 @@ searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132, Exp.
 Math. 2008); the folds are the unit propagation of SAT solvers (Heule,
 Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
 
-A propagated run y..y+w, w >= 1, that leaves its class as one or two runs of
-consecutive integers is decided by arithmetic before any layer is built, by
-core.least_class_target, the checker's entry for such classes. If the class
-holds a solution, the fold returns None and the node is skipped; otherwise
-it builds the layers, since the search reads the class's blocked mask on. The
-lemmas decide the same bit as the fold's solution test: every target is at
-most a*n_max, the cap, so the uncapped lemmas and the capped layers agree.
-On perfbench's atlas points every run that leaves two runs holds a solution,
-274 a pass. Single elements (w = 0) are always folded: of the 587 a pass that
-leave two runs there, 187 hold one, and the search reads the others' layers
-on, so the test would mostly be paid on top of the fold.
+Every fold that leaves its class as one or two runs of consecutive integers,
+a child's element or a propagated run y..y+w, is decided by arithmetic before
+any layer is built, by core.least_class_target, the checker's entry for such
+classes. If the class holds a solution, the fold returns None, and the child
+is pruned or the node skipped; otherwise it builds the layers, since the
+search reads the class's blocked mask on. The lemmas decide the same bit as
+the layers' solution test would: every target is at most a*n_max, the cap,
+so the uncapped lemmas and the capped layers agree. On the wide points, most
+dead children leave two runs, and each costs a few integer operations where
+its fold built m-1 layers of up to a*n_max bits only to drop them.
 
 Trail: a node whose propagation ends without a conflict expands its children
 from the folded states, so the forced colors stay until the DFS backtracks
@@ -164,9 +163,10 @@ def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
 def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState | None:
     """Class state after adding the run of elements x..x+w, w >= 0, or None if it holds a solution.
 
-    The search's one fold. A run (w >= 1) that leaves the class as one or two
-    runs is decided first by core.least_class_target, with no layer built if
-    the class holds a solution (see the module docstring). The new layers are
+    The search's one fold. Every fold that leaves the class as one or two
+    runs, a single element or a run, is decided first by
+    core.least_class_target from the run ends, with no layer built if the
+    class holds a solution (see the module docstring). The new layers are
     L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
     smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
     with the one-run plan [([x], smear_steps(w))], which stops before the
@@ -204,10 +204,9 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     the solution-free state that last changed it ORed its y in already.
     """
     layers, targets, blocked, full = state
-    if w:
-        bits = layers[0] | ((2 << w) - 1) << x
-        if least_class_target(run_ends(bits), len(layers) + 1, a):  # one or two runs, solved
-            return None
+    ends = run_ends(layers[0] | ((2 << w) - 1) << x)
+    if least_class_target(ends, len(layers) + 1, a):  # one or two runs, solved
+        return None
     min_bit = layers[0] & -layers[0]  # the bit of min S, 0 while the class is empty
     if not min_bit or min_bit > 1 << x:  # x is the new min S: fold every layer
         full, min_bit = len(layers), 1 << x
@@ -220,12 +219,12 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
         head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
     else:
         steps = smear_steps(w)
-        if bits & (bits + min_bit):  # two runs or more
+        if ends is None or len(ends) > 2:  # two runs or more
             head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
             for _ in range(full - len(head)):  # the stable tail, one shift a layer
                 head.append((head[-1] << min_s) & capmask)
         else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
-            hi = bits.bit_length() - 1
+            hi = ends[1]
             head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]
             head += [capmask >> k * min_s << k * min_s for k in range(len(head) + 1, full + 1)]
     reused = len(layers) - len(head)

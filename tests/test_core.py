@@ -97,6 +97,37 @@ def test_coloring_validation_builds_no_domain_mask():
         Coloring(3, 1 << 4)  # bit 4 is above n
 
 
+def test_from_red_matches_setting_one_bit_at_a_time():
+    # the mask read from base-2 digits is the one that ORing in 1 << x per element
+    # builds: random red lists, with repeats and in any order, and sparse ones
+    def one_bit_at_a_time(red):
+        bits = 0
+        for x in red:
+            bits |= 1 << x
+        return bits
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 300)
+        red = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        assert Coloring.from_red(n, red).red_bits == one_bit_at_a_time(red)
+    n = 1_600_000_000
+    for red in ([1], [3, 1, 10**6, 3], rng.sample(range(1, 10**5), 50)):
+        assert Coloring.from_red(n, iter(red)).red_bits == one_bit_at_a_time(red)
+    # the mask is sized by max(red), not by n: [1.6 * 10^9] with red {1, 2} stays small
+    tracemalloc.start()
+    try:
+        col = Coloring.from_red(n, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.red_elements() == (1, 2) and peak < 1 << 20
+    # every element is range-checked, wherever it sits in the list
+    for red in ([0], [5, 4], [1, 2, 3, 7, 2], [-1, 2]):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            Coloring.from_red(4, red)
+
+
 def test_coloring_json_round_trip():
     col = Coloring.from_red(8, [1, 3, 4, 7])
     data = col.to_dict()

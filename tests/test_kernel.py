@@ -9,17 +9,20 @@ builds them, walks its run plan only up to that repeat. The run-class entry
 core.least_class_target, through the run lemma core.least_run_target and the
 two-run lemma core.least_two_run_target, and the closed-form left side
 core.class_left_side are compared with the reference layers of one or two
-runs, the one-summand greedy_left_side and brute force; the entry returns 0
-for the empty class and None for three runs or more. The galloping backtrack
-of every other class, which reads the layers past the table as bits of its
-last layer, is compared with those layers and greedy_left_side, and
+runs, the one-summand greedy_left_side and brute force, and the two-run
+lemma's gap walk also with a per-interval reference, at m up to 5,000 and run
+ends up to 10^6; the entry returns 0 for the empty class and None for three
+runs or more. The galloping backtrack of every other class, which reads the
+layers past the table as bits of its last layer, is compared with those
+layers and greedy_left_side, and
 find_mono_solution with a checker built from both references; its tables,
 capped near the least target a class can have, also with one table per class
 capped at a*max S, and on [8] with the naive oracle and enumeration. The search's
 incremental fold, of one element or of a run in one call (decided by the
 run-class entry when it leaves one or two runs, and written down when it
 leaves one run and no solution), returns None exactly when the reference
-layers hold a solution; while they hold none, its layers, its saturated-layer
+layers hold a solution, and without reading its layers when the class is
+left as one or two runs; while they hold none, its layers, its saturated-layer
 index and the lookahead's blocked-y mask are compared with the layer-at-a-time
 checker, the reference layers, the naive oracle, the per-y test blocks and
 plain enumeration, and exact_rado_number with a search that tries every
@@ -557,15 +560,16 @@ def test_two_run_lemma_matches_reference(m, a, data):
 @pytest.mark.parametrize(
     ("runs", "m", "touching", "a_without", "a_with"),
     [
-        # h2-l2 > h1-l1: the gap g(j) falls with j; with a_with, t = 20: 20+20+20 = 3*20
+        # h2-l2 > h1-l1: the gap from I_j to I_{j+1} shrinks as j grows; with a_with,
+        # t = 20: 20+20+20 = 3*20
         ((20, 22, 24, 28), 4, [True, True, True], 2, 3),
         ((1, 1, 10, 11), 4, [False, False, False], 4, 3),  # a single element: 1+1+1 = 3*1
         ((1, 1, 5, 8), 4, [False, True, True], 5, 4),  # t = 5 in the upper run: 5+7+8 = 4*5
-        # h2-l2 < h1-l1: g(j) grows with j
-        ((10, 14, 16, 17), 3, [True, True], 1, 2),  # g(1) = 0: I_1 and I_2 just touch; t = 10
+        # h2-l2 < h1-l1: the gap grows with j
+        ((10, 14, 16, 17), 3, [True, True], 1, 2),  # I_1 and I_2 just touch; t = 10
         ((1, 2, 10, 10), 4, [False, False, False], 8, 2),  # t = 2: 1+1+2 = 2*2
         ((10, 12, 15, 15), 4, [True, True, False], 1, 2),  # t = 15: 10+10+10 = 2*15
-        # h2-l2 = h1-l1: g is constant; a gap of one element, 13
+        # h2-l2 = h1-l1: the gap is the same for every j; one element, 13, between the runs
         ((10, 12, 14, 16), 3, [True, True], 1, 2),  # t = 10
         ((1, 2, 9, 10), 4, [False, False, False], 1, 2),  # t = 2
     ],
@@ -579,6 +583,90 @@ def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
     assert two_runs_reference(l1, h1, l2, h2, m, a_without) == 0
     t = least_two_run_target(l1, h1, l2, h2, m, a_with)
     assert t and t == two_runs_reference(l1, h1, l2, h2, m, a_with)
+
+
+def two_runs_per_interval(l1, h1, l2, h2, m, a):
+    """The least t of the class l1..h1, l2..h2 with a*t a sum of m-1 elements, or 0.
+
+    Tries every I_j, j = 0..m-1, against both runs with the run lemma's
+    interval arithmetic: no layers, so run ends of any size cost k + 1 steps.
+    """
+    k, best = m - 1, 0
+    for j in range(k + 1):
+        low, high = (k - j) * l1 + j * l2, (k - j) * h1 + j * h2
+        for lo, hi in ((l1, h1), (l2, h2)):
+            t = max(lo, -(-low // a))
+            if t <= min(hi, high // a) and not 0 < best <= t:
+                best = t
+    return best
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    m=st.one_of(st.integers(2, 12), st.integers(2, 5000)),
+    a=st.one_of(st.integers(1, 12), st.integers(1, 5000)),
+    data=st.data(),
+)
+def test_two_run_lemma_at_scale(m, a, data):
+    # run ends up to 10^6: narrow runs far apart, whose I_j leave gaps that the walk
+    # jumps, and wide ones, whose I_j touch
+    top = 10**6
+    width = st.one_of(st.integers(0, 12), st.integers(0, top // 2))
+    gap = st.one_of(st.integers(1, 60), st.integers(1, top // 2))
+    l1 = data.draw(st.one_of(st.integers(1, 60), st.integers(1, top - 2)))
+    h1 = min(l1 + data.draw(width), top - 2)
+    l2 = min(h1 + data.draw(gap), top)
+    h2 = min(l2 + data.draw(width), top)
+    got = least_two_run_target(l1, h1, l2, h2, m, a)
+    assert got == two_runs_per_interval(l1, h1, l2, h2, m, a)
+
+
+def test_two_run_lemma_matches_brute_force_on_a_grid():
+    # every two runs within 1..11, m 2..7 and a 1..7: the walk and the per-interval
+    # reference against the sums of m-1 elements, built one summand at a time
+    seen = set()
+    for l1, h1, l2, h2 in itertools.combinations_with_replacement(range(1, 12), 4):
+        if h1 == l2:
+            continue
+        elements = [*range(l1, h1 + 1), *range(l2, h2 + 1)]
+        sums = 1  # {0}, the sum of no element
+        for m in range(2, 8):
+            sums = sum_bits(sums << e for e in elements)  # the sums of m-1 elements
+            for a in range(1, 8):
+                want = next((t for t in elements if sums >> a * t & 1), 0)
+                assert least_two_run_target(l1, h1, l2, h2, m, a) == want, (l1, h1, l2, h2, m, a)
+                assert two_runs_per_interval(l1, h1, l2, h2, m, a) == want
+                seen.add(bool(want))
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize(
+    ("runs", "m", "a", "t", "gaps"),
+    [
+        ((1, 1, 49, 53), 2026, 46, 53, 4),  # a*t for t = 49..52 lie in four gaps
+        ((3, 3, 11, 14), 28, 8, 14, 3),
+        ((1, 6, 37, 37), 7, 37, 6, 5),  # in the lower run: t = 6, 6*37 = 37*6
+        ((5, 5, 16, 19), 38, 12, 0, 4),  # every a*t of the upper run lies in a gap
+    ],
+)
+def test_two_run_lemma_jumps_gaps(runs, m, a, t, gaps):
+    # the class elements below t whose a*t lies within [k*l1, k*h2], where every
+    # sum does, each lie in a gap between some I_j and I_{j+1}, and these are
+    # `gaps` distinct gaps: the walk jumps one gap a step, so it jumps that many
+    l1, h1, l2, h2 = runs
+    k = m - 1
+    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    assert two_runs_per_interval(l1, h1, l2, h2, m, a) == t
+    passed = [
+        u for u in (*range(l1, h1 + 1), *range(l2, h2 + 1))
+        if k * l1 <= a * u <= k * h2 and (not t or u < t)
+    ]
+    jumped = set()
+    for u in passed:
+        j = max(j for j in range(k + 1) if (k - j) * l1 + j * l2 <= a * u)  # the last I_j below
+        assert a * u > (k - j) * h1 + j * h2  # past its end: in the gap to I_{j+1}
+        jumped.add(j)
+    assert len(jumped) == gaps
 
 
 @settings(max_examples=600, deadline=None)
@@ -904,6 +992,39 @@ def test_run_fold_cases(monkeypatch, m, a, n, prefix, x, w):
     assert bool(folds) == bool(bits & (bits + (bits & -bits)))
     if prefix and x > min(prefix):  # min S stays: the saturated tail is reused
         assert all(new is old for new, old in zip(state[0][parent[3]:], parent[0][parent[3]:]))
+
+
+class Unread(tuple):
+    """Layers that can be indexed and measured, but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the layers were iterated")
+
+
+def test_solved_single_element_folds_build_no_layer():
+    # every solution-free class within 1..8, and every x that leaves it as one or two
+    # runs: if the result holds a solution, _add_element returns None from the run
+    # ends alone, with no layer iterated; if not, it folds the layers
+    decided = set()
+    for m in range(2, 6):
+        for a in range(1, 5):
+            capmask = (1 << (a * 8 + 1)) - 1
+            for bits in range(0, 1 << 9, 2):
+                state = fold(list(iter_bits(bits)), m, a, 8)
+                if state is None:
+                    continue
+                unread = (Unread(state[0]), *state[1:])
+                for x in range(1, 9):
+                    ends = run_ends(bits | 1 << x)
+                    if bits >> x & 1 or ends is None:
+                        continue
+                    if _add_element(state, x, 0, a, capmask) is None:
+                        assert _add_element(unread, x, 0, a, capmask) is None, (m, a, bits, x)
+                        decided.add(len(ends))
+                    else:
+                        with pytest.raises(AssertionError, match="iterated"):
+                            _add_element(unread, x, 0, a, capmask)
+    assert decided == {2, 4}  # results of one run and of two runs
 
 
 @settings(max_examples=300, deadline=None)
