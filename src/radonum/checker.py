@@ -126,36 +126,18 @@ def _greedy_left_side(
     raise RuntimeError("sumset table backtracking failed; table is inconsistent")
 
 
-def _class_parts(col: Coloring, color: Color) -> tuple[int, int]:
-    """A color class as (below, tail): the elements of the mask below and the run tail..n.
-
-    The run is empty if tail > n, as red's is: red is its mask. Blue is the
-    gaps of red, those below max red and the run above it, so that the run
-    costs no mask.
-    """
-    red = col.red_bits
-    if color is Color.RED:
-        return red, col.n + 1
-    tail = max(1, red.bit_length())
-    return ((1 << tail) - 2) & ~red, tail
-
-
-def _class_upto(col: Coloring, color: Color, top: int) -> int:
-    """The elements of a color class up to top, a mask of at most top + 1 bits."""
-    mask = (2 << min(top, col.n)) - 2
-    return col.red_bits & mask if color is Color.RED else mask & ~col.red_bits
-
-
-def _table_witness(
-    col: Coloring, color: Color, min_s: int, max_s: int, eq: RadoEquation
-) -> Witness | None:
+def _table_witness(below: int, tail: int, n: int, color: Color, eq: RadoEquation) -> Witness | None:
     """The least witness of a class of three runs or more, by a sumset table capped near it.
 
-    The cap is a*T for T = 2*max(min S, t_lo), t_lo the least target the
-    class can have, and a*max S if that table holds no target t <= T (module
-    docstring): the witness is the one a table capped at a*max S gives.
+    The class is the elements of the mask below and the run tail..n, empty
+    if tail > n; below holds min S. The cap is a*T for T = 2*max(min S,
+    t_lo), t_lo the least target the class can have, and a*max S if that
+    table holds no target t <= T (module docstring): the witness is the one
+    a table capped at a*max S gives.
     """
     a, depth = eq.a, eq.m - 1
+    min_s = (below & -below).bit_length() - 1
+    max_s = n if tail <= n else below.bit_length() - 1
     t_lo = -(-depth * min_s // a)  # every sum of m-1 elements is at least (m-1)*min S
     if t_lo > max_s:
         return None
@@ -163,7 +145,8 @@ def _table_witness(
     for top in (small, max_s) if 4 * small <= max_s else (max_s,):
         # the targets up to top, and every element a sum a*t, t <= top, of m-1
         # elements can hold: none above a*top - (m-2)*min S
-        bits = _class_upto(col, color, max(top, a * top - (depth - 1) * min_s))
+        cut = min(n, max(top, a * top - (depth - 1) * min_s))
+        bits = below & ((2 << cut) - 1) | max(0, (2 << cut) - (1 << tail))
         capmask = (1 << (a * top + 1)) - 1
         layers = _sumset_layers(bits, depth, capmask)
         shift = (depth - len(layers)) * min_s
@@ -182,20 +165,20 @@ def find_mono_solution(col: Coloring, eq: RadoEquation) -> Witness | None:
     qualifying target first, and the left side is reconstructed greedily by
     smallest element. Values may repeat; a witness can sit in one element.
     """
-    m, a, n = eq.m, eq.a, col.n
-    for color in (Color.RED, Color.BLUE):
-        below, tail = _class_parts(col, color)
+    m, a, n, red = eq.m, eq.a, col.n, col.red_bits
+    above = max(1, red.bit_length())  # max red + 1
+    # each class as (below, tail): the elements of the mask below and the run tail..n,
+    # empty for red; blue is the gaps of red below max red and the run above it, no mask
+    classes = (Color.RED, red, n + 1), (Color.BLUE, ((1 << above) - 2) & ~red, above)
+    for color, below, tail in classes:
         ends = run_ends(below)
         if tail <= n and ends is not None:  # blue's run above max red
             ends = (*ends, tail, n) if len(ends) < 4 else None
         t = least_class_target(ends, m, a)
         if t:  # one or two runs: no table
             return Witness((*class_left_side(ends, a * t, m - 1), t), color)
-        if t is None:  # three runs or more, so below holds min S
-            max_s = n if tail <= n else below.bit_length() - 1
-            witness = _table_witness(col, color, (below & -below).bit_length() - 1, max_s, eq)
-            if witness:
-                return witness
+        if t is None and (witness := _table_witness(below, tail, n, color, eq)):
+            return witness
     return None
 
 

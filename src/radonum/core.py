@@ -346,12 +346,8 @@ class Coloring:
         return cls(n, int(digits[::-1], 2))
 
     @property
-    def domain_bits(self) -> int:
-        return (1 << (self.n + 1)) - 2
-
-    @property
     def blue_bits(self) -> int:
-        return self.domain_bits & ~self.red_bits
+        return ((1 << (self.n + 1)) - 2) & ~self.red_bits
 
     def class_bits(self, color: Color) -> int:
         return self.red_bits if color is Color.RED else self.blue_bits

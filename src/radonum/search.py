@@ -88,14 +88,14 @@ put x into the class that blocks it. Such a child has the node's states and a
 window within the node's, so it folds nothing and finds no conflict; if its
 own x is colored too, its one child is pushed the same way. The node thus
 jumps along the colored run x..x+k-1, counting k checks and the k-1 nodes it
-passes, and pushes depth+k. k stops at n_max - depth and before the next
-deadline poll, so the stop node, polls and counts are those of popping each
-node; a passed node could raise best_depth only below goal, since no colored y
-lies above top. Otherwise x is blocked in neither class, and both children are
-folded and tested. The states hold forced elements above depth, so the
-certificate's red set is layer 1 masked to [1, depth]; a forced y is left out
-of W once it is in a class, and a class member's blocked bit is clear while
-its class is solution-free, so the AND over W needs no mask of the colored y.
+passes, and pushes depth+k. k stops at n_max - depth, so the stop node and
+the counts are those of popping each node; a passed node could raise
+best_depth only below goal, since no colored y lies above top. Otherwise x
+is blocked in neither class, and both children are folded and tested. The
+states hold forced elements above depth, so the certificate's red set is
+layer 1 masked to [1, depth]; a forced y is left out of W once it is in a
+class, and a class member's blocked bit is clear while its class is
+solution-free, so the AND over W needs no mask of the colored y.
 A propagated run lies above depth, but a chain may fold a lower run after a
 higher one, a child's x may lie below min S of a class that holds only forced
 elements, and a run may start an empty class: _add_element allows all three,
@@ -146,8 +146,6 @@ CUTOFF = "cutoff"
 # why a search stopped, besides EXACT: it reached depth n_max, or the timeout passed
 N_MAX = "n_max"
 TIMEOUT = "timeout"
-
-_POLL_MASK = 127  # poll the deadline every this many expanded nodes
 
 # (layers, targets, blocked, full): the sums of 1..m-1 elements, {a*t}, the future
 # y that would close a solution, all bitsets, and the index of the first layer
@@ -307,6 +305,10 @@ def exact_rado_number(
     optional timeout (seconds, >= 0) has passed; only then can deepest_valid
     fall short of n_max, and never below the goal. stats.stop is EXACT, N_MAX
     or TIMEOUT accordingly, and stats.seed the goal, or 0 if there is none.
+    With a timeout, the clock is read before each node is popped and after
+    each propagated run, and not for the nodes passed in a jump, so the DFS
+    overshoots it by at most one fold or one node's two child folds. A
+    timeout inside a propagation stops the search at the node, never skips it.
     threads must be >= 1 and has no effect.
     """
     if n_max < 1:
@@ -342,11 +344,9 @@ def exact_rado_number(
         stack.append((1, pinned, empty))
 
     while stack:
-        # nodes - 1 nodes expanded so far: poll before the first and every 128th
-        if (nodes & _POLL_MASK) == 1 and deadline is not None:
-            if time.perf_counter() > deadline:
-                stop = TIMEOUT
-                break
+        if deadline is not None and time.perf_counter() > deadline:
+            stop = TIMEOUT
+            break
         depth, red_state, blue_state = stack.pop()
         nodes += 1
         if depth > best_depth:
@@ -376,6 +376,11 @@ def exact_rado_number(
             else:
                 blue_p = _add_element(blue_p, y, w, a, capmask)
             conflict = red_p is None or blue_p is None or red_p[2] & blue_p[2] & window
+            if deadline is not None and time.perf_counter() > deadline:
+                # not a conflict, since an emptied stack would report EXACT: the node goes
+                # back on the stack, counted once, and the read before the next pop stops
+                stack.append((depth, red_state, blue_state))
+                conflict = True
         if conflict:
             continue
         # the children start from the folded states: the forced colors stay on the trail
@@ -383,8 +388,7 @@ def exact_rado_number(
         bit = 1 << x
         colored = red_p[0][0] | blue_p[0][0]
         if colored & bit:  # x is forced: jump along the colored x..x+k-1, see Trail
-            k = (colored & ~(colored + bit)).bit_length() - x
-            k = min(k, n_max - depth, ((1 - nodes) & _POLL_MASK) + 1)  # stop node, next poll
+            k = min((colored & ~(colored + bit)).bit_length() - x, n_max - depth)
             checks, nodes = checks + k, nodes + k - 1
             stack.append((depth + k, red_p, blue_p))
             continue

@@ -460,6 +460,9 @@ def tables_built(monkeypatch):
         ([2, 6, 7, 8, 24], 24, 5, 3, [18], (2, 2, 6, 8, 6)),
         # t_lo = ceil(2*5/3) = 4, T = 10, cap 30; 11 + 22 = 3*11, T + 1
         ([5, 11, 22, 44], 44, 3, 3, [30, 132], (11, 22, 11)),
+        # blue, 1, 3 and the run 5..60 above max red: t_lo = ceil(4*1/1) = 4, T = 8, cap
+        # 8; the table takes blue up to max(T, a*T - 3*min S) = 8, the run cut to 5..8
+        ([2, 4], 60, 5, 1, [8], (1, 1, 1, 3, 6)),
     ],
 )
 def test_least_target_at_and_past_the_small_cap(monkeypatch, red, n, m, a, caps, values):
@@ -468,8 +471,8 @@ def test_least_target_at_and_past_the_small_cap(monkeypatch, red, n, m, a, caps,
     want = full_cap_find_mono_solution(col, eq)
     built = tables_built(monkeypatch)
     witness = find_mono_solution(col, eq)
-    assert witness == want and witness.color is Color.RED and witness.values == values
-    assert built == caps
+    assert witness == want and witness.color is col.color_of(values[-1])
+    assert witness.values == values and built == caps
 
 
 def test_least_target_bound_decides_without_a_table(monkeypatch):

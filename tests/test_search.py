@@ -2,6 +2,7 @@
 
 import sys
 from functools import reduce
+from itertools import chain, repeat
 from operator import or_
 from types import SimpleNamespace
 
@@ -471,37 +472,78 @@ def test_cutoffs_keep_their_depth(m, a, n_max, timeout, want):
         assert out.certificate.red_bits == lookahead_only(eq, n_max)[3]
 
 
+def clock_past_deadline_at(read):
+    """A fake perf_counter: 0.0 up to read - 1 calls, then 10.0, past any deadline of 1 s."""
+    clock = chain(repeat(0.0, read - 1), repeat(10.0))
+    return SimpleNamespace(perf_counter=lambda: next(clock))
+
+
 def test_a_cutoff_on_the_trail_colors_only_its_depth(monkeypatch):
-    # the deadline passes at the second poll, 8 nodes into (24, 2)'s first descent; the
-    # trail has forced red 1..11 by then, yet the certificate is not the trail's: it is
-    # the goal the search checked before the DFS, the two-run coloring of [137]
-    clock = iter([0.0, 0.0, 10.0, 10.0])  # start, two polls, the elapsed time
-    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    monkeypatch.setattr(search, "_POLL_MASK", 7)
+    # the clock's 17th read, after node 8 of (24, 2)'s first descent, of depth 7, has
+    # folded the run 8..10 into red, is past the deadline; the trail colors red 1..10 and
+    # blue from 12 on by then, yet the certificate is not the trail's: it is the goal the
+    # search checked before the DFS, the two-run coloring of [137]
+    monkeypatch.setattr(search, "time", clock_past_deadline_at(17))
     eq = RadoEquation(24, 2)
     out = exact_rado_number(eq, n_max=146, timeout=1.0)
     assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 137)
+    assert out.stats.nodes == 8
     assert out.certificate == Coloring.from_red(137, range(1, 12))
+    assert is_valid_coloring(out.certificate, eq)
+
+
+def test_a_timeout_inside_a_propagation_is_not_a_conflict(monkeypatch):
+    # (150, 3) at C = 2484: its last node, of depth 2, popped with nothing else on the
+    # stack, folds 1,653 runs and reads the clock after each, its 76th to 1,728th reads;
+    # the 1,000th read is past the deadline.
+    # Skipping the node as a conflict would empty the stack and report EXACT; the node
+    # goes back, counted once, and the read before the next pop stops the search
+    monkeypatch.setattr(search, "time", clock_past_deadline_at(1000))
+    eq = RadoEquation(150, 3)
+    out = exact_rado_number(eq, n_max=2484, timeout=1.0)
+    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 2483)
+    assert out.stats.nodes == 2486 and out.stats.checks < 4208  # 4208: the whole search
     assert is_valid_coloring(out.certificate, eq)
 
 
 def test_the_deadline_is_polled_along_the_trail(monkeypatch):
     # (100, 2) at C = 2475: most of its nodes lie on runs of forced colors, which the
-    # search passes in jumps, yet it reads the deadline before the root and every 128th
-    # node as if it popped them one at a time; the fake clock records the search's node
-    # count at each read
-    polls = []
+    # search passes in jumps. It reads the clock before it pops each node and after each
+    # propagated run, and for no node passed in a jump. The fake clock and a spy on the
+    # fold log the search's (nodes, checks) in one sequence: the pinned root's fold, the
+    # loop, the stop read. In the loop a propagated run is a fold right after a read
+    # that adds one check; a child's first fold adds two, its second none
+    events = []
+
+    def log(kind):
+        frame = sys._getframe(2).f_locals
+        events.append((kind, frame["nodes"], frame["checks"]))
 
     def perf_counter():
-        polls.append(sys._getframe(1).f_locals.get("nodes"))
+        if events:  # the start read comes before the counts are set
+            log("read")
         return 0.0
 
+    def spy(*args):
+        log("fold")
+        return _add_element(*args)
+
     monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(100, 2), n_max=2475, timeout=1.0)
     assert (out.stats.stop, out.rado_number) == (EXACT, 2475)
-    nodes = out.stats.nodes
-    assert polls[0] is None and polls[-1] == nodes  # the clock's start and stop
-    assert polls[1:-1] == [v for v in range(1, nodes) if v & search._POLL_MASK == 1]
+    assert (out.stats.nodes, out.stats.checks) == (2476, 2529)  # as without a timeout
+    loop = events[1:-1]
+    runs = [i for i, (kind, _, checks) in enumerate(loop)
+            if kind == "fold" and loop[i - 1][0] == "read" and checks == loop[i - 1][2] + 1]
+    assert all(loop[i + 1] == ("read", *loop[i][1:]) for i in runs)
+    pops = [i for i, event in enumerate(loop) if event[0] == "read" and i - 1 not in runs]
+    for i in pops:  # the pop that follows counts one node, or k for a node that jumps k
+        (_, nodes, checks), (kind, next_nodes, next_checks) = loop[i], events[i + 2]
+        jump = kind == "read" and next_nodes - nodes == next_checks - checks
+        assert next_nodes == nodes + 1 or jump
+    # nodes counts the empty coloring, 30 pops and 2,445 nodes passed in jumps
+    assert (len(pops), len(runs)) == (30, 29)
 
 
 @pytest.mark.parametrize(("m", "a"), [(28, 2), (50, 3), (100, 2), (200, 6)])
@@ -531,7 +573,7 @@ def test_timeout_reports_cutoff():
     assert out.status == CUTOFF
     assert out.rado_number is None
     assert is_valid_coloring(out.certificate, RadoEquation(5, 1))
-    # the deadline is polled before the pinned root is expanded, and the search
+    # the deadline is read before the pinned root is popped, and the search
     # reports the goal it checked before the DFS
     assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (15, 1, 1)
     assert out.deepest_valid == out.stats.seed == out.certificate.n
