@@ -23,11 +23,9 @@ from .formula import (
     ceil_div,
     ceiling_formula,
     closed_form,
-    correction_term_bounded,
     decompose,
     general_threshold,
     known_rado_number,
-    solution_values_fit,
 )
 from .search import (
     SearchOutcome,
@@ -48,7 +46,6 @@ __all__ = [
     "ceil_div",
     "ceiling_formula",
     "closed_form",
-    "correction_term_bounded",
     "decompose",
     "exact_rado_number",
     "find_mono_solution",
@@ -58,6 +55,5 @@ __all__ = [
     "lower_bound_coloring",
     "naive_find_mono_solution",
     "small_case_coloring",
-    "solution_values_fit",
     "verify_witness",
 ]

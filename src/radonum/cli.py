@@ -146,7 +146,7 @@ def _cmd_exact(args) -> int:
     eq = RadoEquation(args.m, args.a)
     outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
     print(
-        f"# deepest_valid={outcome.deepest_valid} nodes={outcome.stats.nodes} "
+        f"# deepest_valid={outcome.certificate.n} nodes={outcome.stats.nodes} "
         f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f} "
         f"stop={outcome.stats.stop} seed={outcome.stats.seed}",
         file=sys.stderr,
@@ -158,7 +158,7 @@ def _cmd_exact(args) -> int:
     if outcome.exact:
         print(outcome.rado_number)
         return 0
-    print(f"cutoff deepest_valid={outcome.deepest_valid}")
+    print(f"cutoff deepest_valid={outcome.certificate.n}")
     return 1
 
 

@@ -20,6 +20,7 @@ Constructors reject parameters whose squares already overflow.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator
@@ -229,12 +230,14 @@ def class_left_side(ends: tuple[int, ...], total: int, count: int) -> list[int]:
 
 
 def run_plan(bits: int) -> list[tuple[list[int], list[int]]]:
-    """fold_layers' plan for a nonempty class: its maximal runs, starts grouped by width."""
+    """fold_layers' plan for a nonempty class: its maximal runs, starts grouped by width.
+
+    One regex walk over the reversed base-2 string, where bit p sits at index
+    p, finds every run p..q as a match of "1+" from p to q + 1.
+    """
     starts_by_width: dict[int, list[int]] = {}
-    run_starts = iter_bits(bits & ~(bits << 1))
-    run_ends = iter_bits(bits & ~(bits >> 1))
-    for p, q in zip(run_starts, run_ends):
-        starts_by_width.setdefault(q - p, []).append(p)
+    for run in re.finditer("1+", bin(bits)[:1:-1]):
+        starts_by_width.setdefault(run.end() - 1 - run.start(), []).append(run.start())
     widths = sorted(starts_by_width, reverse=True)
     return [
         (starts_by_width[w], smear_steps(w - narrower))

@@ -95,34 +95,6 @@ def closed_form(eq: RadoEquation) -> int:
     return quotient
 
 
-def solution_values_fit(eq: RadoEquation) -> bool:
-    """Whether 2m-2 and a+1 both lie within [1, C(m, a)].
-
-    Monochromatic solutions are assembled from values no larger than 2m-2,
-    so this is the room needed to run those constructions inside the interval
-    [C(m, a)]. Holds whenever a >= 3 and m >= 2a^2 - a + 2.
-    """
-    value = ceiling_formula(eq)
-    return 2 * eq.m - 2 <= value and eq.a + 1 <= value
-
-
-def correction_term_bounded(a: int, v: int, c: int) -> bool:
-    """Bound check for the correction term of the c >= 2 closed form.
-
-    With t = ceil((c-1)*(v+1)/a), verifies
-    a*c - a <= -v*a*c + v*a + t*a^2 <= a*c - a + a^2.
-    """
-    if a < 3:
-        raise ValueError(f"need a >= 3, got a={a}")
-    if not 0 <= v <= a - 1:
-        raise ValueError(f"need 0 <= v <= a-1, got v={v}")
-    if not 2 <= c <= a - 1:
-        raise ValueError(f"need 2 <= c <= a-1, got c={c}")
-    t = ceil_div((c - 1) * (v + 1), a)
-    term = -v * a * c + v * a + t * a * a
-    return a * c - a <= term <= a * c - a + a * a
-
-
 class KnownSource(enum.Enum):
     """Which exactly-solved regime produced a known Rado number."""
 

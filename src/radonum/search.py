@@ -2,8 +2,8 @@
 
 Colorings are grown one element at a time in the order 1, 2, 3, ...; any
 solution-free prefix of [k] is itself a valid coloring of [k], so the valid
-depths form a downward-closed set and the Rado number is deepest_valid + 1
-once depth deepest_valid + 1 has been refuted exhaustively. Element 1 is
+depths form a downward-closed set and the Rado number is d + 1, d the deepest
+valid depth, once depth d + 1 has been refuted exhaustively. Element 1 is
 pinned red: swapping the two colors preserves validity, so the red half of
 the tree suffices.
 
@@ -57,10 +57,10 @@ colorings of depth < top: of depth <= best_depth, and best_depth never falls,
 or below goal, and the final depth is at least goal. None of them can be the
 first coloring of the final depth, and top <= n_max, so none is the cut-off
 node either. Since the DFS pops in preorder, every node that can set a new
-best is still visited in the same order. The status, rado_number,
-deepest_valid and certificate are therefore those of the plain search; only
-the node and check counts fall. The test before the first fold, one AND of the
-two masks and W, is the forced-element lookahead of exhaustive van der Waerden
+best is still visited in the same order. The status, rado_number and
+certificate are therefore those of the plain search; only the node and check
+counts fall. The test before the first fold, one AND of the two masks
+and W, is the forced-element lookahead of exhaustive van der Waerden
 searches (Kouril and Paul, The van der Waerden number W(2,6) is 1132, Exp.
 Math. 2008); the folds are the unit propagation of SAT solvers (Heule,
 Kullmann and Marek, The Boolean Pythagorean Triples problem, SAT 2016).
@@ -111,8 +111,8 @@ blue class, hence in B*, so the first loop folded y, and into R*, since a
 member that blocks itself would be a solution in B*; blue likewise. So the
 other loop meets no conflict either, and the skip decision is the same at
 every node; by symmetry both loops end in R* and B*, which the trail passes
-on. Hence nodes, status, rado_number, deepest_valid and the certificate do
-not depend on the folding unit; only checks do.
+on. Hence nodes, status, rado_number and the certificate do not depend on
+the folding unit; only checks do.
 
 Counting: nodes counts every node, a skipped one and one passed in a jump
 included, and checks every child folded, every child whose x is forced, and
@@ -158,8 +158,12 @@ def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
     return (0,) * (m - 1), 0, capmask << 1 if (m, a) == (2, 1) else 0, m - 1
 
 
-def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _ClassState | None:
-    """Class state after adding the run of elements x..x+w, w >= 0, or None if it holds a solution.
+def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassState | None:
+    """Class state after adding the elements of the mask new, or None if it holds a solution.
+
+    Precondition, not checked: new is one bit or one run of consecutive bits,
+    the run x..x+w, w >= 0, with x >= 1 its lowest bit. Callers pass the mask
+    they hold: a child its bit, the propagation its run, the pinned root 0b10.
 
     The search's one fold. Every fold that leaves the class as one or two
     runs, a single element or a run, is decided first by
@@ -202,12 +206,15 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
     the solution-free state that last changed it ORed its y in already.
     """
     layers, targets, blocked, full = state
-    ends = run_ends(layers[0] | ((2 << w) - 1) << x)
+    ends = run_ends(layers[0] | new)
     if least_class_target(ends, len(layers) + 1, a):  # one or two runs, solved
         return None
+    x_bit = new & -new
+    x = x_bit.bit_length() - 1
+    w = new.bit_length() - 1 - x
     min_bit = layers[0] & -layers[0]  # the bit of min S, 0 while the class is empty
-    if not min_bit or min_bit > 1 << x:  # x is the new min S: fold every layer
-        full, min_bit = len(layers), 1 << x
+    if not min_bit or min_bit > x_bit:  # x is the new min S: fold every layer
+        full, min_bit = len(layers), x_bit
     cap, min_s = capmask.bit_length() - 1, min_bit.bit_length() - 1
     prev = 1
     # islice, not slices: tuples of fewer than 20 items are kept on free lists when
@@ -249,8 +256,8 @@ def _add_element(state: _ClassState, x: int, w: int, a: int, capmask: int) -> _C
         ys |= ys >> a * step
     blocked |= ys
     if len(layers) > 1 and reused < 2:  # for m = 2, L_0 = {0} gains nothing
-        new = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)
-        for s in iter_bits(new):
+        new_s = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)
+        for s in iter_bits(new_s):
             blocked |= targets >> s
     return new_layers, new_targets, blocked, full
 
@@ -270,15 +277,15 @@ class SearchStats:
 class SearchOutcome:
     """Result of an exhaustive search up to n_max.
 
-    status "exact": rado_number = deepest_valid + 1 and depth rado_number was
-    exhaustively refuted. status "cutoff": a valid coloring of [n_max] exists
-    (deepest_valid = n_max) or a timeout stopped the search early; rado_number
-    is None. The certificate is always a valid coloring of [deepest_valid].
+    The certificate is always a valid coloring of [certificate.n], the
+    deepest valid depth found. status "exact": rado_number = certificate.n + 1
+    and depth rado_number was exhaustively refuted. status "cutoff": a valid
+    coloring of [n_max] exists (certificate.n = n_max) or a timeout stopped
+    the search early; rado_number is None.
     """
 
     status: str
     rado_number: int | None
-    deepest_valid: int
     certificate: Coloring
     stats: SearchStats
 
@@ -302,7 +309,7 @@ def exact_rado_number(
     number when the stack empties, otherwise "cutoff": the search stops at
     the first node of depth n_max (in preorder it carries the
     lexicographically least red set among deepest colorings) or once the
-    optional timeout (seconds, >= 0) has passed; only then can deepest_valid
+    optional timeout (seconds, >= 0) has passed; only then can certificate.n
     fall short of n_max, and never below the goal. stats.stop is EXACT, N_MAX
     or TIMEOUT accordingly, and stats.seed the goal, or 0 if there is none.
     With a timeout, the clock is read before each node is popped and after
@@ -327,7 +334,7 @@ def exact_rado_number(
     best_depth, best_red = 0, 0
     nodes = checks = 1
     empty = _empty_state(m, a, capmask)
-    pinned = _add_element(empty, 1, 0, a, capmask)
+    pinned = _add_element(empty, 0b10, a, capmask)
     # imported here, not with the module: an outcome keeps its module's namespace alive
     # through its class, and that namespace then holds no reference to theirs
     from .checker import is_valid_coloring
@@ -369,12 +376,10 @@ def exact_rado_number(
             run = same & ~(same + y_bit)  # the bits of same from y_bit up to its first gap
             free ^= run
             checks += 1
-            y = y_bit.bit_length() - 1
-            w = run.bit_length() - 1 - y
             if to_red:
-                red_p = _add_element(red_p, y, w, a, capmask)
+                red_p = _add_element(red_p, run, a, capmask)
             else:
-                blue_p = _add_element(blue_p, y, w, a, capmask)
+                blue_p = _add_element(blue_p, run, a, capmask)
             conflict = red_p is None or blue_p is None or red_p[2] & blue_p[2] & window
             if deadline is not None and time.perf_counter() > deadline:
                 # not a conflict, since an emptied stack would report EXACT: the node goes
@@ -394,10 +399,10 @@ def exact_rado_number(
             continue
         # x is free, blocked in neither class: both children are folded and tested
         checks += 2
-        child = _add_element(blue_p, x, 0, a, capmask)
+        child = _add_element(blue_p, bit, a, capmask)
         if child is not None:
             stack.append((x, red_p, child))
-        child = _add_element(red_p, x, 0, a, capmask)
+        child = _add_element(red_p, bit, a, capmask)
         if child is not None:
             stack.append((x, child, blue_p))
     else:  # the stack emptied: no coloring of [best_depth + 1] is solution-free
@@ -408,5 +413,5 @@ def exact_rado_number(
     millis = (time.perf_counter() - start) * 1000.0
     stats = SearchStats(nodes, checks, millis, stop, goal)
     status, rado_number = (EXACT, certificate.n + 1) if stop == EXACT else (CUTOFF, None)
-    return SearchOutcome(status, rado_number, certificate.n, certificate, stats)
+    return SearchOutcome(status, rado_number, certificate, stats)
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import radonum
 from radonum import (
     Color,
     Coloring,
@@ -234,3 +235,15 @@ def test_value_types_have_no_instance_dict():
     ]
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_public_api_is_pinned():
+    # a new public name takes an edit here; a name that only tests use belongs in the tests
+    assert set(radonum.__all__) == {
+        "Color", "Coloring", "FormulaBreakdown", "KnownNumber", "KnownSource", "RadoEquation",
+        "SearchOutcome", "SearchStats", "Witness", "ceil_div", "ceiling_formula", "closed_form",
+        "decompose", "exact_rado_number", "find_mono_solution", "general_threshold",
+        "is_valid_coloring", "known_rado_number", "lower_bound_coloring",
+        "naive_find_mono_solution", "small_case_coloring", "verify_witness",
+    }
+    assert all(hasattr(radonum, name) for name in radonum.__all__)

@@ -9,16 +9,42 @@ from radonum import (
     ceil_div,
     ceiling_formula,
     closed_form,
-    correction_term_bounded,
     decompose,
     general_threshold,
     known_rado_number,
-    solution_values_fit,
 )
 
 # Spot values for a = 3, checked by evaluating the nested ceilings by hand:
 # inner = ceil((m-1)/3), value = ceil((m-1)*inner/3).
 A3_VALUES = {16: 25, 15: 24, 14: 22, 13: 16, 12: 15, 11: 14, 10: 9, 9: 8, 8: 7, 7: 4, 6: 4, 5: 3}
+
+
+def solution_values_fit(eq):
+    """Whether 2m-2 and a+1 both lie within [1, C(m, a)].
+
+    Monochromatic solutions are assembled from values no larger than 2m-2,
+    so this is the room needed to run those constructions inside the interval
+    [C(m, a)]. Holds whenever a >= 3 and m >= 2a^2 - a + 2.
+    """
+    value = ceiling_formula(eq)
+    return 2 * eq.m - 2 <= value and eq.a + 1 <= value
+
+
+def correction_term_bounded(a, v, c):
+    """Bound check for the correction term of the c >= 2 closed form.
+
+    With t = ceil((c-1)*(v+1)/a), verifies
+    a*c - a <= -v*a*c + v*a + t*a^2 <= a*c - a + a^2.
+    """
+    if a < 3:
+        raise ValueError(f"need a >= 3, got a={a}")
+    if not 0 <= v <= a - 1:
+        raise ValueError(f"need 0 <= v <= a-1, got v={v}")
+    if not 2 <= c <= a - 1:
+        raise ValueError(f"need 2 <= c <= a-1, got c={c}")
+    t = ceil_div((c - 1) * (v + 1), a)
+    term = -v * a * c + v * a + t * a * a
+    return a * c - a <= term <= a * c - a + a * a
 
 
 def test_ceil_div():

@@ -1,7 +1,8 @@
 """The search's and the checker's kernels against references and brute force.
 
 The shared bitset helpers core.decimate and core.smear_steps are compared
-with set references. The checker's run-length sumset layers stop before the
+with set references, and a class's run plan, core.run_plan, with one built
+bit by bit. The checker's run-length sumset layers stop before the
 first layer that repeats its predecessor by a shift of min S; shifted out to
 every layer, they are compared with the per-element reference sumset_layers,
 down to the witnesses find_mono_solution returns, and core.fold_layers, which
@@ -36,7 +37,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from radonum import (
@@ -51,7 +52,7 @@ from radonum import (
 from radonum.checker import _greedy_left_side, _sumset_layers
 from radonum.core import (
     Color, Witness, class_left_side, decimate, fold_layers, iter_bits, least_class_target,
-    least_run_target, least_two_run_target, run_ends, smear_steps,
+    least_run_target, least_two_run_target, run_ends, run_plan, smear_steps,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
 
@@ -201,6 +202,50 @@ dense = st.lists(st.booleans(), min_size=80, max_size=80).map(
 )
 
 
+def run_plan_reference(bits):
+    """The reference for core.run_plan, built bit by bit.
+
+    The maximal runs p..p+w of the class, grouped by width w, widest first,
+    starts ascending; each group's steps sum to its width minus the next
+    narrower width, or 0 for the narrowest.
+    """
+    starts_by_width = {}
+    p = None  # the start of the run being read
+    for x in range(bits.bit_length() + 1):
+        if bits >> x & 1 and p is None:
+            p = x
+        elif not bits >> x & 1 and p is not None:
+            starts_by_width.setdefault(x - 1 - p, []).append(p)
+            p = None
+    widths = sorted(starts_by_width, reverse=True)
+    plan = []
+    for w, narrower in zip(widths, [*widths[1:], 0]):
+        steps = smear_steps(w - narrower)
+        assert sum(steps) == w - narrower
+        plan.append((starts_by_width[w], steps))
+    return plan
+
+
+THUE_MORSE_2000 = sum_bits(1 << x for x in range(1, 2001) if x.bit_count() % 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    class_bits=st.one_of(
+        runs, scattered, dense, st.tuples(runs, scattered).map(lambda t: t[0] | t[1])
+    ).filter(bool),
+)
+@example(class_bits=interval(7, 300))  # one run
+@example(class_bits=THUE_MORSE_2000)  # runs of widths 0 and 1 only
+def test_run_plan_matches_reference(class_bits):
+    plan = run_plan(class_bits)
+    assert plan == run_plan_reference(class_bits)
+    # the plan's runs are the class
+    widths = itertools.accumulate(sum(steps) for _, steps in reversed(plan))
+    groups = zip(reversed(plan), widths)
+    assert sum_bits(interval(p, p + w) for (starts, _), w in groups for p in starts) == class_bits
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     class_bits=st.one_of(
@@ -219,7 +264,7 @@ def test_run_length_layers_match_reference(class_bits, depth, cap):
     ("class_bits", "depth", "cap"),
     [
         (0, 4, 30),  # an empty class
-        (1 << 1, 5, 30),  # single elements
+        (0b10, 5, 30),  # single elements
         (1 << 7, 4, 30),
         ((1 << 3) | (1 << 9) | (1 << 20), 4, 60),
         (interval(1, 6), 4, 40),  # a run that starts at 1
@@ -834,7 +879,7 @@ def fold(elements, m, a, n):
     capmask = (1 << (a * n + 1)) - 1
     state = _empty_state(m, a, capmask)
     for x in elements:
-        state = _add_element(state, x, 0, a, capmask)
+        state = _add_element(state, 1 << x, a, capmask)
         if state is None:
             break
     return state
@@ -871,7 +916,7 @@ def test_fold_matches_sumset_table(m, a, n, data):
     state = _empty_state(m, a, capmask)
     bits = 0
     for x in elements:
-        state = _add_element(state, x, 0, a, capmask)
+        state = _add_element(state, 1 << x, a, capmask)
         bits |= 1 << x
         reference = sumset_layers(bits, m - 1, capmask)
         if reference[-1] & targets_of(bits, a):
@@ -898,7 +943,7 @@ def test_saturated_tail_matches_reference(m, a, n, data):
     state = _empty_state(m, a, capmask)
     bits = 0
     for x in elements:
-        state = _add_element(state, x, 0, a, capmask)
+        state = _add_element(state, 1 << x, a, capmask)
         bits |= 1 << x
         layers = sumset_layers(bits, m - 1, capmask)
         if layers[-1] & targets_of(bits, a):  # the fold returns None exactly then
@@ -925,8 +970,9 @@ def check_run_fold(state, bits, x, w, m, a, n):
     Returns the fold's state, None or not, and the new class.
     """
     capmask = (1 << (a * n + 1)) - 1
-    state = _add_element(state, x, w, a, capmask)
-    bits |= interval(x, x + w)
+    run = interval(x, x + w)
+    state = _add_element(state, run, a, capmask)
+    bits |= run
     layers = sumset_layers(bits, m - 1, capmask)
     if layers[-1] & targets_of(bits, a):
         assert state is None
@@ -1021,12 +1067,12 @@ def test_solved_single_element_folds_build_no_layer():
                     ends = run_ends(bits | 1 << x)
                     if bits >> x & 1 or ends is None:
                         continue
-                    if _add_element(state, x, 0, a, capmask) is None:
-                        assert _add_element(unread, x, 0, a, capmask) is None, (m, a, bits, x)
+                    if _add_element(state, 1 << x, a, capmask) is None:
+                        assert _add_element(unread, 1 << x, a, capmask) is None, (m, a, bits, x)
                         decided.add(len(ends))
                     else:
                         with pytest.raises(AssertionError, match="iterated"):
-                            _add_element(unread, x, 0, a, capmask)
+                            _add_element(unread, 1 << x, a, capmask)
     assert decided == {2, 4}  # results of one run and of two runs
 
 
@@ -1081,7 +1127,7 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     assume(state is not None)  # the search reads only a solution-free class's mask
     blocked = bool(state[2] >> y & 1)
     if blocked:  # sound: y really closes a solution
-        assert _add_element(state, y, 0, a, (1 << (a * (n + 4) + 1)) - 1) is None
+        assert _add_element(state, 1 << y, a, (1 << (a * (n + 4) + 1)) - 1) is None
     # and it finds every solution with y at most once on the left
     covered = shapes_closed_by(members, y, m, a) & {Y_RIGHT, Y_LEFT, Y_BOTH}
     assert blocked == bool(covered)
@@ -1131,4 +1177,3 @@ def test_exact_rado_number_matches_brute_force(m, a, n_max):
     out = exact_rado_number(eq, n_max=n_max)
     status, rado_number, certificate = brute_force_search(eq, n_max)
     assert (out.status, out.rado_number, out.certificate) == (status, rado_number, certificate)
-    assert out.deepest_valid == certificate.n

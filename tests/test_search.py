@@ -33,7 +33,7 @@ def fold(eq, n, elements):
     capmask = (1 << (eq.a * n + 1)) - 1
     state = _empty_state(eq.m, eq.a, capmask)
     for x in elements:
-        state = _add_element(state, x, 0, eq.a, capmask)
+        state = _add_element(state, 1 << x, eq.a, capmask)
         if state is None:
             break
     return state
@@ -44,7 +44,7 @@ def test_exact_values_a3_small():
         out = exact_rado_number(RadoEquation(m, 3), n_max=12)
         assert out.status == EXACT
         assert out.rado_number == want, m
-        assert out.deepest_valid == want - 1
+        assert out.certificate.n == want - 1
 
 
 def test_exact_value_a1():
@@ -57,7 +57,7 @@ def test_degenerate_all_ones_solution():
     out = exact_rado_number(RadoEquation(4, 3), n_max=8)
     assert out.status == EXACT
     assert out.rado_number == 1
-    assert out.deepest_valid == 0
+    assert out.certificate.n == 0
     assert out.certificate == Coloring(0)
 
 
@@ -66,7 +66,6 @@ def test_cutoff_when_no_rado_number_exists():
     out = exact_rado_number(RadoEquation(2, 3), n_max=20)
     assert out.status == CUTOFF
     assert out.rado_number is None
-    assert out.deepest_valid == 20
     assert out.certificate.n == 20
     assert is_valid_coloring(out.certificate, RadoEquation(2, 3))
 
@@ -74,7 +73,7 @@ def test_cutoff_when_no_rado_number_exists():
 def test_cutoff_below_the_answer():
     out = exact_rado_number(RadoEquation(3, 3), n_max=5)
     assert out.status == CUTOFF
-    assert out.deepest_valid == 5
+    assert out.certificate.n == 5
 
 
 def test_certificates_are_valid_colorings():
@@ -82,16 +81,15 @@ def test_certificates_are_valid_colorings():
         eq = RadoEquation(m, a)
         out = exact_rado_number(eq, n_max=n_max)
         assert is_valid_coloring(out.certificate, eq), (m, a)
-        assert out.certificate.n == out.deepest_valid
         if out.status == EXACT:
-            assert out.rado_number == out.deepest_valid + 1
+            assert out.rado_number == out.certificate.n + 1
 
 
 def test_search_never_beats_the_lower_bound():
     for m in range(3, 13):
         eq = RadoEquation(m, 3)
         out = exact_rado_number(eq, n_max=16)
-        assert out.deepest_valid >= ceiling_formula(eq) - 1, m
+        assert out.certificate.n >= ceiling_formula(eq) - 1, m
 
 
 def test_element_one_is_red_in_certificates():
@@ -106,7 +104,7 @@ def test_thread_count_does_not_change_results():
         pooled = exact_rado_number(eq, n_max=n_max, threads=4)
         assert single.status == pooled.status
         assert single.rado_number == pooled.rado_number
-        assert single.deepest_valid == pooled.deepest_valid
+        assert single.certificate.n == pooled.certificate.n
         assert single.certificate == pooled.certificate
 
 
@@ -143,11 +141,12 @@ def test_search_tree_is_pinned(params, want, threads):
 def lookahead_only(eq, n_max):
     """exact_rado_number's search without propagation: only the lookahead skips nodes.
 
-    Returns (status, rado_number, deepest_valid, certificate red bits, nodes, checks).
+    Returns (status, rado_number, deepest valid depth, certificate red bits, nodes,
+    checks).
     """
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 1, 0, eq.a, capmask)
+    pinned = _add_element(empty, 0b10, eq.a, capmask)
     stack = [] if pinned is None else [(0b10, 1, pinned, empty)]
     best, best_red = (1, 0b10) if stack else (0, 0)
     nodes = checks = 1
@@ -166,7 +165,7 @@ def lookahead_only(eq, n_max):
             checks += 1
             if state[2] >> x & 1:
                 continue
-            child = _add_element(state, x, 0, eq.a, capmask)
+            child = _add_element(state, 1 << x, eq.a, capmask)
             if child is not None:
                 stack.append((red | 1 << x, x, child, blue_state) if to_red
                              else (red, x, red_state, child))
@@ -194,7 +193,7 @@ def propagate(red, blue, lo, hi, a, capmask):
         y = forced[0]
         done.add(y)
         to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
-        states[to] = _add_element(states[to], y, 0, a, capmask)
+        states[to] = _add_element(states[to], 1 << y, a, capmask)
         folds += 1
         if states[to] is None:  # the fold holds a solution
             return True, folds, *states
@@ -224,7 +223,7 @@ def propagate_runs(red, blue, lo, hi, a, capmask):
         runs += 1
         to = blocked[run[0]][0]  # 0 = red, 1 = blue: the class where the run is not blocked
         for y in run:
-            states[to] = _add_element(states[to], y, 0, a, capmask)
+            states[to] = _add_element(states[to], 1 << y, a, capmask)
             if states[to] is None:  # the run holds a solution
                 return True, runs, *states
 
@@ -259,7 +258,7 @@ def fold_every_child(eq, n_max):
     goal = two_run_goal(eq, n_max)
     capmask = (1 << (eq.a * n_max + 1)) - 1
     empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 1, 0, eq.a, capmask)
+    pinned = _add_element(empty, 0b10, eq.a, capmask)
     stack = [] if pinned is None else [(1, pinned, empty)]
     best, nodes, checks, element_checks, unfolded = len(stack), 1, 1, 1, 0
     while stack:
@@ -283,7 +282,7 @@ def fold_every_child(eq, n_max):
             element_checks += 1
             unfolded += 1
             sibling = blue_p if red_p[0][0] >> x & 1 else red_p
-            assert _add_element(sibling, x, 0, eq.a, capmask) is None, x
+            assert _add_element(sibling, 1 << x, eq.a, capmask) is None, x
             stack.append((x, red_p, blue_p))
             continue
         assert not (red_p[2] | blue_p[2]) >> x & 1, x
@@ -291,7 +290,7 @@ def fold_every_child(eq, n_max):
             parent = red_p if to_red else blue_p
             checks += 1
             element_checks += 1
-            child = _add_element(parent, x, 0, eq.a, capmask)
+            child = _add_element(parent, 1 << x, eq.a, capmask)
             if child is not None:
                 stack.append((x, child, blue_p) if to_red else (x, red_p, child))
     return nodes, checks, element_checks, unfolded
@@ -302,9 +301,9 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     m, a, n_max = params
     folds = []
 
-    def spy(state, x, w, a, capmask):
-        folds.append(state[2] >> x & ((2 << w) - 1))  # the run's bits in the class's mask
-        return _add_element(state, x, w, a, capmask)
+    def spy(state, new, a, capmask):
+        folds.append(state[2] & new)  # the new elements' bits in the class's mask
+        return _add_element(state, new, a, capmask)
 
     monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
@@ -340,13 +339,13 @@ def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
     m, a, n_max = params
     solved = []
 
-    def spy(state, x, w, a, capmask):
-        out = _add_element(state, x, w, a, capmask)
-        if out is None and w:
-            bits = state[0][0] | ((2 << w) - 1) << x
+    def spy(state, new, a, capmask):
+        out = _add_element(state, new, a, capmask)
+        if out is None and new & (new - 1):  # a run of two elements or more
+            bits = state[0][0] | new
             solved.append(bits)
             starts = bits & ~(bits << 1)  # the first element of each run
-            assert starts.bit_count() == 2 and two_runs_reference(bits, m, a), (x, w)
+            assert starts.bit_count() == 2 and two_runs_reference(bits, m, a), bin(new)
         return out
 
     monkeypatch.setattr(search, "_add_element", spy)
@@ -384,7 +383,7 @@ def same_answer_fewer_nodes(m, a, n_max):
     eq = RadoEquation(m, a)
     out = exact_rado_number(eq, n_max=n_max)
     status, rado_number, deepest, red_bits, nodes, checks = lookahead_only(eq, n_max)
-    got = (out.status, out.rado_number, out.deepest_valid, out.certificate.red_bits)
+    got = (out.status, out.rado_number, out.certificate.n, out.certificate.red_bits)
     assert got == (status, rado_number, deepest, red_bits), (m, a, n_max)
     assert out.stats.nodes <= nodes, (m, a, n_max)
     # the search skips the nodes that element-by-element propagation skips, and
@@ -437,8 +436,8 @@ def test_the_goal_is_checked_not_trusted(monkeypatch, m, a, n_max):
     monkeypatch.setattr(construction, "ceiling_formula", lambda eq: ceiling_formula(eq) + 10)
     out = exact_rado_number(eq, n_max=n_max)
     assert out.stats.seed == 0
-    assert (out.status, out.rado_number, out.deepest_valid, out.certificate) == (
-        plain.status, plain.rado_number, plain.deepest_valid, plain.certificate)
+    assert (out.status, out.rado_number, out.certificate) == (
+        plain.status, plain.rado_number, plain.certificate)
 
 
 def test_the_first_descent_follows_forced_colors(monkeypatch):
@@ -465,8 +464,7 @@ def test_the_first_descent_follows_forced_colors(monkeypatch):
 def test_cutoffs_keep_their_depth(m, a, n_max, timeout, want):
     eq = RadoEquation(m, a)
     out = exact_rado_number(eq, n_max=n_max, timeout=timeout)
-    assert (out.status, out.stats.stop, out.deepest_valid, out.stats.seed) == want
-    assert out.certificate.n == out.deepest_valid
+    assert (out.status, out.stats.stop, out.certificate.n, out.stats.seed) == want
     assert is_valid_coloring(out.certificate, eq)
     if timeout is None:  # the n_max cut-off node is the unseeded search's
         assert out.certificate.red_bits == lookahead_only(eq, n_max)[3]
@@ -486,7 +484,7 @@ def test_a_cutoff_on_the_trail_colors_only_its_depth(monkeypatch):
     monkeypatch.setattr(search, "time", clock_past_deadline_at(17))
     eq = RadoEquation(24, 2)
     out = exact_rado_number(eq, n_max=146, timeout=1.0)
-    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 137)
+    assert (out.status, out.stats.stop, out.certificate.n) == (CUTOFF, "timeout", 137)
     assert out.stats.nodes == 8
     assert out.certificate == Coloring.from_red(137, range(1, 12))
     assert is_valid_coloring(out.certificate, eq)
@@ -501,7 +499,7 @@ def test_a_timeout_inside_a_propagation_is_not_a_conflict(monkeypatch):
     monkeypatch.setattr(search, "time", clock_past_deadline_at(1000))
     eq = RadoEquation(150, 3)
     out = exact_rado_number(eq, n_max=2484, timeout=1.0)
-    assert (out.status, out.stats.stop, out.deepest_valid) == (CUTOFF, "timeout", 2483)
+    assert (out.status, out.stats.stop, out.certificate.n) == (CUTOFF, "timeout", 2483)
     assert out.stats.nodes == 2486 and out.stats.checks < 4208  # 4208: the whole search
     assert is_valid_coloring(out.certificate, eq)
 
@@ -552,8 +550,7 @@ def test_ladder_points_reach_the_ceiling_formula(m, a):
     eq = RadoEquation(m, a)
     c = ceiling_formula(eq)
     out = exact_rado_number(eq, n_max=c)
-    assert (out.status, out.rado_number, out.deepest_valid) == (EXACT, c, c - 1)
-    assert out.certificate.n == c - 1
+    assert (out.status, out.rado_number, out.certificate.n) == (EXACT, c, c - 1)
     assert is_valid_coloring(out.certificate, eq)
 
 
@@ -575,8 +572,8 @@ def test_timeout_reports_cutoff():
     assert is_valid_coloring(out.certificate, RadoEquation(5, 1))
     # the deadline is read before the pinned root is popped, and the search
     # reports the goal it checked before the DFS
-    assert (out.deepest_valid, out.stats.nodes, out.stats.checks) == (15, 1, 1)
-    assert out.deepest_valid == out.stats.seed == out.certificate.n
+    assert (out.certificate.n, out.stats.nodes, out.stats.checks) == (15, 1, 1)
+    assert out.stats.seed == out.certificate.n
     assert out.certificate == lower_bound_coloring(RadoEquation(5, 1))
 
 
@@ -598,7 +595,7 @@ def test_prefix_check_on_lower_bound_prefixes():
     states = {Color.RED: fold(eq, col.n, []), Color.BLUE: fold(eq, col.n, [])}
     for k in range(1, col.n + 1):
         color = col.color_of(k)
-        states[color] = _add_element(states[color], k, 0, eq.a, capmask)
+        states[color] = _add_element(states[color], 1 << k, eq.a, capmask)
         assert states[color] is not None, k
 
 
