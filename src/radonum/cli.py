@@ -144,6 +144,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_exact(args) -> int:
     eq = RadoEquation(args.m, args.a)
+    if args.cert:  # an unwritable path fails now, not after the search
+        open(args.cert, "a", encoding="utf-8").close()
     outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
     print(
         f"# deepest_valid={outcome.certificate.n} nodes={outcome.stats.nodes} "
@@ -206,6 +208,8 @@ def _format_row(row: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    if args.report:  # an unwritable path fails now, not after every row
+        open(args.report, "a", encoding="utf-8").close()
     rows = []
     for row in _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout):
         # timings vary from run to run, so they go to stderr and stdout stays byte-stable;

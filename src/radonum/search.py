@@ -7,18 +7,17 @@ valid depth, once depth d + 1 has been refuted exhaustively. Element 1 is
 pinned red: swapping the two colors preserves validity, so the red half of
 the tree suffices.
 
-Each DFS node carries, per color class, the state (layers, targets, blocked,
-full): layers[k-1] is the bitset of sums of exactly k class elements
-(repetition allowed, k = 1..m-1) and targets is the bitset {a*t : t in class},
-both truncated at a*n_max, the largest target. Coloring element x folds it
-into one class with at most m-1 shifts (see _add_element; a run of forced
-colors that leaves one run is written down, any other goes through
-core.fold_layers, the checker's fold), and the child is pruned iff the
-folded class holds a solution: the fold then returns None, and no state of
-a class with a solution is ever built. The other class keeps
-its parent state by reference. full is the index of the first saturated
-layer, L_k = [k*min S, a*n_max]: adding a larger element cannot change it,
-so layers from full on are reused, not folded.
+Each DFS node carries, per color class, the state (layers, blocked, full):
+layers[k-1] is the bitset of sums of exactly k class elements (repetition
+allowed, k = 1..m-1), truncated at a*n_max, the largest target, so layers[0]
+is the class itself. Coloring element x folds it into one class with at most
+m-1 shifts (see _add_element; a run of forced colors that leaves one run is
+written down, any other goes through core.fold_layers, the checker's fold),
+and the child is pruned iff the folded class holds a solution: the fold then
+returns None, and no state of a class with a solution is ever built. The
+other class keeps its parent state by reference. full is the index of the
+first saturated layer, L_k = [k*min S, a*n_max]: adding a larger element
+cannot change it, so layers from full on are reused, not folded.
 
 blocked is the bitset of the y that would close a solution if added to the
 class, as far as these shapes go, with L_0 = {0}:
@@ -29,7 +28,10 @@ Solutions with y twice or more on the left are not looked for. Every value
 involved is at most a*y, so the cap at a*n_max loses nothing for y <= n_max.
 Since a class only grows, blocked only grows: _add_element ORs the new y into
 the parent's mask with whole-integer operations. The shapes are sound: a class
-that takes a y it blocks holds a solution.
+that takes a y it blocks holds a solution. Shape 1 puts in the mask every t
+with a*t in L_{m-1}, so a class holds a solution iff its mask meets the class,
+layers[0]: that is the fold's one solution test, and no state keeps the set
+{a*t : t in class}.
 
 Goal: before the DFS, the search takes the paper's lower-bound coloring of
 [C(m, a) - 1] from construction.lower_bound_coloring (its docstring holds the
@@ -147,15 +149,15 @@ CUTOFF = "cutoff"
 N_MAX = "n_max"
 TIMEOUT = "timeout"
 
-# (layers, targets, blocked, full): the sums of 1..m-1 elements, {a*t}, the future
-# y that would close a solution, all bitsets, and the index of the first layer
-# that is saturated; see the module docstring
-_ClassState = tuple[tuple[int, ...], int, int, int]
+# (layers, blocked, full): the sums of 1..m-1 elements and the future y that would
+# close a solution, all bitsets, and the index of the first layer that is
+# saturated; see the module docstring
+_ClassState = tuple[tuple[int, ...], int, int]
 
 
 def _empty_state(m: int, a: int, capmask: int) -> _ClassState:
     """State of an empty class. It blocks no y, except for L(2, 1): y = y."""
-    return (0,) * (m - 1), 0, capmask << 1 if (m, a) == (2, 1) else 0, m - 1
+    return (0,) * (m - 1), capmask << 1 if (m, a) == (2, 1) else 0, m - 1
 
 
 def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassState | None:
@@ -177,10 +179,9 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     leaves the class as one run lo..hi is written down instead, L'_k =
     [k*lo, k*hi] capped: no layer is shifted past the cap. A single element
     (w = 0) costs one shift per layer, no more than the fold's stable tail, so
-    it is folded here without the tail's test. The class holds a solution iff
-    the new L'_{m-1} meets the new targets. Layer 1 is the class: its elements
-    are at most n_max, below the cap. Adding elements already in the class
-    leaves the state unchanged.
+    it is folded here without the tail's test. Layer 1 is the class: its
+    elements are at most n_max, below the cap. Adding elements already in the
+    class leaves the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
@@ -200,12 +201,20 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
         L'_{m-2} below a*(x+w) bit-reversed about a*(x+w), which gives the y
         of t = x+w, then smeared down with step a, which gives those of the
         smaller t; for t in S, only the s that are new in L'_{m-2}, each as
-        targets >> s. Such an s can reach a target only below
-        targets.bit_length(), whatever the order elements arrive in.
+        {a*t : t in S} >> s, the parent's layer 1 spread by a, which is built
+        only when there is such an s. An s can give a y >= 1 only below
+        a*max S, whatever the order elements arrive in.
     A reused L'_{m-1} or L'_{m-2} adds nothing to shapes 1 and 3, nor new s:
     the solution-free state that last changed it ORed its y in already.
+
+    The class holds a solution iff the new blocked meets the new layer 1.
+    The shapes are sound, so a member whose bit is set closes a solution.
+    Conversely, take a solution with target t, a*t in L'_{m-1}: if L'_{m-1}
+    was folded, shape 1 puts t in the mask; if it was reused, it is the
+    parent's L_{m-1}, and the parent's mask holds t already, by the same
+    argument for the state that last changed that layer.
     """
-    layers, targets, blocked, full = state
+    layers, blocked, full = state
     ends = run_ends(layers[0] | new)
     if least_class_target(ends, len(layers) + 1, a):  # one or two runs, solved
         return None
@@ -216,33 +225,24 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     if not min_bit or min_bit > x_bit:  # x is the new min S: fold every layer
         full, min_bit = len(layers), x_bit
     cap, min_s = capmask.bit_length() - 1, min_bit.bit_length() - 1
-    prev = 1
+    prev, steps = 1, smear_steps(w)
     # islice, not slices: tuples of fewer than 20 items are kept on free lists when
     # freed, and slices of every length would fill those with thousands of tuples
     if not w:
-        steps = ()
         head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
-    else:
-        steps = smear_steps(w)
-        if ends is None or len(ends) > 2:  # two runs or more
-            head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
-            for _ in range(full - len(head)):  # the stable tail, one shift a layer
-                head.append((head[-1] << min_s) & capmask)
-        else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
-            hi = ends[1]
-            head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]
-            head += [capmask >> k * min_s << k * min_s for k in range(len(head) + 1, full + 1)]
+    elif ends is None or len(ends) > 2:  # two runs or more
+        head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
+        for _ in range(full - len(head)):  # the stable tail, one shift a layer
+            head.append((head[-1] << min_s) & capmask)
+    else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
+        hi = ends[1]
+        head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]
+        head += [capmask >> k * min_s << k * min_s for k in range(len(head) + 1, full + 1)]
     reused = len(layers) - len(head)
     # L'_k is saturated when it holds all cap + 1 - k*min S values of its interval
     while full and head[full - 1].bit_count() == max(0, cap + 1 - full * min_s):
         full -= 1
     new_layers = (*head, *islice(layers, len(head), None))
-    new_targets = 1 << a * x  # {a*t : t in R}
-    for step in steps:
-        new_targets |= new_targets << a * step
-    new_targets |= targets
-    if new_layers[-1] & new_targets:
-        return None
     below = new_layers[-2] if len(layers) > 1 else 1  # L'_{m-2}
     if not reused:  # a reused layer's y are in the parent's mask already
         blocked |= decimate(new_layers[-1], a)
@@ -255,11 +255,15 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     for step in steps:
         ys |= ys >> a * step
     blocked |= ys
-    if len(layers) > 1 and reused < 2:  # for m = 2, L_0 = {0} gains nothing
-        new_s = below & ~layers[-2] & ((1 << targets.bit_length()) - 1)
+    # t in S: for m = 2, L_0 = {0} gains nothing; a new s gives a y = a*t - s >= 1 only
+    # below a*max S, and ((1 << a*bit_length) - 1) >> a masks those, none while S is empty
+    if len(layers) > 1 and reused < 2 and (
+            new_s := below & ~layers[-2] & ((1 << a * layers[0].bit_length()) - 1) >> a):
+        # a-1 zeros between the base-2 digits move bit t to a*t: {a*t : t in S}
+        spread = int(("0" * (a - 1)).join(bin(layers[0])[2:]), 2)
         for s in iter_bits(new_s):
-            blocked |= targets >> s
-    return new_layers, new_targets, blocked, full
+            blocked |= spread >> s
+    return None if blocked & new_layers[0] else (new_layers, blocked, full)
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,12 +371,12 @@ def exact_rado_number(
         # extension that colors it: fold it there with the forced y right above it that the
         # same class blocks, lowest first, until a conflict or none is left; layer 1 is the
         # class itself, the forced elements above depth included
-        conflict = red_state[2] & blue_state[2] & window
+        conflict = red_state[1] & blue_state[1] & window
         red_p, blue_p, free = red_state, blue_state, window & ~(red_state[0][0] | blue_state[0][0])
-        while not conflict and (forced := (red_p[2] ^ blue_p[2]) & free):
+        while not conflict and (forced := (red_p[1] ^ blue_p[1]) & free):
             y_bit = forced & -forced
-            to_red = blue_p[2] & y_bit
-            same = forced & (blue_p[2] if to_red else red_p[2])
+            to_red = blue_p[1] & y_bit
+            same = forced & (blue_p[1] if to_red else red_p[1])
             run = same & ~(same + y_bit)  # the bits of same from y_bit up to its first gap
             free ^= run
             checks += 1
@@ -380,7 +384,7 @@ def exact_rado_number(
                 red_p = _add_element(red_p, run, a, capmask)
             else:
                 blue_p = _add_element(blue_p, run, a, capmask)
-            conflict = red_p is None or blue_p is None or red_p[2] & blue_p[2] & window
+            conflict = red_p is None or blue_p is None or red_p[1] & blue_p[1] & window
             if deadline is not None and time.perf_counter() > deadline:
                 # not a conflict, since an emptied stack would report EXACT: the node goes
                 # back on the stack, counted once, and the read before the next pop stops

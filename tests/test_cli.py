@@ -209,6 +209,19 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     assert is_valid_coloring(col, RadoEquation(2, 3))
 
 
+def no_search(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+def test_exact_unwritable_cert_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("radonum.cli.exact_rado_number", no_search)
+    code = run(["exact", "--m", "3", "--a", "3", "--cert", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_exact_threads_flag_and_env(capsys, monkeypatch):
     # the search runs on one thread: there is no --threads flag and no RADO_THREADS
     assert run(["exact", "--m", "3", "--a", "3", "--threads", "1"]) == 2
@@ -262,6 +275,16 @@ def test_sweep_output_and_report(tmp_path, capsys):
     assert [row["exact"] for row in rows] == [9, 1, 4, 5]
     assert all(row["agree"] is True for row in rows)
     assert all(row["millis"] >= 0 for row in rows)
+
+
+def test_sweep_unwritable_report_fails_before_the_first_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("radonum.cli.exact_rado_number", no_search)
+    report = tmp_path / "missing" / "report.json"
+    code = run(["sweep", "--a", "3", "--m-from", "3", "--m-to", "6", "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_sweep_stdout_is_byte_stable(capsys):

@@ -856,7 +856,8 @@ def blocks(state, y, a):
     """Whether adding a future element y to the class would close a solution.
 
     The reference for bit y of the state's blocked mask, one y at a time. Reads
-    only the class's layers and targets a*S; y itself need not be folded in.
+    only the class's layers, and builds the targets a*S from layer 1, the
+    class; y itself need not be folded in.
     Sound but incomplete: it finds the solutions in S + {y} where y appears at
     most once on the left side, namely
       a*y in L_{m-1}               y only on the right,
@@ -865,7 +866,8 @@ def blocks(state, y, a):
     with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
     loses nothing while y <= n_max.
     """
-    layers, targets = state[:2]
+    layers = state[0]
+    targets = targets_of(layers[0], a)
     below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
     return bool(
         layers[-1] >> (a * y) & 1
@@ -922,10 +924,9 @@ def test_fold_matches_sumset_table(m, a, n, data):
         if reference[-1] & targets_of(bits, a):
             assert state is None
             break
-        layers, targets = state[:2]
+        layers = state[0]
         assert list(layers) == reference
         assert_stable_prefix(_sumset_layers(bits, m - 1, capmask), list(layers), bits, capmask)
-        assert targets == targets_of(bits, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -954,10 +955,10 @@ def test_saturated_tail_matches_reference(m, a, n, data):
         # full is the first saturated layer, and all later ones are saturated
         lows = [k * elements[0] for k in range(1, m)]
         saturated = [layer == (interval(lo, a * n) if lo <= a * n else 0) for lo, layer in zip(lows, layers)]
-        assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
+        assert saturated == [False] * state[2] + [True] * (m - 1 - state[2])
         # reused layers add nothing new to the mask
         ys = range(1, n + 2)
-        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+        assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
 
 
 def check_run_fold(state, bits, x, w, m, a, n):
@@ -965,8 +966,8 @@ def check_run_fold(state, bits, x, w, m, a, n):
 
     The fold must return None exactly when the reference layers of the union
     hold a solution, whether the run-class lemmas or the layers decide it.
-    Otherwise its layers, its targets {a*t}, its first saturated layer and its
-    mask are compared with the reference layers and blocks for every y.
+    Otherwise its layers, its first saturated layer and its mask are
+    compared with the reference layers and blocks for every y.
     Returns the fold's state, None or not, and the new class.
     """
     capmask = (1 << (a * n + 1)) - 1
@@ -978,14 +979,13 @@ def check_run_fold(state, bits, x, w, m, a, n):
         assert state is None
         return state, bits
     assert list(state[0]) == layers
-    assert state[1] == targets_of(bits, a)
     # full is the first layer that is all of [k*min S, a*n], an empty set once k*min S > a*n
     lo = (bits & -bits).bit_length() - 1
     saturated = [layer == (interval(k * lo, a * n) if k * lo <= a * n else 0)
                  for k, layer in enumerate(layers, start=1)]
-    assert saturated == [False] * state[3] + [True] * (m - 1 - state[3])
+    assert saturated == [False] * state[2] + [True] * (m - 1 - state[2])
     ys = range(1, n + 2)
-    assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+    assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
     return state, bits
 
 
@@ -1040,7 +1040,7 @@ def test_run_fold_cases(monkeypatch, m, a, n, prefix, x, w):
     # a result of one run is written down, any other folded by core.fold_layers
     assert bool(folds) == bool(bits & (bits + (bits & -bits)))
     if prefix and x > min(prefix):  # min S stays: the saturated tail is reused
-        assert all(new is old for new, old in zip(state[0][parent[3]:], parent[0][parent[3]:]))
+        assert all(new is old for new, old in zip(state[0][parent[2]:], parent[0][parent[2]:]))
 
 
 class Unread(tuple):
@@ -1109,7 +1109,7 @@ def test_blocked_mask_matches_blocks(m, a, n, data):
         if state is None:
             break
         ys = range(1, n + 2)
-        assert [bool(state[2] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+        assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1125,7 +1125,7 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     y = data.draw(st.integers(n + 1, n + 4))
     state = fold(sorted(members), m, a, n + 4)
     assume(state is not None)  # the search reads only a solution-free class's mask
-    blocked = bool(state[2] >> y & 1)
+    blocked = bool(state[1] >> y & 1)
     if blocked:  # sound: y really closes a solution
         assert _add_element(state, 1 << y, a, (1 << (a * (n + 4) + 1)) - 1) is None
     # and it finds every solution with y at most once on the left
@@ -1141,13 +1141,16 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
         (3, 3, {1, 3}, 6, Y_LEFT),  # 6 + 3 = 3*3
         (2, 3, {2}, 6, Y_LEFT),  # 6 = 3*2, L_0 = {0}
         (4, 2, {1, 3}, 6, Y_BOTH),  # 6 + 3 + 3 = 2*6
+        # 8 + 1 = 3*3: folded as [3, 1], the new s = 1 meets the old target 9
+        (3, 3, {1, 3}, 8, Y_LEFT),
     ],
 )
 def test_blocks_covers_each_case(m, a, members, y, shape):
     assert shapes_closed_by(members, y, m, a) == {shape}
-    state = fold(sorted(members), m, a, y)
-    assert state is not None
-    assert state[2] >> y & 1
+    for order in (sorted(members), sorted(members, reverse=True)):
+        state = fold(order, m, a, y)
+        assert state is not None
+        assert state[1] >> y & 1, order
 
 
 def brute_force_search(eq, n_max):

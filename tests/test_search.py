@@ -157,13 +157,13 @@ def lookahead_only(eq, n_max):
             best, best_red = depth, red
         if depth >= n_max:
             return CUTOFF, None, best, best_red, nodes, checks
-        if (red_state[2] & blue_state[2] & ((1 << (best + 2)) - 1)) >> (depth + 2):
+        if (red_state[1] & blue_state[1] & ((1 << (best + 2)) - 1)) >> (depth + 2):
             continue
         x = depth + 1
         for to_red in (False, True):  # blue child first, as the search pushes it
             state = red_state if to_red else blue_state
             checks += 1
-            if state[2] >> x & 1:
+            if state[1] >> x & 1:
                 continue
             child = _add_element(state, 1 << x, eq.a, capmask)
             if child is not None:
@@ -183,7 +183,7 @@ def propagate(red, blue, lo, hi, a, capmask):
     states, folds = [red, blue], 0
     done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
     while True:
-        blocked = [[state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)]
+        blocked = [[state[1] >> y & 1 for state in states] for y in range(lo, hi + 1)]
         if [1, 1] in blocked:
             return True, folds, *states
         forced = [y for y, pair in zip(range(lo, hi + 1), blocked)
@@ -210,7 +210,7 @@ def propagate_runs(red, blue, lo, hi, a, capmask):
     states, runs = [red, blue], 0
     done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
     while True:
-        blocked = {y: [state[2] >> y & 1 for state in states] for y in range(lo, hi + 1)}
+        blocked = {y: [state[1] >> y & 1 for state in states] for y in range(lo, hi + 1)}
         if [1, 1] in blocked.values():
             return True, runs, *states
         forced = [y for y, pair in blocked.items() if pair in ([0, 1], [1, 0]) and y not in done]
@@ -285,7 +285,7 @@ def fold_every_child(eq, n_max):
             assert _add_element(sibling, 1 << x, eq.a, capmask) is None, x
             stack.append((x, red_p, blue_p))
             continue
-        assert not (red_p[2] | blue_p[2]) >> x & 1, x
+        assert not (red_p[1] | blue_p[1]) >> x & 1, x
         for to_red in (False, True):  # blue child first, as the search pushes it
             parent = red_p if to_red else blue_p
             checks += 1
@@ -302,7 +302,7 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     folds = []
 
     def spy(state, new, a, capmask):
-        folds.append(state[2] & new)  # the new elements' bits in the class's mask
+        folds.append(state[1] & new)  # the new elements' bits in the class's mask
         return _add_element(state, new, a, capmask)
 
     monkeypatch.setattr(search, "_add_element", spy)
