@@ -19,12 +19,10 @@ from .core import Color, Coloring, RadoEquation, Witness
 from .formula import (
     FormulaBreakdown,
     KnownNumber,
-    KnownSource,
     ceil_div,
     ceiling_formula,
     closed_form,
     decompose,
-    general_threshold,
     known_rado_number,
 )
 from .search import (
@@ -38,7 +36,6 @@ __all__ = [
     "Coloring",
     "FormulaBreakdown",
     "KnownNumber",
-    "KnownSource",
     "RadoEquation",
     "SearchOutcome",
     "SearchStats",
@@ -49,7 +46,6 @@ __all__ = [
     "decompose",
     "exact_rado_number",
     "find_mono_solution",
-    "general_threshold",
     "is_valid_coloring",
     "known_rado_number",
     "lower_bound_coloring",

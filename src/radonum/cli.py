@@ -20,6 +20,7 @@ import argparse
 import json
 import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -99,6 +100,29 @@ def _cmd_formula(args) -> int:
     return 0
 
 
+@contextmanager
+def _output_file(path: str | None) -> Iterator[None]:
+    """Fail at once on an unwritable path, before the command's work starts.
+
+    A file this open created is removed again if the work then fails, so a
+    rejected parameter leaves no file behind; a file that was already there
+    keeps its bytes until the command writes it.
+    """
+    created = False
+    if path:
+        try:
+            open(path, "x", encoding="utf-8").close()
+            created = True
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _print_verdict(col: Coloring, eq: RadoEquation) -> int:
     """Print VALID and return 0, or print the first witness as JSON and return 1."""
     witness = find_mono_solution(col, eq)
@@ -144,9 +168,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_exact(args) -> int:
     eq = RadoEquation(args.m, args.a)
-    if args.cert:  # an unwritable path fails now, not after the search
-        open(args.cert, "a", encoding="utf-8").close()
-    outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
+    with _output_file(args.cert):  # an unwritable path fails now, not after the search
+        outcome = exact_rado_number(eq, n_max=args.n_max, timeout=args.timeout)
     print(
         f"# deepest_valid={outcome.certificate.n} nodes={outcome.stats.nodes} "
         f"checks={outcome.stats.checks} millis={outcome.stats.millis:.1f} "
@@ -208,15 +231,14 @@ def _format_row(row: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    if args.report:  # an unwritable path fails now, not after every row
-        open(args.report, "a", encoding="utf-8").close()
     rows = []
-    for row in _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout):
-        # timings vary from run to run, so they go to stderr and stdout stays byte-stable;
-        # each row is flushed as its search ends, so a reader on a pipe sees it then
-        print(f"# m={row['m']} a={row['a']} millis={row['millis']}", file=sys.stderr)
-        print(_format_row(row), flush=True)
-        rows.append(row)
+    with _output_file(args.report):  # an unwritable path fails now, not after every row
+        for row in _sweep_rows(args.a, args.m_from, args.m_to, args.n_max, args.timeout):
+            # timings vary from run to run, so they go to stderr and stdout stays byte-stable;
+            # each row is flushed as its search ends, so a reader on a pipe sees it then
+            print(f"# m={row['m']} a={row['a']} millis={row['millis']}", file=sys.stderr)
+            print(_format_row(row), flush=True)
+            rows.append(row)
     if args.report:
         Path(args.report).write_text(dumps(rows), encoding="utf-8")
     return 1 if any(row["agree"] is False for row in rows) else 0

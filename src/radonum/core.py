@@ -53,11 +53,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
     Walks the reversed base-2 string, where bit p sits at index p, with
     str.find: linear in the mask's width. Clearing one bit at a time would
-    rebuild the whole integer per bit, quadratic on a dense mask. An empty
-    mask, as most of the search's new-s masks are, builds no string.
+    rebuild the whole integer per bit, quadratic on a dense mask.
     """
-    if not mask:
-        return
     digits = bin(mask)[:1:-1]
     p = digits.find("1")
     while p >= 0:

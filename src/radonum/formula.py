@@ -8,7 +8,6 @@ implemented so each can cross-check the other.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .core import RadoEquation, check64
@@ -95,48 +94,33 @@ def closed_form(eq: RadoEquation) -> int:
     return quotient
 
 
-class KnownSource(enum.Enum):
-    """Which exactly-solved regime produced a known Rado number."""
-
-    A1_QUADRATIC = "a1_quadratic"  # a = 1, m >= 3: m^2 - m - 1
-    A2_CEILING = "a2_ceiling"  # a = 2, m >= 6: C(m, 2)
-    A3_SMALL = "a3_small"  # a = 3, m in {3, 4, 5, 6}: 9, 1, 4, 5
-    A3_CEILING = "a3_ceiling"  # a = 3, m >= 7: C(m, 3)
-    GENERAL_CEILING = "general_ceiling"  # a >= 4, m >= 2a^2 - a + 2: C(m, a)
-
-
 @dataclass(frozen=True, slots=True)
 class KnownNumber:
-    """An exact 2-color Rado number together with the regime that settles it."""
+    """An exact 2-color Rado number."""
 
     value: int
-    source: KnownSource
 
 
 _A3_SMALL_VALUES = {3: 9, 4: 1, 5: 4, 6: 5}
-
-
-def general_threshold(a: int) -> int:
-    """Smallest m for which the nested-ceiling value is proved exact for every a >= 3."""
-    return 2 * a * a - a + 2
+# first m at which C(m, a) is the Rado number; 2a^2 - a + 2 for every other a >= 2
+_CEILING_FROM = {2: 6, 3: 7}
 
 
 def known_rado_number(eq: RadoEquation) -> KnownNumber | None:
     """Exact Rado number of L(m, a) in the solved regimes, None elsewhere.
 
-    Covered: a = 1 with m >= 3, a = 2 with m >= 6, a = 3 with any m >= 3,
-    and a >= 4 with m >= 2a^2 - a + 2. For m = 2 and a >= 3 no Rado number
-    exists at all, so None is the only honest answer there.
+    Beutelspacher and Brestovansky (1982) give m^2 - m - 1 for a = 1 and
+    m >= 3. Schaal and Vestal (2008) give C(m, 2) for a = 2 and m >= 6. The
+    paper this package follows settles a >= 3: the values 9, 1, 4, 5 for
+    a = 3 and m = 3..6, C(m, 3) from m = 7, and C(m, a) from
+    m = 2a^2 - a + 2 for a >= 4. For m = 2 and a >= 3 no Rado number exists
+    at all, so None is the only honest answer there.
     """
     m, a = eq.m, eq.a
-    if a == 1 and m >= 3:
-        return KnownNumber(check64(m * m - m - 1, "a=1 value"), KnownSource.A1_QUADRATIC)
-    if a == 2 and m >= 6:
-        return KnownNumber(ceiling_formula(eq), KnownSource.A2_CEILING)
+    if a == 1:
+        return KnownNumber(check64(m * m - m - 1, "a=1 value")) if m >= 3 else None
     if a == 3 and m in _A3_SMALL_VALUES:
-        return KnownNumber(_A3_SMALL_VALUES[m], KnownSource.A3_SMALL)
-    if a == 3 and m >= 7:
-        return KnownNumber(ceiling_formula(eq), KnownSource.A3_CEILING)
-    if a >= 4 and m >= general_threshold(a):
-        return KnownNumber(ceiling_formula(eq), KnownSource.GENERAL_CEILING)
+        return KnownNumber(_A3_SMALL_VALUES[m])
+    if m >= _CEILING_FROM.get(a, 2 * a * a - a + 2):
+        return KnownNumber(ceiling_formula(eq))
     return None

@@ -17,7 +17,6 @@ from radonum import (
     closed_form,
     exact_rado_number,
     find_mono_solution,
-    general_threshold,
     is_valid_coloring,
     lower_bound_coloring,
     naive_find_mono_solution,
@@ -27,6 +26,11 @@ from radonum.cli import CertificateFile, run, write_certificate
 # (m, a) -> expected Rado number; n_max 16 for a=3, n_max 20 elsewhere
 A3_SEARCH_CASES = [(3, 9), (4, 1), (5, 4), (6, 5), (7, 4), (8, 7), (9, 8), (10, 9), (11, 14), (12, 15)]
 CROSS_FAMILY_CASES = [(3, 1, 5), (4, 1, 11), (5, 1, 19), (6, 2, 8), (7, 2, 9)]
+
+
+def general_threshold(a: int) -> int:
+    """Smallest m from which C(m, a) is proved exact for every a >= 3."""
+    return 2 * a * a - a + 2
 
 
 def _report(number: int, label: str, failures: list) -> None:

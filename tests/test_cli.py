@@ -16,7 +16,6 @@ from radonum import (
     Color,
     Coloring,
     KnownNumber,
-    KnownSource,
     RadoEquation,
     Witness,
     is_valid_coloring,
@@ -287,6 +286,29 @@ def test_sweep_unwritable_report_fails_before_the_first_row(tmp_path, capsys, mo
     assert captured.err.startswith("error: ")
 
 
+REJECTED_WITH_OUTPUT_FILE = [
+    ["exact", "--m", "3", "--a", "3", "--n-max", "0", "--cert"],
+    ["exact", "--m", "3", "--a", "3", "--timeout", "-1", "--cert"],
+    ["sweep", "--a", "3", "--m-from", "5", "--m-to", "4", "--report"],
+    ["sweep", "--a", "0", "--m-from", "3", "--m-to", "4", "--report"],
+]
+
+
+@pytest.mark.parametrize("command", REJECTED_WITH_OUTPUT_FILE)
+def test_rejected_parameter_leaves_output_paths_as_they_were(command, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert run([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not path.exists()
+    # a file that was already there is neither truncated nor removed
+    path.write_bytes(b'{"kept": true}\n')
+    assert run([*command, str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == b'{"kept": true}\n'
+
+
 def test_sweep_stdout_is_byte_stable(capsys):
     outs = []
     for _ in range(2):
@@ -438,7 +460,7 @@ def test_sweep_report_cutoff_reads_agree_null(tmp_path, capsys):
 
 def test_sweep_and_selftest_read_agree_false(tmp_path, capsys, monkeypatch):
     # the search is right, so a disagreement needs a wrong reference value
-    wrong = KnownNumber(10, KnownSource.A3_SMALL)
+    wrong = KnownNumber(10)
     monkeypatch.setattr("radonum.cli.known_rado_number", lambda eq: wrong)
     code, lines, rows = sweep_report(tmp_path, capsys, a=3, m=3, n_max=12)
     assert code == 1

@@ -209,7 +209,7 @@ def test_witness_json_merges_adjacent_values():
 
 
 def test_value_types_have_no_instance_dict():
-    # slotted frozen dataclasses: a KnownNumber is 48 B instead of 56 B plus a dict
+    # slotted frozen dataclasses keep their fields in slots, with no per-instance dict
     eq = RadoEquation(7, 3)
     outcome = exact_rado_number(eq, n_max=12)
     values = [
@@ -240,10 +240,10 @@ def test_value_types_have_no_instance_dict():
 def test_public_api_is_pinned():
     # a new public name takes an edit here; a name that only tests use belongs in the tests
     assert set(radonum.__all__) == {
-        "Color", "Coloring", "FormulaBreakdown", "KnownNumber", "KnownSource", "RadoEquation",
+        "Color", "Coloring", "FormulaBreakdown", "KnownNumber", "RadoEquation",
         "SearchOutcome", "SearchStats", "Witness", "ceil_div", "ceiling_formula", "closed_form",
-        "decompose", "exact_rado_number", "find_mono_solution", "general_threshold",
-        "is_valid_coloring", "known_rado_number", "lower_bound_coloring",
-        "naive_find_mono_solution", "small_case_coloring", "verify_witness",
+        "decompose", "exact_rado_number", "find_mono_solution", "is_valid_coloring",
+        "known_rado_number", "lower_bound_coloring", "naive_find_mono_solution",
+        "small_case_coloring", "verify_witness",
     }
     assert all(hasattr(radonum, name) for name in radonum.__all__)

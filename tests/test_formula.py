@@ -4,19 +4,22 @@ import pytest
 
 from radonum import (
     FormulaBreakdown,
-    KnownSource,
     RadoEquation,
     ceil_div,
     ceiling_formula,
     closed_form,
     decompose,
-    general_threshold,
     known_rado_number,
 )
 
 # Spot values for a = 3, checked by evaluating the nested ceilings by hand:
 # inner = ceil((m-1)/3), value = ceil((m-1)*inner/3).
 A3_VALUES = {16: 25, 15: 24, 14: 22, 13: 16, 12: 15, 11: 14, 10: 9, 9: 8, 8: 7, 7: 4, 6: 4, 5: 3}
+
+
+def general_threshold(a):
+    """Smallest m from which C(m, a) is proved exact for every a >= 3."""
+    return 2 * a * a - a + 2
 
 
 def solution_values_fit(eq):
@@ -166,11 +169,9 @@ def test_known_rado_number_a3():
         known = known_rado_number(RadoEquation(m, 3))
         assert known is not None
         assert known.value == want
-        assert known.source is KnownSource.A3_SMALL
     for m in range(7, 40):
         known = known_rado_number(RadoEquation(m, 3))
         assert known is not None
-        assert known.source is KnownSource.A3_CEILING
         assert known.value == ceiling_formula(RadoEquation(m, 3))
 
 
@@ -179,7 +180,6 @@ def test_known_rado_number_a1():
         known = known_rado_number(RadoEquation(m, 1))
         assert known is not None
         assert known.value == want == m * m - m - 1
-        assert known.source is KnownSource.A1_QUADRATIC
     assert known_rado_number(RadoEquation(2, 1)) is None
 
 
@@ -187,7 +187,6 @@ def test_known_rado_number_a2():
     for m in range(6, 30):
         known = known_rado_number(RadoEquation(m, 2))
         assert known is not None
-        assert known.source is KnownSource.A2_CEILING
         assert known.value == ceiling_formula(RadoEquation(m, 2))
     assert known_rado_number(RadoEquation(6, 2)).value == 8
     assert known_rado_number(RadoEquation(7, 2)).value == 9
@@ -202,7 +201,6 @@ def test_known_rado_number_large_a_threshold():
         assert below is None
         at = known_rado_number(RadoEquation(threshold, a))
         assert at is not None
-        assert at.source is KnownSource.GENERAL_CEILING
         assert at.value == ceiling_formula(RadoEquation(threshold, a))
     assert known_rado_number(RadoEquation(10, 4)) is None
     assert known_rado_number(RadoEquation(30, 4)) is not None
