@@ -19,9 +19,8 @@ least (m-1)*min S (the first step of the run lemma, core.least_run_target),
 so every target is at least t_lo = ceil((m-1)*min S / a), and a class with
 t_lo > max S holds no solution and gets no table. Otherwise the table is
 capped at a*T, T = 2*max(min S, t_lo), and built from the elements up to
-a*T - (m-2)*min S only; if it holds no target t <= T, the class gets the
-table capped at a*max S, which every target a*t is below. The small table is
-skipped when 4*T > max S, where it would cost about as much as the full one.
+a*T - (m-2)*min S only; if it holds no target t <= T, or if T >= max S, the
+class gets the table capped at a*max S, which every target a*t is below.
 Both give the same witness, byte for byte: a way of writing a*t as m-1 class
 elements uses none above a*t - (m-2)*min S, since the other m-2 are at least
 min S each. The targets below a*T are such sums, and so is each bit the
@@ -31,9 +30,9 @@ the small table holds the same bits as the full one wherever either is read.
 
 The targets that hold a solution are found at once: layer m-1 decimated by a
 (core.decimate, the search's shape-1 test), ANDed with S; the lowest one is
-the witness's x_m. The layers come from core.fold_layers, which the search's
-run folds share: one shift per maximal run of consecutive elements of S plus
-at most ceil(log2(w+1)) shift-ORs per distinct run width w, never more than
+the witness's x_m. Each layer is built from the one before it, L_k = L_{k-1}
++ S, with one shift per maximal run of consecutive elements of S plus at most
+ceil(log2(w+1)) shift-ORs per distinct run width w, never more than
 |S| shifts. The table stops at the layer L_j whose successor is L_j shifted
 by min S, as a dense class's does after a few layers: every later layer is a
 shift of L_j too, so layer m-1 costs one shift and one AND, and the left
@@ -44,27 +43,60 @@ oracle provides an independent cross-check.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, repeat
+import re
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .core import (
-    Color, Coloring, RadoEquation, Witness, class_left_side, decimate, fold_layers, iter_bits,
-    least_class_target, run_ends, run_plan,
+    Color, Coloring, RadoEquation, Witness, class_left_side, decimate, iter_bits,
+    least_class_target, run_ends, smear_steps,
 )
 
 NAIVE_GUARD = 1_000_000
 
 
+def _run_plan(bits: int) -> list[tuple[list[int], list[int]]]:
+    """_sumset_layers' plan for a nonempty class: its maximal runs, starts grouped by width.
+
+    One regex walk over the reversed base-2 string, where bit p sits at index
+    p, finds every run p..q as a match of "1+" from p to q + 1.
+    """
+    starts_by_width: dict[int, list[int]] = {}
+    for run in re.finditer("1+", bin(bits)[:1:-1]):
+        starts_by_width.setdefault(run.end() - 1 - run.start(), []).append(run.start())
+    widths = sorted(starts_by_width, reverse=True)
+    return [
+        (starts_by_width[w], smear_steps(w - narrower))
+        for w, narrower in zip(widths, [*widths[1:], 0])
+    ]
+
+
 def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     """Layered sumset table of one color class, built a layer at a time, up to its stable tail.
 
-    Entry k-1 holds the sums of exactly k class elements (repetition
-    allowed) as a bitmask, every layer truncated to capmask. Sums only grow,
-    so truncation never loses a reachable value below the cap. The table is
-    L_1 .. L_j, j <= depth, with L_k = (L_j << (k-j)*min S) & capmask for
-    j < k <= depth (core.fold_layers). The class is split once into maximal
-    runs, with the run starts grouped by width (core.run_plan): the plan that
-    core.fold_layers folds into empty layers.
+    Entry k-1 holds the sums of exactly k class elements S (repetition
+    allowed) as a bitmask, every layer truncated to capmask: L_k = (L_{k-1} +
+    S) & capmask, L_0 = {0}. Sums only grow, so truncation never loses a
+    reachable value below the cap.
+
+    S is split once into its maximal runs, with the run starts grouped by
+    width, widest first (_run_plan): the runs p..p+w of one width w start at
+    starts, and steps (core.smear_steps) smear by w minus the next narrower
+    width, or 0. Since smear_u(smear_v(x)) = smear_{u+v}(x), where smear_w(x)
+    = x | x<<1 | ... | x<<w, each group's shifts of L_{k-1} are ORed into a
+    running sum that the group's steps then smear: a layer costs one shift
+    per run and ceil(log2(gap+1)) per distinct width, not |S|.
+
+    Stable tail: once L_{j+1} = (L_j << min S) & capmask, every later layer is
+    the one before it shifted by min S and capped, because L_{k+1} = L_k + S
+    = (L_{k-1} + S) + min S = L_k + min S, and truncating at the cap commutes
+    with the shift since sums only grow. So the table is L_1 .. L_j, for the
+    least such j >= 1, or L_1 .. L_depth if none repeats: L_k = (L_j <<
+    (k-j)*min S) & capmask for j < k <= depth, which the checker shifts out
+    for layer m-1 and reads as bit r - (k-j)*min S of L_j in the backtrack.
+    A dense class gets there after a few layers. This is the truncated form
+    of the structure theorem for h-fold sumsets (Nathanson, Sums of finite
+    sets of integers, 1972).
 
     find_mono_solution passes a cap of a*T, T = 2*max(min S, t_lo) with t_lo
     = ceil((m-1)*min S / a) the least target the class can have, and only
@@ -76,7 +108,22 @@ def _sumset_layers(class_bits: int, depth: int, capmask: int) -> list[int]:
     if not class_bits:  # every layer is empty, a shift of the first by anything
         return [0]
     min_s = (class_bits & -class_bits).bit_length() - 1
-    return fold_layers(repeat(0, depth), run_plan(class_bits), min_s, capmask)
+    plan = _run_plan(class_bits)
+    out = []
+    prev = 1
+    for _ in range(depth):
+        acc = 0
+        for starts, steps in plan:
+            for p in starts:
+                acc |= prev << p
+            for step in steps:
+                acc |= acc << step
+        shifted = (prev << min_s) & capmask
+        prev = acc & capmask
+        if prev == shifted and out:
+            break
+        out.append(prev)
+    return out
 
 
 def _greedy_left_side(
@@ -142,7 +189,7 @@ def _table_witness(below: int, tail: int, n: int, color: Color, eq: RadoEquation
     if t_lo > max_s:
         return None
     small = 2 * max(min_s, t_lo)
-    for top in (small, max_s) if 4 * small <= max_s else (max_s,):
+    for top in (small, max_s) if small < max_s else (max_s,):
         # the targets up to top, and every element a sum a*t, t <= top, of m-1
         # elements can hold: none above a*top - (m-2)*min S
         cut = min(n, max(top, a * top - (depth - 1) * min_s))

@@ -5,13 +5,12 @@ positive integers. A 2-coloring of [n] = {1, ..., n} assigns every element
 red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers, and the rest by the checker and
-the search: the bitset helpers (iter_bits, smear_steps, decimate); the one
-entry that decides a class of at most two runs of consecutive integers by the
-run and two-run lemmas (least_class_target), with its witness's left side in
-closed form (class_left_side), both reading the class as its run ends
-(run_ends); and the sumset fold (fold_layers, planned by
-run_plan for a whole class), which keeps the layers only up to the first that
-repeats its predecessor shifted by min S.
+the search: the bitset helpers (iter_bits, smear_steps, decimate), and the
+one entry that decides a class of at most two runs of consecutive integers by
+the run and two-run lemmas (least_class_target), with its witness's left side
+in closed form (class_left_side), both reading the class as its run ends
+(run_ends). Each side builds its own sumset layers: the checker a whole
+class's table, the search one fold per colored element or run.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -20,7 +19,6 @@ Constructors reject parameters whose squares already overflow.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator
@@ -204,8 +202,8 @@ def least_class_target(ends: tuple[int, ...] | None, m: int, a: int) -> int | No
 
     The class is given by its run ends, as run_ends returns them, so a run
     needs no mask. 0 if there is none, as for the empty class; None for a
-    class of three runs or more (ends None), which needs a sumset table
-    (fold_layers). Needs min S >= 1.
+    class of three runs or more (ends None), which needs sumset layers.
+    Needs min S >= 1.
     """
     if not ends:
         return None if ends is None else 0
@@ -224,67 +222,6 @@ def class_left_side(ends: tuple[int, ...], total: int, count: int) -> list[int]:
     if len(ends) == 2:
         return _run_left_side(ends[0], ends[1], total, count)
     return _two_run_left_side(ends[0], ends[1], ends[2], ends[3], total, count)
-
-
-def run_plan(bits: int) -> list[tuple[list[int], list[int]]]:
-    """fold_layers' plan for a nonempty class: its maximal runs, starts grouped by width.
-
-    One regex walk over the reversed base-2 string, where bit p sits at index
-    p, finds every run p..q as a match of "1+" from p to q + 1.
-    """
-    starts_by_width: dict[int, list[int]] = {}
-    for run in re.finditer("1+", bin(bits)[:1:-1]):
-        starts_by_width.setdefault(run.end() - 1 - run.start(), []).append(run.start())
-    widths = sorted(starts_by_width, reverse=True)
-    return [
-        (starts_by_width[w], smear_steps(w - narrower))
-        for w, narrower in zip(widths, [*widths[1:], 0])
-    ]
-
-
-def fold_layers(
-    layers: Iterable[int], plan: list[tuple[list[int], list[int]]], min_s: int, capmask: int
-) -> list[int]:
-    """Sumset layers L'_k = (L_k | (L'_{k-1} + R)) & capmask, L'_0 = {0}, up to the stable tail.
-
-    If L_k holds the sums of exactly k elements of a class S (all empty for
-    S empty), L'_k holds those of S' = S + R: such a sum either avoids R or
-    is an element of R plus a sum of k-1 elements of S'. min_s is min S'.
-
-    R is given as a plan of pairs (starts, steps), widest runs first: the
-    runs p..p+w of one width w start at starts, and steps (smear_steps) smear
-    by w minus the next narrower width, or 0. Since smear_u(smear_v(x)) =
-    smear_{u+v}(x), where smear_w(x) = x | x<<1 | ... | x<<w, each group's
-    shifts of L'_{k-1} are ORed into a running sum that the group's steps
-    then smear: a layer costs one shift per run and ceil(log2(gap+1)) per
-    distinct width, not |R|.
-
-    Stable tail: once L'_{j+1} = (L'_j << min_s) & capmask, every later layer
-    is the one before it shifted by min_s and capped, because L'_{k+1} =
-    L'_k + S' = (L'_{k-1} + S') + min S' = L'_k + min S', and truncating at
-    the cap commutes with the shift since sums only grow. So only the prefix
-    L'_1 .. L'_j is returned, for the least such j >= 1, or one layer per
-    given L_k if none repeats: L'_k = (L'_j << (k-j)*min_s) & capmask for
-    k > j, which callers shift out as they need it, or read as bit r -
-    (k-j)*min_s of L'_j. A dense class gets there after a few layers. This is
-    the truncated form of the structure theorem for h-fold sumsets
-    (Nathanson, Sums of finite sets of integers, 1972).
-    """
-    out = []
-    prev = 1
-    for layer in layers:
-        acc = 0
-        for starts, steps in plan:
-            for p in starts:
-                acc |= prev << p
-            for step in steps:
-                acc |= acc << step
-        shifted = (prev << min_s) & capmask
-        prev = (layer | acc) & capmask
-        if prev == shifted and out:
-            break
-        out.append(prev)
-    return out
 
 
 class Color(enum.Enum):

@@ -12,8 +12,8 @@ layers[k-1] is the bitset of sums of exactly k class elements (repetition
 allowed, k = 1..m-1), truncated at a*n_max, the largest target, so layers[0]
 is the class itself. Coloring element x folds it into one class with at most
 m-1 shifts (see _add_element; a run of forced colors that leaves one run is
-written down, any other goes through core.fold_layers, the checker's fold),
-and the child is pruned iff the folded class holds a solution: the fold then
+written down, any other fold shifts in its elements one at a time), and
+the child is pruned iff the folded class holds a solution: the fold then
 returns None, and no state of a class with a solution is ever built. The
 other class keeps its parent state by reference. full is the index of the
 first saturated layer, L_k = [k*min S, a*n_max]: adding a larger element
@@ -139,8 +139,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    Coloring, RadoEquation, decimate, fold_layers, iter_bits, least_class_target, run_ends,
-    smear_steps,
+    Coloring, RadoEquation, decimate, iter_bits, least_class_target, run_ends, smear_steps,
 )
 
 EXACT = "exact"
@@ -170,24 +169,20 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     The search's one fold. Every fold that leaves the class as one or two
     runs, a single element or a run, is decided first by
     core.least_class_target from the run ends, with no layer built if the
-    class holds a solution (see the module docstring). The new layers are
-    L'_k = L_k | smear_w(L'_{k-1} << x), L'_0 = {0}, where
-    smear_w(v) = v | v<<1 | ... | v<<w: core.fold_layers, the checker's fold,
-    with the one-run plan [([x], smear_steps(w))], which stops before the
-    first layer that repeats its predecessor shifted by min S; the layers from
-    there up to index full are shifted out here, one shift each. A run that
-    leaves the class as one run lo..hi is written down instead, L'_k =
-    [k*lo, k*hi] capped: no layer is shifted past the cap. A single element
-    (w = 0) costs one shift per layer, no more than the fold's stable tail, so
-    it is folded here without the tail's test. Layer 1 is the class: its
-    elements are at most n_max, below the cap. Adding elements already in the
-    class leaves the state unchanged.
+    class holds a solution (see the module docstring). A run (w >= 1) that
+    leaves the class as one run lo..hi is then written down, L'_k = [k*lo,
+    k*hi] capped: no layer is shifted past the cap. Any other fold, a single
+    element or a run that leaves two runs or more, adds the elements y =
+    x..x+w one at a time, lowest first, L'_k = L_k | (L'_{k-1} << y), L'_0 =
+    {0}: one shift per layer and element. Layer 1 is the class: its elements
+    are at most n_max, below the cap. Adding elements already in the class
+    leaves the state unchanged.
 
     Layers from index full on are saturated: L_k is the whole interval
     [k*min S, cap], cap = a*n_max, since every sum of k elements lies in it.
     Then L_{k+1} contains L_k + min S = [(k+1)*min S, cap], so the saturated
     layers are a tail. While x >= min S, as in most of the search's folds,
-    min S stays and smear_w(L'_{k-1} << x) lies in [k*min S, cap] as well:
+    min S stays and L'_{k-1} << y lies in [k*min S, cap] as well:
     the tail cannot change, is reused by reference, and only the layers
     before it are folded, after which full moves down past the layers that
     have just saturated. An x below min S (a propagated run below one folded
@@ -225,19 +220,17 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     if not min_bit or min_bit > x_bit:  # x is the new min S: fold every layer
         full, min_bit = len(layers), x_bit
     cap, min_s = capmask.bit_length() - 1, min_bit.bit_length() - 1
-    prev, steps = 1, smear_steps(w)
-    # islice, not slices: tuples of fewer than 20 items are kept on free lists when
-    # freed, and slices of every length would fill those with thousands of tuples
-    if not w:
-        head = [prev := (layer | (prev << x)) & capmask for layer in islice(layers, full)]
-    elif ends is None or len(ends) > 2:  # two runs or more
-        head = fold_layers(islice(layers, full), [([x], steps)], min_s, capmask)
-        for _ in range(full - len(head)):  # the stable tail, one shift a layer
-            head.append((head[-1] << min_s) & capmask)
-    else:  # one run min_s..hi: L'_k = [k*min_s, k*hi], no shift past the cap
+    if w and ends is not None and len(ends) == 2:  # one run min_s..hi: [k*min_s, k*hi]
         hi = ends[1]
         head = [(2 << k * hi) - (1 << k * min_s) for k in range(1, min(full, cap // hi) + 1)]
         head += [capmask >> k * min_s << k * min_s for k in range(len(head) + 1, full + 1)]
+    else:
+        # islice, not slices: tuples of fewer than 20 items are kept on free lists when
+        # freed, and slices of every length would fill those with thousands of tuples
+        head = islice(layers, full)
+        for y in range(x, x + w + 1):
+            prev = 1
+            head = [prev := (layer | (prev << y)) & capmask for layer in head]
     reused = len(layers) - len(head)
     # L'_k is saturated when it holds all cap + 1 - k*min S values of its interval
     while full and head[full - 1].bit_count() == max(0, cap + 1 - full * min_s):
@@ -252,7 +245,7 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     low = below & ((1 << top) - 1)  # s < a*(x+w), so that y = a*(x+w) - s >= 1
     # reversing the base-2 digits moves bit s to low.bit_length() - 1 - s
     ys = int(bin(low)[:1:-1], 2) << (top + 1 - low.bit_length())
-    for step in steps:
+    for step in smear_steps(w):
         ys |= ys >> a * step
     blocked |= ys
     # t in S: for m = 2, L_0 = {0} gains nothing; a new s gives a y = a*t - s >= 1 only

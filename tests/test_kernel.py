@@ -1,12 +1,12 @@
 """The search's and the checker's kernels against references and brute force.
 
 The shared bitset helpers core.decimate and core.smear_steps are compared
-with set references, and a class's run plan, core.run_plan, with one built
-bit by bit. The checker's run-length sumset layers stop before the
+with set references, and the checker's run plan of a class, _run_plan, with
+one built bit by bit. The checker's run-length sumset layers stop before the
 first layer that repeats its predecessor by a shift of min S; shifted out to
 every layer, they are compared with the per-element reference sumset_layers,
-down to the witnesses find_mono_solution returns, and core.fold_layers, which
-builds them, walks its run plan only up to that repeat. The run-class entry
+down to the witnesses find_mono_solution returns, and _sumset_layers walks
+its run plan only up to that repeat. The run-class entry
 core.least_class_target, through the run lemma core.least_run_target and the
 two-run lemma core.least_two_run_target, and the closed-form left side
 core.class_left_side are compared with the reference layers of one or two
@@ -20,14 +20,15 @@ find_mono_solution with a checker built from both references; its tables,
 capped near the least target a class can have, also with one table per class
 capped at a*max S, and on [8] with the naive oracle and enumeration. The search's
 incremental fold, of one element or of a run in one call (decided by the
-run-class entry when it leaves one or two runs, and written down when it
-leaves one run and no solution), returns None exactly when the reference
-layers hold a solution, and without reading its layers when the class is
-left as one or two runs; while they hold none, its layers, its saturated-layer
-index and the lookahead's blocked-y mask are compared with the layer-at-a-time
-checker, the reference layers, the naive oracle, the per-y test blocks and
-plain enumeration, and exact_rado_number with a search that tries every
-coloring.
+run-class entry when it leaves one or two runs, and written down, with no
+parent layer above the first ORed, when it leaves one run and no solution;
+any other fold shifts its elements in one at a time), returns None exactly
+when the reference layers hold a solution, and without reading its layers
+when the class is left as one or two runs; while they hold none, its layers,
+its saturated-layer index and the lookahead's blocked-y mask are compared
+with the layer-at-a-time checker, the reference layers, the naive oracle,
+the per-y test blocks and plain enumeration, and exact_rado_number with a
+search that tries every coloring.
 """
 
 import itertools
@@ -49,10 +50,10 @@ from radonum import (
     naive_find_mono_solution,
     search,
 )
-from radonum.checker import _greedy_left_side, _sumset_layers
+from radonum.checker import _greedy_left_side, _run_plan, _sumset_layers
 from radonum.core import (
-    Color, Witness, class_left_side, decimate, fold_layers, iter_bits, least_class_target,
-    least_run_target, least_two_run_target, run_ends, run_plan, smear_steps,
+    Color, Witness, class_left_side, decimate, iter_bits, least_class_target, least_run_target,
+    least_two_run_target, run_ends, smear_steps,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
 
@@ -203,7 +204,7 @@ dense = st.lists(st.booleans(), min_size=80, max_size=80).map(
 
 
 def run_plan_reference(bits):
-    """The reference for core.run_plan, built bit by bit.
+    """The reference for checker._run_plan, built bit by bit.
 
     The maximal runs p..p+w of the class, grouped by width w, widest first,
     starts ascending; each group's steps sum to its width minus the next
@@ -238,7 +239,7 @@ THUE_MORSE_2000 = sum_bits(1 << x for x in range(1, 2001) if x.bit_count() % 2)
 @example(class_bits=interval(7, 300))  # one run
 @example(class_bits=THUE_MORSE_2000)  # runs of widths 0 and 1 only
 def test_run_plan_matches_reference(class_bits):
-    plan = run_plan(class_bits)
+    plan = _run_plan(class_bits)
     assert plan == run_plan_reference(class_bits)
     # the plan's runs are the class
     widths = itertools.accumulate(sum(steps) for _, steps in reversed(plan))
@@ -325,22 +326,17 @@ class WalkedStarts(list):
 
 
 @pytest.mark.parametrize(
-    ("base", "added", "plan", "depth", "cap"),
+    ("class_bits", "plan", "depth", "cap"),
     [
-        # the checker's case, empty layers: {1} + [3, 20] repeats by a shift of
-        # min S = 1 from L_6 on, before it saturates
-        (0, (1 << 1) | interval(3, 20), [([3], smear_steps(17)), ([1], [])], 9, 100),
-        # the search's case, the run 9..21 into {7, 19}: L_3 repeats L_2 by a
-        # shift of min S = 7 (a row of test_run_fold_cases)
-        ((1 << 7) | (1 << 19), interval(9, 21), [([9], smear_steps(12))], 7, 44),
+        # {1} + [3, 20] repeats by a shift of min S = 1 from L_6 on, before it saturates
+        ((1 << 1) | interval(3, 20), [([3], smear_steps(17)), ([1], [])], 9, 100),
     ],
-    ids=["checker", "search"],
+    ids=["checker"],
 )
-def test_fold_walks_the_plan_only_until_the_stable_tail(base, added, plan, depth, cap):
+def test_fold_walks_the_plan_only_until_the_stable_tail(monkeypatch, class_bits, plan, depth, cap):
     capmask = (1 << (cap + 1)) - 1
-    union = base | added
-    min_s = (union & -union).bit_length() - 1
-    reference = sumset_layers(union, depth, capmask)
+    min_s = (class_bits & -class_bits).bit_length() - 1
+    reference = sumset_layers(class_bits, depth, capmask)
     # the first k with L_k = (L_{k-1} << min S) & capmask, L_0 = {0}: the layers
     # after it are shifts, so the fold walks the plan k times, not depth times
     walks = next(
@@ -349,9 +345,11 @@ def test_fold_walks_the_plan_only_until_the_stable_tail(base, added, plan, depth
         if layer == (lower << min_s) & capmask
     )
     assert walks < depth
+    assert _run_plan(class_bits) == plan
     plan = [(WalkedStarts(starts), steps) for starts, steps in plan]
-    prefix = fold_layers(sumset_layers(base, depth, capmask), plan, min_s, capmask)
-    assert_stable_prefix(prefix, reference, union, capmask)
+    monkeypatch.setattr(checker, "_run_plan", lambda bits: plan)
+    prefix = _sumset_layers(class_bits, depth, capmask)
+    assert_stable_prefix(prefix, reference, class_bits, capmask)
     assert len(prefix) == walks - 1  # the walk that found the repeat kept no layer
     assert [starts.walks for starts, _ in plan] == [walks] * len(plan)
 
@@ -1013,6 +1011,15 @@ def test_run_fold_matches_reference(m, a, n, data):
         state, bits = check_run_fold(state, bits, x, w, m, a, n)
 
 
+class Unfolded(int):
+    """A layer that raises when ORed, as every fold of a layer does."""
+
+    def __or__(self, other):
+        raise AssertionError("the layer was folded")
+
+    __ror__ = __or__
+
+
 @pytest.mark.parametrize(
     ("m", "a", "n", "prefix", "x", "w"),
     [
@@ -1023,22 +1030,23 @@ def test_run_fold_matches_reference(m, a, n, data):
         (2, 4, 17, [8, 14], 5, 12),  # m = 2: L_0 = {0}
         # {7} + [9, 21]: L_3 repeats L_2 by a shift of min S = 7, and L_7 saturates
         (8, 2, 22, [7, 19], 9, 12),
-        # results of one run, written down: [12, 20] into an empty class, where
-        # only L_1 and L_2 lie below the cap, 40, and L_4 .. L_29 are empty
+        # results of one run, written down, so the parent's L_2 is never ORed:
+        # [12, 20] into an empty class, where only L_1 and L_2 lie below the
+        # cap, 40, and L_4 .. L_29 are empty
         (30, 2, 20, [], 12, 8),
         (8, 2, 12, [3, 4, 5, 9, 10], 6, 2),  # [6, 8] joins [3, 5] and [9, 10]
         (7, 2, 14, [8, 9, 10], 4, 3),  # [4, 7] below min S extends [8, 10] down
         (10, 3, 15, [5, 6, 7, 8], 9, 3),  # [9, 12] above [5, 8]: L_6 .. L_9 are reused
     ],
 )
-def test_run_fold_cases(monkeypatch, m, a, n, prefix, x, w):
-    folds = []
-    monkeypatch.setattr(search, "fold_layers", lambda *args: folds.append(args) or fold_layers(*args))
+def test_run_fold_cases(m, a, n, prefix, x, w):
     parent, bits = fold(prefix, m, a, n), sum_bits(1 << t for t in prefix)
+    union = bits | interval(x, x + w)
+    if m > 2 and not union & (union + (union & -union)):  # one run: written down
+        layers = parent[0]
+        parent = ((layers[0], Unfolded(layers[1]), *layers[2:]), *parent[1:])
     state, bits = check_run_fold(parent, bits, x, w, m, a, n)
     assert state is not None  # so the whole mask was compared
-    # a result of one run is written down, any other folded by core.fold_layers
-    assert bool(folds) == bool(bits & (bits + (bits & -bits)))
     if prefix and x > min(prefix):  # min S stays: the saturated tail is reused
         assert all(new is old for new, old in zip(state[0][parent[2]:], parent[0][parent[2]:]))
 

@@ -354,17 +354,38 @@ def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
     assert (out.stats.nodes, out.stats.checks) == dict(PINNED_TREES)[params][2:4]
 
 
+class Unfolded(int):
+    """A layer that raises when ORed, as every fold of a layer does."""
+
+    def __or__(self, other):
+        raise AssertionError("the layer was folded")
+
+    __ror__ = __or__
+
+
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
 def test_one_run_classes_are_written_down(monkeypatch, params, want):
     # every propagated run on these trees leaves its class as one run, whose layers
-    # are written down, or as two runs that the lemma decides: none is folded by
-    # core.fold_layers, and the tree keeps its pinned counts
+    # are written down, or as two runs that the lemma decides: no live run leaves two
+    # runs or more, a written-down run ORs none of the parent's layers above L_1, and
+    # the tree keeps its pinned counts
     m, a, n_max = params
-    folds = []
-    real = search.fold_layers
-    monkeypatch.setattr(search, "fold_layers", lambda *args: folds.append(args) or real(*args))
+    written = []
+
+    def spy(state, new, a, capmask):
+        out = _add_element(state, new, a, capmask)
+        if out is not None and new & (new - 1):  # a live run of two elements or more
+            bits = out[0][0]
+            assert not bits & (bits + (bits & -bits)), bin(new)  # one run
+            layers = state[0]
+            unfolded = (layers[0], *map(Unfolded, layers[1:]))
+            assert _add_element((unfolded, *state[1:]), new, a, capmask) == out
+            written.append(bits)
+        return out
+
+    monkeypatch.setattr(search, "_add_element", spy)
     out = exact_rado_number(RadoEquation(m, a), n_max=n_max)
-    assert not folds
+    assert written or m == 2
     assert (out.stats.nodes, out.stats.checks) == want[2:4]
 
 
