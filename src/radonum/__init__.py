@@ -19,7 +19,6 @@ from .core import Color, Coloring, RadoEquation, Witness
 from .formula import (
     FormulaBreakdown,
     KnownNumber,
-    ceil_div,
     ceiling_formula,
     closed_form,
     decompose,
@@ -40,7 +39,6 @@ __all__ = [
     "SearchOutcome",
     "SearchStats",
     "Witness",
-    "ceil_div",
     "ceiling_formula",
     "closed_form",
     "decompose",

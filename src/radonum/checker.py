@@ -15,7 +15,7 @@ bitset of integers expressible as a sum of exactly k elements of S with
 repetition allowed, truncated at a cap. A monochromatic solution exists iff
 some target t in S has a*t present in layer m-1. The cap comes from the least
 target the class can have, not from max S. Every sum of m-1 elements is at
-least (m-1)*min S (the first step of the run lemma, core.least_run_target),
+least (m-1)*min S (the run lemma's first step, in core.least_class_target),
 so every target is at least t_lo = ceil((m-1)*min S / a), and a class with
 t_lo > max S holds no solution and gets no table. Otherwise the table is
 capped at a*T, T = 2*max(min S, t_lo), and built from the elements up to

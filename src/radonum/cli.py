@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exhaustive Rado number search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=24, dest="n_max")
+    p.add_argument("--n-max", type=int, default=24, dest="n_max",
+                   help="largest n to search (default %(default)s)")
     p.add_argument("--timeout", type=float, default=None, help="search timeout in seconds")
     p.add_argument("--cert", help="write a validity certificate for the deepest coloring")
     p.set_defaults(func=_cmd_exact)
@@ -319,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--m-from", type=int, required=True, dest="m_from")
     p.add_argument("--m-to", type=int, required=True, dest="m_to")
-    p.add_argument("--n-max", type=int, default=24, dest="n_max")
+    p.add_argument("--n-max", type=int, default=24, dest="n_max",
+                   help="largest n to search per m (default %(default)s)")
     p.add_argument("--timeout", type=float, default=None, help="per-entry timeout in seconds")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_sweep)

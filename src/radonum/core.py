@@ -6,11 +6,12 @@ red or blue; a solution whose values all carry one color is monochromatic.
 The types here (equations, colorings, witnesses) are shared by the formula,
 checker, construction, and search layers, and the rest by the checker and
 the search: the bitset helpers (iter_bits, smear_steps, decimate), and the
-one entry that decides a class of at most two runs of consecutive integers by
-the run and two-run lemmas (least_class_target), with its witness's left side
-in closed form (class_left_side), both reading the class as its run ends
-(run_ends). Each side builds its own sumset layers: the checker a whole
-class's table, the search one fold per colored element or run.
+run-class kernel for a class of at most two runs of consecutive integers,
+read as its run ends (run_ends). The kernel has two entries:
+least_class_target decides the class by the run and two-run lemmas, and
+class_left_side writes its witness's left side down in closed form. Each side
+builds its own sumset layers: the checker a whole class's table, the search
+one fold per colored element or run.
 
 Arithmetic contract: every derived quantity must fit in signed 64 bits.
 Constructors reject parameters whose squares already overflow.
@@ -89,42 +90,6 @@ def decimate(bits: int, step: int) -> int:
     return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
-def least_run_target(lo: int, hi: int, m: int, a: int) -> int:
-    """The least t in the run lo..hi with a*t a sum of m-1 of its elements, or 0 if none.
-
-    The sums of k elements of a run are every integer in k*lo .. k*hi, so the
-    t that close a solution are those of lo..hi with (m-1)*lo <= a*t <=
-    (m-1)*hi, an interval. An empty run (hi < lo) has none. Needs lo >= 1,
-    so that 0 is never such a t.
-    """
-    t = max(lo, -(-(m - 1) * lo // a))  # the least t in the run with a*t >= (m-1)*lo
-    return t if t <= hi and a * t <= (m - 1) * hi else 0
-
-
-def least_two_run_target(l1: int, h1: int, l2: int, h2: int, m: int, a: int) -> int:
-    """The least t in the class l1..h1, l2..h2 with a*t a sum of m-1 of its elements, or 0 if none.
-
-    Needs 1 <= l1 <= h1 < l2 <= h2. With k = m-1, the sums of k elements,
-    j of them from the upper run, are every integer of I_j = [(k-j)*l1 +
-    j*l2, (k-j)*h1 + j*h2], j = 0..k. Both ends grow with j, so v >= k*l1 is
-    a sum iff v <= the end of I_j for the last j whose I_j starts at or below
-    v. Each run, lower first, is walked from its least t with a*t >= k*l1: t
-    is returned if a*t is a sum, and otherwise every v up to the start of
-    I_{j+1} is not, so the walk jumps there, a gap at a time. This is the
-    two-run case of the structure of h-fold sumsets (Nathanson, Sums of
-    finite sets of integers, 1972).
-    """
-    k, d = m - 1, l2 - l1
-    for lo, hi in ((l1, h1), (l2, h2)):
-        t = max(lo, -(-k * l1 // a))  # the least t of the run with a*t >= k*l1
-        while t <= hi and (v := a * t) <= k * h2:  # no sum lies above k*h2, the end of I_k
-            j = min(k, (v - k * l1) // d)  # the last I_j that starts at or below v
-            if v <= k * h1 + j * (h2 - h1):
-                return t
-            t = -(-(k * l1 + (j + 1) * d) // a)  # the least t with a*t >= the start of I_{j+1}
-    return 0
-
-
 def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
     """The least ascending list of count elements of lo..hi with sum total, in count*lo .. count*hi.
 
@@ -137,49 +102,6 @@ def _run_left_side(lo: int, hi: int, total: int, count: int) -> list[int]:
     q, r = divmod(total - count * lo, hi - lo)
     middle = [lo + r] if r else []
     return [lo] * (count - q - len(middle)) + middle + [hi] * q
-
-
-def _two_run_left_side(l1: int, h1: int, l2: int, h2: int, total: int, count: int) -> list[int]:
-    """The least ascending list of count elements of the runs l1..h1, l2..h2 that sums to total.
-
-    Needs 1 <= l1 <= h1 < l2 <= h2 and total a sum of count class elements.
-
-    Least is lexicographic, the list that picking the least feasible element
-    at each step gives. Let k = count and T = total. With i elements from the
-    upper run, the list is k-i elements of l1..h1 summing to some T1, then i
-    of l2..h2 summing to T - T1. A smaller T1 gives a smaller lower part
-    (_run_left_side: more leading l1s, or as many and a smaller next
-    element), so the least list for i, f(i), takes the least feasible T1 =
-    max((k-i)*l1, T - i*h2). Such a list exists iff T lies in [(k-i)*l1 +
-    i*l2, (k-i)*h1 + i*h2], that is iff i lies in first..last below.
-
-    f falls up to i*-1 and rises from i* = ceil((T - k*l1)/(h2 - l1)) on:
-    - For i >= i*, T1 = (k-i)*l1: f(i) is k-i copies of l1, then upper
-      elements, so f(i+1), with one l1 fewer, is larger.
-    - For i < i*, T1 exceeds (k-i)*l1 by e = (T - k*l1) - i*(h2-l1) > 0, so
-      h1 > l1 (else i is not feasible), and with D = h1 - l1, f(i) is
-      k-i-ceil(e/D) copies of l1, then v = l1 + e - (ceil(e/D)-1)*D > l1.
-      From i to i+1 < i*, e falls by h2 - l1 > D, so ceil(e/D) falls by at
-      least 1 and the count of leading l1s does not fall. If it rises, f(i+1)
-      holds l1 where f(i) holds v; if not, ceil(e/D) fell by exactly 1, and
-      v falls by h2 - h1 > 0. Either way f(i+1) < f(i).
-    Also first <= i* and i*-1 <= last: (T - k*h1)/(h2 - h1) <= (T - k*l1)/(h2
-    - l1) for T <= k*h2, where both are k, since the left one grows faster
-    with T; and l2 - l1 <= h2 - l1. So the least f(i) over first..last is at
-    i*-1 or i*, whichever has a list, or the lesser of the two if both have:
-    a comparison of at most two lists, with no table. Neither end of
-    first..last nor i*+1 can win unless it is one of those two.
-    """
-    k = count
-    first = max(0, -(-(total - k * h1) // (h2 - h1)))
-    last = min(k, (total - k * l1) // (l2 - l1))
-    pivot = -(-(total - k * l1) // (h2 - l1))  # i*
-
-    def side(i: int) -> list[int]:
-        lower = max((k - i) * l1, total - i * h2)
-        return _run_left_side(l1, h1, lower, k - i) + _run_left_side(l2, h2, total - lower, i)
-
-    return min(side(i) for i in (pivot - 1, pivot) if first <= i <= last)
 
 
 def run_ends(bits: int) -> tuple[int, ...] | None:
@@ -203,13 +125,40 @@ def least_class_target(ends: tuple[int, ...] | None, m: int, a: int) -> int | No
     The class is given by its run ends, as run_ends returns them, so a run
     needs no mask. 0 if there is none, as for the empty class; None for a
     class of three runs or more (ends None), which needs sumset layers.
-    Needs min S >= 1.
+    Needs min S >= 1, so that 0 is never such a t. Let k = m-1.
+
+    One run lo..hi (the run lemma): the sums of k of its elements are every
+    integer in k*lo .. k*hi, so the t that close a solution are those of
+    lo..hi with k*lo <= a*t <= k*hi, an interval. Ends with hi < lo, an
+    empty run, give 0.
+
+    Two runs l1..h1, l2..h2, h1 < l2: the sums of k elements, j of them from
+    the upper run, are every integer of I_j = [(k-j)*l1 + j*l2, (k-j)*h1 +
+    j*h2], j = 0..k. Both ends grow with j, so v >= k*l1 is a sum iff v <=
+    the end of I_j for the last j whose I_j starts at or below v. Each run,
+    lower first, is walked from its least t with a*t >= k*l1: t is returned
+    if a*t is a sum, and otherwise every v up to the start of I_{j+1} is
+    not, so the walk jumps there, a gap at a time. This is the two-run case
+    of the structure of h-fold sumsets (Nathanson, Sums of finite sets of
+    integers, 1972).
     """
     if not ends:
         return None if ends is None else 0
+    k = m - 1
     if len(ends) == 2:
-        return least_run_target(ends[0], ends[1], m, a)
-    return least_two_run_target(ends[0], ends[1], ends[2], ends[3], m, a)
+        lo, hi = ends
+        t = max(lo, -(-k * lo // a))  # the least t in the run with a*t >= k*lo
+        return t if t <= hi and a * t <= k * hi else 0
+    l1, h1, l2, h2 = ends
+    d = l2 - l1
+    for lo, hi in ((l1, h1), (l2, h2)):
+        t = max(lo, -(-k * l1 // a))  # the least t of the run with a*t >= k*l1
+        while t <= hi and (v := a * t) <= k * h2:  # no sum lies above k*h2, the end of I_k
+            j = min(k, (v - k * l1) // d)  # the last I_j that starts at or below v
+            if v <= k * h1 + j * (h2 - h1):
+                return t
+            t = -(-(k * l1 + (j + 1) * d) // a)  # the least t with a*t >= the start of I_{j+1}
+    return 0
 
 
 def class_left_side(ends: tuple[int, ...], total: int, count: int) -> list[int]:
@@ -217,11 +166,48 @@ def class_left_side(ends: tuple[int, ...], total: int, count: int) -> list[int]:
 
     The class is given by its run ends, and total must be such a sum. Least
     is lexicographic, as in the checker's greedy backtrack, smallest element
-    first; the closed forms need no table.
+    first: the list that picking the least feasible element at each step
+    gives. The closed forms need no table.
+
+    One run: _run_left_side. Two runs l1..h1, l2..h2, h1 < l2: let k = count
+    and T = total. With i elements from the upper run, the list is k-i
+    elements of l1..h1 summing to some T1, then i of l2..h2 summing to T -
+    T1. A smaller T1 gives a smaller lower part (_run_left_side: more leading
+    l1s, or as many and a smaller next element), so the least list for i,
+    f(i), takes the least feasible T1 = max((k-i)*l1, T - i*h2). Such a list
+    exists iff T lies in [(k-i)*l1 + i*l2, (k-i)*h1 + i*h2], that is iff i
+    lies in first..last below.
+
+    f falls up to i*-1 and rises from i* = ceil((T - k*l1)/(h2 - l1)) on:
+    - For i >= i*, T1 = (k-i)*l1: f(i) is k-i copies of l1, then upper
+      elements, so f(i+1), with one l1 fewer, is larger.
+    - For i < i*, T1 exceeds (k-i)*l1 by e = (T - k*l1) - i*(h2-l1) > 0, so
+      h1 > l1 (else i is not feasible), and with D = h1 - l1, f(i) is
+      k-i-ceil(e/D) copies of l1, then v = l1 + e - (ceil(e/D)-1)*D > l1.
+      From i to i+1 < i*, e falls by h2 - l1 > D, so ceil(e/D) falls by at
+      least 1 and the count of leading l1s does not fall. If it rises, f(i+1)
+      holds l1 where f(i) holds v; if not, ceil(e/D) fell by exactly 1, and
+      v falls by h2 - h1 > 0. Either way f(i+1) < f(i).
+    Also first <= i* and i*-1 <= last: (T - k*h1)/(h2 - h1) <= (T - k*l1)/(h2
+    - l1) for T <= k*h2, where both are k, since the left one grows faster
+    with T; and l2 - l1 <= h2 - l1. So the least f(i) over first..last is at
+    i*-1 or i*, whichever has a list, or the lesser of the two if both have:
+    a comparison of at most two lists, with no table. Neither end of
+    first..last nor i*+1 can win unless it is one of those two.
     """
     if len(ends) == 2:
         return _run_left_side(ends[0], ends[1], total, count)
-    return _two_run_left_side(ends[0], ends[1], ends[2], ends[3], total, count)
+    l1, h1, l2, h2 = ends
+    k = count
+    first = max(0, -(-(total - k * h1) // (h2 - h1)))
+    last = min(k, (total - k * l1) // (l2 - l1))
+    pivot = -(-(total - k * l1) // (h2 - l1))  # i*
+
+    def side(i: int) -> list[int]:
+        lower = max((k - i) * l1, total - i * h2)
+        return _run_left_side(l1, h1, lower, k - i) + _run_left_side(l2, h2, total - lower, i)
+
+    return min(side(i) for i in (pivot - 1, pivot) if first <= i <= last)
 
 
 class Color(enum.Enum):

@@ -293,16 +293,17 @@ class SearchOutcome:
 
 def exact_rado_number(
     eq: RadoEquation,
-    n_max: int = 24,
+    n_max: int,
     threads: int = 1,
     timeout: float | None = None,
 ) -> SearchOutcome:
     """Smallest n such that every 2-coloring of [n] has a monochromatic solution.
 
-    Exhausts colorings up to n_max elements by a preorder DFS, red child
-    before blue, with the goal, propagation and trail of the module
-    docstring; a node is (depth, red_state, blue_state), its red set being
-    red_state's first layer up to depth. Reports "exact" with the Rado
+    Exhausts colorings up to n_max >= 1 elements, a bound with no default
+    that every search states, by a preorder DFS, red child before blue, with
+    the goal, propagation and trail of the module docstring; a node is
+    (depth, red_state, blue_state), its red set being red_state's first
+    layer up to depth. Reports "exact" with the Rado
     number when the stack empties, otherwise "cutoff": the search stops at
     the first node of depth n_max (in preorder it carries the
     lexicographically least red set among deepest colorings) or once the

@@ -12,7 +12,6 @@ import pytest
 from radonum import (
     Coloring,
     RadoEquation,
-    ceil_div,
     ceiling_formula,
     closed_form,
     exact_rado_number,
@@ -21,6 +20,7 @@ from radonum import (
     lower_bound_coloring,
     naive_find_mono_solution,
 )
+from radonum.formula import ceil_div
 from radonum.cli import CertificateFile, run, write_certificate
 
 # (m, a) -> expected Rado number; n_max 16 for a=3, n_max 20 elsewhere

@@ -208,6 +208,21 @@ def test_exact_cutoff_exits_1(tmp_path, capsys):
     assert is_valid_coloring(col, RadoEquation(2, 3))
 
 
+def test_n_max_flag_defaults_to_24(capsys, monkeypatch):
+    # the library call takes n_max explicitly; --n-max of exact and sweep is the one default
+    bounds = []
+
+    def spy(eq, n_max, **kwargs):
+        bounds.append(n_max)
+        return radonum.exact_rado_number(eq, n_max, **kwargs)
+
+    monkeypatch.setattr(radonum.cli, "exact_rado_number", spy)
+    assert run(["exact", "--m", "2", "--a", "3"]) == 1
+    assert capsys.readouterr().out == "cutoff deepest_valid=24\n"
+    assert run(["sweep", "--a", "3", "--m-from", "2", "--m-to", "2"]) == 0
+    assert bounds == [24, 24]
+
+
 def no_search(*args, **kwargs):
     raise AssertionError("the search ran")
 

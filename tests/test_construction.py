@@ -5,13 +5,13 @@ import pytest
 from radonum import (
     Coloring,
     RadoEquation,
-    ceil_div,
     ceiling_formula,
     is_valid_coloring,
     lower_bound_coloring,
     naive_find_mono_solution,
     small_case_coloring,
 )
+from radonum.formula import ceil_div
 
 
 def test_shape_for_8_3():

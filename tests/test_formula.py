@@ -5,12 +5,12 @@ import pytest
 from radonum import (
     FormulaBreakdown,
     RadoEquation,
-    ceil_div,
     ceiling_formula,
     closed_form,
     decompose,
     known_rado_number,
 )
+from radonum.formula import ceil_div
 
 # Spot values for a = 3, checked by evaluating the nested ceilings by hand:
 # inner = ceil((m-1)/3), value = ceil((m-1)*inner/3).

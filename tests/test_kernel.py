@@ -6,13 +6,13 @@ one built bit by bit. The checker's run-length sumset layers stop before the
 first layer that repeats its predecessor by a shift of min S; shifted out to
 every layer, they are compared with the per-element reference sumset_layers,
 down to the witnesses find_mono_solution returns, and _sumset_layers walks
-its run plan only up to that repeat. The run-class entry
-core.least_class_target, through the run lemma core.least_run_target and the
-two-run lemma core.least_two_run_target, and the closed-form left side
-core.class_left_side are compared with the reference layers of one or two
-runs, the one-summand greedy_left_side and brute force, and the two-run
-lemma's gap walk also with a per-interval reference, at m up to 5,000 and run
-ends up to 10^6; the entry returns 0 for the empty class and None for three
+its run plan only up to that repeat. The run-class kernel's two entries,
+core.least_class_target, which holds the run lemma and the two-run lemma's
+gap walk, and the closed-form left side core.class_left_side, are called
+with run-ends tuples and compared with the reference layers of one or two
+runs, the one-summand greedy_left_side and brute force, and the gap walk
+also with a per-interval reference, at m up to 5,000 and run ends up to
+10^6; least_class_target returns 0 for the empty class and None for three
 runs or more. The galloping backtrack of every other class, which reads the
 layers past the table as bits of its last layer, is compared with those
 layers and greedy_left_side, and
@@ -52,10 +52,11 @@ from radonum import (
 )
 from radonum.checker import _greedy_left_side, _run_plan, _sumset_layers
 from radonum.core import (
-    Color, Witness, class_left_side, decimate, iter_bits, least_class_target, least_run_target,
-    least_two_run_target, run_ends, smear_steps,
+    Color, Witness, class_left_side, decimate, iter_bits, least_class_target, run_ends, smear_steps,
 )
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
+
+from folding import Unfolded, fold
 
 # solution shapes blocks covers: (copies of y on the left side, whether x_m = y)
 Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
@@ -561,8 +562,8 @@ def test_one_run_classes_match_reference(lo, width, m, a):
     eq = RadoEquation(m, a)
     layers = sumset_layers(bits, m - 1, (1 << (a * hi + 1)) - 1)
     t = next((t for t in range(lo, hi + 1) if layers[-1] >> (a * t) & 1), 0)
-    assert least_run_target(lo, hi, m, a) == t
-    assert least_class_target(run_ends(bits), m, a) == t
+    assert run_ends(bits) == (lo, hi)
+    assert least_class_target((lo, hi), m, a) == t
     if t:
         want = greedy_left_side(layers, list(range(lo, hi + 1)), a * t, m - 1)
         assert class_left_side(run_ends(bits), a * t, m - 1) == want
@@ -600,7 +601,7 @@ def two_runs(data, top=60):
 @given(m=st.integers(2, 9), a=st.integers(1, 7), data=st.data())
 def test_two_run_lemma_matches_reference(m, a, data):
     l1, h1, l2, h2 = two_runs(data)
-    assert least_two_run_target(l1, h1, l2, h2, m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
+    assert least_class_target((l1, h1, l2, h2), m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
 
 
 @pytest.mark.parametrize(
@@ -625,9 +626,9 @@ def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
     k = m - 1
     ends = [((k - j) * l1 + j * l2, (k - j) * h1 + j * h2) for j in range(k + 1)]  # I_j
     assert [ends[j + 1][0] <= ends[j][1] + 1 for j in range(k)] == touching
-    assert least_two_run_target(l1, h1, l2, h2, m, a_without) == 0
+    assert least_class_target((l1, h1, l2, h2), m, a_without) == 0
     assert two_runs_reference(l1, h1, l2, h2, m, a_without) == 0
-    t = least_two_run_target(l1, h1, l2, h2, m, a_with)
+    t = least_class_target((l1, h1, l2, h2), m, a_with)
     assert t and t == two_runs_reference(l1, h1, l2, h2, m, a_with)
 
 
@@ -663,7 +664,7 @@ def test_two_run_lemma_at_scale(m, a, data):
     h1 = min(l1 + data.draw(width), top - 2)
     l2 = min(h1 + data.draw(gap), top)
     h2 = min(l2 + data.draw(width), top)
-    got = least_two_run_target(l1, h1, l2, h2, m, a)
+    got = least_class_target((l1, h1, l2, h2), m, a)
     assert got == two_runs_per_interval(l1, h1, l2, h2, m, a)
 
 
@@ -680,7 +681,7 @@ def test_two_run_lemma_matches_brute_force_on_a_grid():
             sums = sum_bits(sums << e for e in elements)  # the sums of m-1 elements
             for a in range(1, 8):
                 want = next((t for t in elements if sums >> a * t & 1), 0)
-                assert least_two_run_target(l1, h1, l2, h2, m, a) == want, (l1, h1, l2, h2, m, a)
+                assert least_class_target((l1, h1, l2, h2), m, a) == want, (l1, h1, l2, h2, m, a)
                 assert two_runs_per_interval(l1, h1, l2, h2, m, a) == want
                 seen.add(bool(want))
     assert seen == {False, True}
@@ -701,7 +702,7 @@ def test_two_run_lemma_jumps_gaps(runs, m, a, t, gaps):
     # `gaps` distinct gaps: the walk jumps one gap a step, so it jumps that many
     l1, h1, l2, h2 = runs
     k = m - 1
-    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    assert least_class_target((l1, h1, l2, h2), m, a) == t
     assert two_runs_per_interval(l1, h1, l2, h2, m, a) == t
     passed = [
         u for u in (*range(l1, h1 + 1), *range(l2, h2 + 1))
@@ -728,8 +729,8 @@ def test_two_run_classes_match_reference(m, a, data):
     eq = RadoEquation(m, a)
     layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
     t = next((t for t in iter_bits(bits) if layers[-1] >> (a * t) & 1), 0)
-    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
-    assert least_class_target(run_ends(bits), m, a) == t
+    assert run_ends(bits) == (l1, h1, l2, h2)
+    assert least_class_target((l1, h1, l2, h2), m, a) == t
     if t:
         want = greedy_left_side(layers, list(iter_bits(bits)), a * t, m - 1)
         assert class_left_side(run_ends(bits), a * t, m - 1) == want
@@ -783,7 +784,7 @@ def test_class_target_edges(bits, m, a, want):
 def test_two_run_left_side_cases(runs, m, a, t, upper, left):
     l1, h1, l2, h2 = runs
     k, total = m - 1, a * t
-    assert least_two_run_target(l1, h1, l2, h2, m, a) == t
+    assert least_class_target((l1, h1, l2, h2), m, a) == t
     # the least ascending list with i upper elements, by brute force, for each i
     elements = [*range(l1, h1 + 1), *range(l2, h2 + 1)]
     best = {}
@@ -872,17 +873,6 @@ def blocks(state, y, a):
         or (below << y) & targets
         or below >> ((a - 1) * y) & 1
     )
-
-
-def fold(elements, m, a, n):
-    """State of the class of elements, folded in order, or None once it holds a solution."""
-    capmask = (1 << (a * n + 1)) - 1
-    state = _empty_state(m, a, capmask)
-    for x in elements:
-        state = _add_element(state, 1 << x, a, capmask)
-        if state is None:
-            break
-    return state
 
 
 def targets_of(bits, a):
@@ -1009,15 +999,6 @@ def test_run_fold_matches_reference(m, a, n, data):
         x = data.draw(st.integers(1, n))
         w = data.draw(st.integers(0, n - x))
         state, bits = check_run_fold(state, bits, x, w, m, a, n)
-
-
-class Unfolded(int):
-    """A layer that raises when ORed, as every fold of a layer does."""
-
-    def __or__(self, other):
-        raise AssertionError("the layer was folded")
-
-    __ror__ = __or__
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exhaustive search: exact values, certificates, determinism."""
 
+import inspect
 import sys
 from functools import reduce
 from itertools import chain, repeat
@@ -12,7 +13,6 @@ from radonum import (
     Color,
     Coloring,
     RadoEquation,
-    ceil_div,
     ceiling_formula,
     construction,
     exact_rado_number,
@@ -21,22 +21,11 @@ from radonum import (
     lower_bound_coloring,
     search,
 )
-from radonum.core import iter_bits, least_run_target
+from radonum.core import iter_bits, least_class_target
+from radonum.formula import ceil_div
 from radonum.search import CUTOFF, EXACT, _add_element, _empty_state
 
-
-def fold(eq, n, elements):
-    """State of the class holding `elements`, folded in order, capped at a*n.
-
-    None once the class holds a solution.
-    """
-    capmask = (1 << (eq.a * n + 1)) - 1
-    state = _empty_state(eq.m, eq.a, capmask)
-    for x in elements:
-        state = _add_element(state, 1 << x, eq.a, capmask)
-        if state is None:
-            break
-    return state
+from folding import Unfolded, fold
 
 
 def test_exact_values_a3_small():
@@ -354,15 +343,6 @@ def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
     assert (out.stats.nodes, out.stats.checks) == dict(PINNED_TREES)[params][2:4]
 
 
-class Unfolded(int):
-    """A layer that raises when ORed, as every fold of a layer does."""
-
-    def __or__(self, other):
-        raise AssertionError("the layer was folded")
-
-    __ror__ = __or__
-
-
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
 def test_one_run_classes_are_written_down(monkeypatch, params, want):
     # every propagated run on these trees leaves its class as one run, whose layers
@@ -443,7 +423,7 @@ def test_the_run_test_matches_a_search_over_sums():
                     sums = reduce(or_, [sums << x for x in range(lo, hi + 1)], 0)
                 for a in range(1, 8):
                     want = next((t for t in range(lo, hi + 1) if sums >> a * t & 1), 0)
-                    assert least_run_target(lo, hi, m, a) == want, (m, a, lo, hi)
+                    assert least_class_target((lo, hi), m, a) == want, (m, a, lo, hi)
                     seen.add(bool(want))
     assert seen == {False, True}
 
@@ -608,12 +588,21 @@ def test_validates_parameters():
             exact_rado_number(RadoEquation(3, 3), n_max=10, timeout=timeout)
 
 
+def test_n_max_has_no_default():
+    # every search states its own bound: a silent cap would hide values past it,
+    # such as C(20, 3) = 45
+    n_max = inspect.signature(exact_rado_number).parameters["n_max"]
+    assert n_max.default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        exact_rado_number(RadoEquation(20, 3))
+
+
 def test_prefix_check_on_lower_bound_prefixes():
     # the DFS path to the lower-bound coloring red {1, 2} of [6]: every fold stays free
     eq = RadoEquation(8, 3)
     col = lower_bound_coloring(eq)
     capmask = (1 << (eq.a * col.n + 1)) - 1
-    states = {Color.RED: fold(eq, col.n, []), Color.BLUE: fold(eq, col.n, [])}
+    states = {Color.RED: fold([], eq.m, eq.a, col.n), Color.BLUE: fold([], eq.m, eq.a, col.n)}
     for k in range(1, col.n + 1):
         color = col.color_of(k)
         states[color] = _add_element(states[color], 1 << k, eq.a, capmask)
@@ -625,19 +614,19 @@ def test_prefix_check_sees_new_solutions():
     for m, a in [(3, 3), (4, 2), (5, 3), (3, 1)]:
         eq = RadoEquation(m, a)
         k = max(a, m - 1)
-        assert fold(eq, k, range(1, k + 1)) is None
+        assert fold(range(1, k + 1), m, a, k) is None
 
 
 def test_prefix_check_only_looks_at_the_changed_class():
     # red {1, 2} solves (3, 3) via 1+2=3*1; blue {3} alone does not
     eq = RadoEquation(3, 3)
-    assert fold(eq, 3, [1, 2]) is None
-    assert fold(eq, 3, [3]) is not None
+    assert fold([1, 2], eq.m, eq.a, 3) is None
+    assert fold([3], eq.m, eq.a, 3) is not None
 
 
 def test_prefix_check_empty():
     for m, a in [(3, 3), (2, 1), (6, 2)]:
-        assert fold(RadoEquation(m, a), 4, []) is not None
+        assert fold([], m, a, 4) is not None
 
 
 def test_known_values_match_search_where_applicable():
