@@ -198,7 +198,13 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
         smaller t; for t in S, only the s that are new in L'_{m-2}, each as
         {a*t : t in S} >> s, the parent's layer 1 spread by a, which is built
         only when there is such an s. An s can give a y >= 1 only below
-        a*max S, whatever the order elements arrive in.
+        a*max S, whatever the order elements arrive in. The spread takes
+        only the t with a*t <= n_max + 1 + s for the largest new s, so the
+        y it gives stop at n_max + 1: the search reads y <= top <= n_max, and
+        bit n_max + 1 is the highest one the tests compare. At m = 3, where
+        L'_{m-2} is the class and nearly every fold has a new s, the spread
+        of all of S, a string of about a*max S base-2 digits a fold, took
+        most of the search's time.
     A reused L'_{m-1} or L'_{m-2} adds nothing to shapes 1 and 3, nor new s:
     the solution-free state that last changed it ORed its y in already.
 
@@ -252,8 +258,10 @@ def _add_element(state: _ClassState, new: int, a: int, capmask: int) -> _ClassSt
     # below a*max S, and ((1 << a*bit_length) - 1) >> a masks those, none while S is empty
     if len(layers) > 1 and reused < 2 and (
             new_s := below & ~layers[-2] & ((1 << a * layers[0].bit_length()) - 1) >> a):
-        # a-1 zeros between the base-2 digits move bit t to a*t: {a*t : t in S}
-        spread = int(("0" * (a - 1)).join(bin(layers[0])[2:]), 2)
+        # a-1 zeros between the base-2 digits move bit t to a*t: {a*t : t in S}, for
+        # the t with a*t - max(new_s) <= n_max + 1 only, so that y <= n_max + 1
+        low_t = layers[0] & ((2 << (cap // a + new_s.bit_length()) // a) - 1)
+        spread = int(("0" * (a - 1)).join(bin(low_t)[2:]), 2)
         for s in iter_bits(new_s):
             blocked |= spread >> s
     return None if blocked & new_layers[0] else (new_layers, blocked, full)

@@ -12,14 +12,11 @@ from radonum import (
 )
 from radonum.formula import ceil_div
 
+from reference import general_threshold
+
 # Spot values for a = 3, checked by evaluating the nested ceilings by hand:
 # inner = ceil((m-1)/3), value = ceil((m-1)*inner/3).
 A3_VALUES = {16: 25, 15: 24, 14: 22, 13: 16, 12: 15, 11: 14, 10: 9, 9: 8, 8: 7, 7: 4, 6: 4, 5: 3}
-
-
-def general_threshold(a):
-    """Smallest m from which C(m, a) is proved exact for every a >= 3."""
-    return 2 * a * a - a + 2
 
 
 def solution_values_fit(eq):

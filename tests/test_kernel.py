@@ -1,34 +1,20 @@
-"""The search's and the checker's kernels against references and brute force.
+"""The search's and the checker's kernels against the references in reference.py.
 
-The shared bitset helpers core.decimate and core.smear_steps are compared
-with set references, and the checker's run plan of a class, _run_plan, with
-one built bit by bit. The checker's run-length sumset layers stop before the
-first layer that repeats its predecessor by a shift of min S; shifted out to
-every layer, they are compared with the per-element reference sumset_layers,
-down to the witnesses find_mono_solution returns, and _sumset_layers walks
-its run plan only up to that repeat. The run-class kernel's two entries,
-core.least_class_target, which holds the run lemma and the two-run lemma's
-gap walk, and the closed-form left side core.class_left_side, are called
-with run-ends tuples and compared with the reference layers of one or two
-runs, the one-summand greedy_left_side and brute force, and the gap walk
-also with a per-interval reference, at m up to 5,000 and run ends up to
-10^6; least_class_target returns 0 for the empty class and None for three
-runs or more. The galloping backtrack of every other class, which reads the
-layers past the table as bits of its last layer, is compared with those
-layers and greedy_left_side, and
-find_mono_solution with a checker built from both references; its tables,
-capped near the least target a class can have, also with one table per class
-capped at a*max S, and on [8] with the naive oracle and enumeration. The search's
-incremental fold, of one element or of a run in one call (decided by the
-run-class entry when it leaves one or two runs, and written down, with no
-parent layer above the first ORed, when it leaves one run and no solution;
-any other fold shifts its elements in one at a time), returns None exactly
-when the reference layers hold a solution, and without reading its layers
-when the class is left as one or two runs; while they hold none, its layers,
-its saturated-layer index and the lookahead's blocked-y mask are compared
-with the layer-at-a-time checker, the reference layers, the naive oracle,
-the per-y test blocks and plain enumeration, and exact_rado_number with a
-search that tries every coloring.
+- core.decimate and core.smear_steps against set references, and the
+  checker's run plan against one built bit by bit.
+- The checker's run-length sumset layers, which stop before the first layer
+  that repeats its predecessor by a shift of min S, against sumset_layers,
+  down to the witnesses of find_mono_solution; its tables capped near the
+  least target also against one table per class capped at a*max S, and
+  against the naive oracle.
+- The run-class kernel, core.least_class_target and core.class_left_side,
+  against least_target, greedy_left_side and brute force, at m up to 5,000
+  and run ends up to 10^6.
+- The search's fold, _add_element, of one element or of a run: when it
+  returns None against least_target, its layers and saturated-layer index
+  against sumset_layers, and its blocked mask, for every y up to n_max + 1,
+  against blocks and within the solutions shapes_by_layers finds.
+- exact_rado_number against brute_force_search.
 """
 
 import itertools
@@ -48,52 +34,17 @@ from radonum import (
     find_mono_solution,
     lower_bound_coloring,
     naive_find_mono_solution,
-    search,
 )
 from radonum.checker import _greedy_left_side, _run_plan, _sumset_layers
 from radonum.core import (
     Color, Witness, class_left_side, decimate, iter_bits, least_class_target, run_ends, smear_steps,
 )
-from radonum.search import CUTOFF, EXACT, _add_element, _empty_state, exact_rado_number
+from radonum.search import _add_element, _empty_state, exact_rado_number
 
-from folding import Unfolded, fold
-
-# solution shapes blocks covers: (copies of y on the left side, whether x_m = y)
-Y_RIGHT, Y_LEFT, Y_BOTH = (0, True), (1, False), (1, True)
-
-
-def sumset_layers(class_bits, depth, capmask):
-    """The reference for checker._sumset_layers: one shift per class element."""
-    elements = list(iter_bits(class_bits))
-    layers = [class_bits & capmask]
-    for _ in range(depth - 1):
-        acc = 0
-        prev = layers[-1]
-        for e in elements:
-            acc |= prev << e
-        layers.append(acc & capmask)
-    return layers
-
-
-def greedy_left_side(layers, elements, total, count):
-    """The reference for checker._greedy_left_side: one summand per step.
-
-    Each step rescans the elements from the smallest and takes the first e
-    whose remainder total - e is a sum of the summands left.
-    """
-    remaining = total
-    out = []
-    for k in range(count, 0, -1):
-        prev = layers[k - 2] if k >= 2 else 1  # bit 0 is the empty sum
-        for e in elements:
-            rest = remaining - e
-            if rest >= 0 and (prev >> rest) & 1:
-                out.append(e)
-                remaining = rest
-                break
-        else:
-            raise RuntimeError("sumset table backtracking failed; table is inconsistent")
-    return out
+from reference import (
+    Y_BOTH, Y_LEFT, Y_RIGHT, Unfolded, blocks, brute_force_search, fold, greedy_left_side, interval,
+    least_target, shapes_by_layers, shapes_closed_by, sum_bits, sumset_layers,
+)
 
 
 def reference_find_mono_solution(col, eq):
@@ -102,27 +53,14 @@ def reference_find_mono_solution(col, eq):
     Red before blue, the least t with a*t in L_{m-1}, and the left side by the
     one-summand greedy: the order and witness the checker promises.
     """
-    capmask = (1 << (eq.a * col.n + 1)) - 1
     for color in (Color.RED, Color.BLUE):
         bits = col.class_bits(color)
-        layers = sumset_layers(bits, eq.m - 1, capmask)
-        targets = [t for t in iter_bits(bits) if layers[-1] >> (eq.a * t) & 1]
-        if targets:
-            left = greedy_left_side(layers, list(iter_bits(bits)), eq.a * targets[0], eq.m - 1)
-            return Witness((*left, targets[0]), color)
+        t = least_target(bits, eq.m, eq.a)
+        if t:
+            layers = sumset_layers(bits, eq.m - 1, (2 << eq.a * t) - 1)
+            left = greedy_left_side(layers, list(iter_bits(bits)), eq.a * t, eq.m - 1)
+            return Witness((*left, t), color)
     return None
-
-
-def interval(lo, hi):
-    """Bits lo..hi of a class."""
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
-def sum_bits(masks):
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
 
 
 def first_shift_stable(layers, class_bits, capmask):
@@ -561,7 +499,7 @@ def test_one_run_classes_match_reference(lo, width, m, a):
     bits = interval(lo, hi)
     eq = RadoEquation(m, a)
     layers = sumset_layers(bits, m - 1, (1 << (a * hi + 1)) - 1)
-    t = next((t for t in range(lo, hi + 1) if layers[-1] >> (a * t) & 1), 0)
+    t = least_target(bits, m, a)
     assert run_ends(bits) == (lo, hi)
     assert least_class_target((lo, hi), m, a) == t
     if t:
@@ -570,17 +508,6 @@ def test_one_run_classes_match_reference(lo, width, m, a):
     # as the red class, and as the blue one above a red run 1..lo-1, of [hi]
     for col in (Coloring(hi, bits), Coloring(hi, interval(1, lo - 1))):
         assert find_mono_solution(col, eq) == reference_find_mono_solution(col, eq)
-
-
-def two_runs_reference(l1, h1, l2, h2, m, a):
-    """The least t of the class l1..h1, l2..h2 with a*t a sum of m-1 elements, or 0.
-
-    By the reference layers.
-    """
-    bits = interval(l1, h1) | interval(l2, h2)
-    layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
-    hits = decimate(layers[-1], a) & bits
-    return (hits & -hits).bit_length() - 1 if hits else 0
 
 
 def two_runs(data, top=60):
@@ -601,7 +528,8 @@ def two_runs(data, top=60):
 @given(m=st.integers(2, 9), a=st.integers(1, 7), data=st.data())
 def test_two_run_lemma_matches_reference(m, a, data):
     l1, h1, l2, h2 = two_runs(data)
-    assert least_class_target((l1, h1, l2, h2), m, a) == two_runs_reference(l1, h1, l2, h2, m, a)
+    want = least_target(interval(l1, h1) | interval(l2, h2), m, a)
+    assert least_class_target((l1, h1, l2, h2), m, a) == want
 
 
 @pytest.mark.parametrize(
@@ -627,9 +555,9 @@ def test_two_run_lemma_cases(runs, m, touching, a_without, a_with):
     ends = [((k - j) * l1 + j * l2, (k - j) * h1 + j * h2) for j in range(k + 1)]  # I_j
     assert [ends[j + 1][0] <= ends[j][1] + 1 for j in range(k)] == touching
     assert least_class_target((l1, h1, l2, h2), m, a_without) == 0
-    assert two_runs_reference(l1, h1, l2, h2, m, a_without) == 0
+    assert least_target(interval(l1, h1) | interval(l2, h2), m, a_without) == 0
     t = least_class_target((l1, h1, l2, h2), m, a_with)
-    assert t and t == two_runs_reference(l1, h1, l2, h2, m, a_with)
+    assert t and t == least_target(interval(l1, h1) | interval(l2, h2), m, a_with)
 
 
 def two_runs_per_interval(l1, h1, l2, h2, m, a):
@@ -728,7 +656,7 @@ def test_two_run_classes_match_reference(m, a, data):
     bits = interval(l1, h1) | interval(l2, h2)
     eq = RadoEquation(m, a)
     layers = sumset_layers(bits, m - 1, (1 << (a * h2 + 1)) - 1)
-    t = next((t for t in iter_bits(bits) if layers[-1] >> (a * t) & 1), 0)
+    t = least_target(bits, m, a)
     assert run_ends(bits) == (l1, h1, l2, h2)
     assert least_class_target((l1, h1, l2, h2), m, a) == t
     if t:
@@ -851,44 +779,25 @@ def test_greedy_reads_layers_past_the_prefix(class_bits, cap, past, pick):
     assert _greedy_left_side(prefix, iter_bits(class_bits), total, count) == want
 
 
-def blocks(state, y, a):
-    """Whether adding a future element y to the class would close a solution.
+def assert_state_matches(state, bits, m, a, n):
+    """A solution-free state of the class bits, capped at a*n, against the references.
 
-    The reference for bit y of the state's blocked mask, one y at a time. Reads
-    only the class's layers, and builds the targets a*S from layer 1, the
-    class; y itself need not be folded in.
-    Sound but incomplete: it finds the solutions in S + {y} where y appears at
-    most once on the left side, namely
-      a*y in L_{m-1}               y only on the right,
-      y + s = a*t, s in L_{m-2}    y once on the left, some t in S on the right,
-      (a-1)*y in L_{m-2}           y once on the left and on the right,
-    with L_0 = {0}. Every value tested is at most a*y, so the cap at a*n_max
-    loses nothing while y <= n_max.
+    Its layers are sumset_layers. full is its first saturated layer, all of
+    [k*min S, a*n], an empty set once k*min S > a*n, and every later layer is
+    saturated; an empty class has none. For every y in 1..n+1, bit y of its
+    blocked mask is blocks, the three shapes the search looks for, and a y in
+    the mask closes a solution that shapes_by_layers finds without a cap.
     """
-    layers = state[0]
-    targets = targets_of(layers[0], a)
-    below = layers[-2] if len(layers) > 1 else 1  # L_{m-2}
-    return bool(
-        layers[-1] >> (a * y) & 1
-        or (below << y) & targets
-        or below >> ((a - 1) * y) & 1
-    )
-
-
-def targets_of(bits, a):
-    """The bitset {a*t : t in the class}."""
-    return sum_bits(1 << (a * t) for t in iter_bits(bits))
-
-
-def shapes_closed_by(members, y, m, a):
-    """Shapes of the solutions in members + {y} that use y, by enumeration."""
-    pool = sorted(set(members) | {y})
-    found = set()
-    for left in itertools.combinations_with_replacement(pool, m - 1):
-        for right in pool:
-            if sum(left) == a * right and (y in left or right == y):
-                found.add((left.count(y), right == y))
-    return found
+    layers = sumset_layers(bits, m - 1, (1 << (a * n + 1)) - 1)
+    assert list(state[0]) == layers
+    lo = (bits & -bits).bit_length() - 1
+    saturated = [bool(bits) and layer == (interval(k * lo, a * n) if k * lo <= a * n else 0)
+                 for k, layer in enumerate(layers, start=1)]
+    assert saturated == [False] * state[2] + [True] * (m - 1 - state[2])
+    ys = range(1, n + 2)
+    mask = [bool(state[1] >> y & 1) for y in ys]
+    assert mask == [blocks(bits, y, m, a, a * n) for y in ys]
+    assert all(shapes_by_layers(bits, y, m, a) for y, bit in zip(ys, mask) if bit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -908,13 +817,11 @@ def test_fold_matches_sumset_table(m, a, n, data):
     for x in elements:
         state = _add_element(state, 1 << x, a, capmask)
         bits |= 1 << x
-        reference = sumset_layers(bits, m - 1, capmask)
-        if reference[-1] & targets_of(bits, a):
+        if least_target(bits, m, a):
             assert state is None
             break
-        layers = state[0]
-        assert list(layers) == reference
-        assert_stable_prefix(_sumset_layers(bits, m - 1, capmask), list(layers), bits, capmask)
+        assert_state_matches(state, bits, m, a, n)
+        assert_stable_prefix(_sumset_layers(bits, m - 1, capmask), list(state[0]), bits, capmask)
 
 
 @settings(max_examples=300, deadline=None)
@@ -934,19 +841,10 @@ def test_saturated_tail_matches_reference(m, a, n, data):
     for x in elements:
         state = _add_element(state, 1 << x, a, capmask)
         bits |= 1 << x
-        layers = sumset_layers(bits, m - 1, capmask)
-        if layers[-1] & targets_of(bits, a):  # the fold returns None exactly then
+        if least_target(bits, m, a):  # the fold returns None exactly then
             assert state is None
             break
-        assert list(state[0]) == layers
-        # L_k saturated: all of [k*min S, a*n], an empty set once k*min S > a*n;
-        # full is the first saturated layer, and all later ones are saturated
-        lows = [k * elements[0] for k in range(1, m)]
-        saturated = [layer == (interval(lo, a * n) if lo <= a * n else 0) for lo, layer in zip(lows, layers)]
-        assert saturated == [False] * state[2] + [True] * (m - 1 - state[2])
-        # reused layers add nothing new to the mask
-        ys = range(1, n + 2)
-        assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+        assert_state_matches(state, bits, m, a, n)  # reused layers add nothing new to the mask
 
 
 def check_run_fold(state, bits, x, w, m, a, n):
@@ -955,25 +853,17 @@ def check_run_fold(state, bits, x, w, m, a, n):
     The fold must return None exactly when the reference layers of the union
     hold a solution, whether the run-class lemmas or the layers decide it.
     Otherwise its layers, its first saturated layer and its mask are
-    compared with the reference layers and blocks for every y.
+    compared with the references by assert_state_matches.
     Returns the fold's state, None or not, and the new class.
     """
     capmask = (1 << (a * n + 1)) - 1
     run = interval(x, x + w)
     state = _add_element(state, run, a, capmask)
     bits |= run
-    layers = sumset_layers(bits, m - 1, capmask)
-    if layers[-1] & targets_of(bits, a):
+    if least_target(bits, m, a):
         assert state is None
         return state, bits
-    assert list(state[0]) == layers
-    # full is the first layer that is all of [k*min S, a*n], an empty set once k*min S > a*n
-    lo = (bits & -bits).bit_length() - 1
-    saturated = [layer == (interval(k * lo, a * n) if k * lo <= a * n else 0)
-                 for k, layer in enumerate(layers, start=1)]
-    assert saturated == [False] * state[2] + [True] * (m - 1 - state[2])
-    ys = range(1, n + 2)
-    assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+    assert_state_matches(state, bits, m, a, n)
     return state, bits
 
 
@@ -1018,6 +908,9 @@ def test_run_fold_matches_reference(m, a, n, data):
         (8, 2, 12, [3, 4, 5, 9, 10], 6, 2),  # [6, 8] joins [3, 5] and [9, 10]
         (7, 2, 14, [8, 9, 10], 4, 3),  # [4, 7] below min S extends [8, 10] down
         (10, 3, 15, [5, 6, 7, 8], 9, 3),  # [9, 12] above [5, 8]: L_6 .. L_9 are reused
+        # y = n + 1 = 7, the highest bit the tests read: 7 + 5 = 4*3, where the new s = 5
+        # meets the old target 12 = n + 1 + s, the last one the spread keeps
+        (3, 4, 6, [3], 4, 1),
     ],
 )
 def test_run_fold_cases(m, a, n, prefix, x, w):
@@ -1097,8 +990,7 @@ def test_blocked_mask_matches_blocks(m, a, n, data):
         state = fold(elements[:k], m, a, n)
         if state is None:
             break
-        ys = range(1, n + 2)
-        assert [bool(state[1] >> y & 1) for y in ys] == [blocks(state, y, a) for y in ys]
+        assert_state_matches(state, sum_bits(1 << x for x in elements[:k]), m, a, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1122,6 +1014,20 @@ def test_blocks_is_sound_and_finds_its_shapes(m, a, n, data):
     assert blocked == bool(covered)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.sets(st.integers(1, 9), max_size=6),
+    y=st.integers(1, 12),
+    m=st.integers(2, 5),
+    a=st.integers(1, 6),
+)
+@example(members={4}, y=6, m=3, a=3)  # 6 + 6 = 3*4: y twice on the left, which blocks leaves out
+def test_shapes_by_layers_match_enumeration(members, y, m, a):
+    # y in the class or not, below, among or above its members
+    bits = sum_bits(1 << x for x in members)
+    assert shapes_by_layers(bits, y, m, a) == shapes_closed_by(members, y, m, a)
+
+
 # one example per case, where y closes solutions of that shape only
 @pytest.mark.parametrize(
     ("m", "a", "members", "y", "shape"),
@@ -1140,26 +1046,6 @@ def test_blocks_covers_each_case(m, a, members, y, shape):
         state = fold(order, m, a, y)
         assert state is not None
         assert state[1] >> y & 1, order
-
-
-def brute_force_search(eq, n_max):
-    """exact_rado_number's answer from every coloring of [n] with 1 red, n <= n_max.
-
-    Colorings of [n] are tried red-first on 2, then on 3, and so on: the DFS's
-    preorder, so the first valid one is the certificate the search reports.
-    """
-    deepest = Coloring(0)
-    for n in range(1, n_max + 1):
-        colorings = (
-            Coloring(n, sum(bit << x for x, bit in enumerate(reds, start=1)))
-            for reds in itertools.product((1, 0), repeat=n)
-            if reds[0]
-        )
-        valid = next((col for col in colorings if find_mono_solution(col, eq) is None), None)
-        if valid is None:
-            return EXACT, n, deepest
-        deepest = valid
-    return CUTOFF, None, deepest
 
 
 @pytest.mark.parametrize("n_max", [5, 11])

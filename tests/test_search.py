@@ -21,11 +21,10 @@ from radonum import (
     lower_bound_coloring,
     search,
 )
-from radonum.core import iter_bits, least_class_target
-from radonum.formula import ceil_div
-from radonum.search import CUTOFF, EXACT, _add_element, _empty_state
+from radonum.core import least_class_target
+from radonum.search import CUTOFF, EXACT, _add_element
 
-from folding import Unfolded, fold
+from reference import Unfolded, fold, fold_every_child, fold_kind, least_target, lookahead_only
 
 
 def test_exact_values_a3_small():
@@ -127,170 +126,13 @@ def test_search_tree_is_pinned(params, want, threads):
     assert got == want
 
 
-def lookahead_only(eq, n_max):
-    """exact_rado_number's search without propagation: only the lookahead skips nodes.
-
-    Returns (status, rado_number, deepest valid depth, certificate red bits, nodes,
-    checks).
-    """
-    capmask = (1 << (eq.a * n_max + 1)) - 1
-    empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 0b10, eq.a, capmask)
-    stack = [] if pinned is None else [(0b10, 1, pinned, empty)]
-    best, best_red = (1, 0b10) if stack else (0, 0)
-    nodes = checks = 1
-    while stack:
-        red, depth, red_state, blue_state = stack.pop()
-        nodes += 1
-        if depth > best:
-            best, best_red = depth, red
-        if depth >= n_max:
-            return CUTOFF, None, best, best_red, nodes, checks
-        if (red_state[1] & blue_state[1] & ((1 << (best + 2)) - 1)) >> (depth + 2):
-            continue
-        x = depth + 1
-        for to_red in (False, True):  # blue child first, as the search pushes it
-            state = red_state if to_red else blue_state
-            checks += 1
-            if state[1] >> x & 1:
-                continue
-            child = _add_element(state, 1 << x, eq.a, capmask)
-            if child is not None:
-                stack.append((red | 1 << x, x, child, blue_state) if to_red
-                             else (red, x, red_state, child))
-    return EXACT, best + 1, best, best_red, nodes, checks
-
-
-def propagate(red, blue, lo, hi, a, capmask):
-    """Fold each y in lo..hi blocked in one class only into the other, lowest first.
-
-    The element-by-element reference for the search's propagation; a y already
-    in a class is not folded again. Returns (conflict, folds, red, blue): a
-    conflict is a fold that holds a solution or a y in lo..hi blocked in both
-    classes, and red and blue are the folded states.
-    """
-    states, folds = [red, blue], 0
-    done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
-    while True:
-        blocked = [[state[1] >> y & 1 for state in states] for y in range(lo, hi + 1)]
-        if [1, 1] in blocked:
-            return True, folds, *states
-        forced = [y for y, pair in zip(range(lo, hi + 1), blocked)
-                  if pair in ([0, 1], [1, 0]) and y not in done]
-        if not forced:
-            return False, folds, *states
-        y = forced[0]
-        done.add(y)
-        to = blocked[y - lo][0]  # 0 = red, 1 = blue: the class where y is not blocked
-        states[to] = _add_element(states[to], 1 << y, a, capmask)
-        folds += 1
-        if states[to] is None:  # the fold holds a solution
-            return True, folds, *states
-
-
-def propagate_runs(red, blue, lo, hi, a, capmask):
-    """The search's propagation by runs, folded one element at a time.
-
-    The lowest y in lo..hi blocked in one class only, and in neither class yet,
-    goes to the other class together with the forced y right above it that the
-    same class blocks; the run is folded element by element and counts once.
-    Returns (conflict, runs, red, blue), with conflicts and states as in propagate.
-    """
-    states, runs = [red, blue], 0
-    done = {y for y in range(lo, hi + 1) if (red[0][0] | blue[0][0]) >> y & 1}
-    while True:
-        blocked = {y: [state[1] >> y & 1 for state in states] for y in range(lo, hi + 1)}
-        if [1, 1] in blocked.values():
-            return True, runs, *states
-        forced = [y for y, pair in blocked.items() if pair in ([0, 1], [1, 0]) and y not in done]
-        if not forced:
-            return False, runs, *states
-        run = [forced[0]]
-        while run[-1] + 1 in forced and blocked[run[-1] + 1] == blocked[run[0]]:
-            run.append(run[-1] + 1)
-        done.update(run)
-        runs += 1
-        to = blocked[run[0]][0]  # 0 = red, 1 = blue: the class where the run is not blocked
-        for y in run:
-            states[to] = _add_element(states[to], 1 << y, a, capmask)
-            if states[to] is None:  # the run holds a solution
-                return True, runs, *states
-
-
-def two_run_goal(eq, n_max):
-    """The search's goal, checked by the checker instead of the search's arithmetic.
-
-    The two-run coloring of [goal], goal = min(C(m, a) - 1, n_max), is red on
-    1..q-1 and blue on q..goal, q = ceil((m-1)/a). Returns goal, or 0 unless
-    that coloring is nonempty and valid.
-    """
-    q, goal = ceil_div(eq.m - 1, eq.a), min(ceiling_formula(eq) - 1, n_max)
-    if goal < 1:
-        return 0
-    valid = is_valid_coloring(Coloring.from_red(goal, range(1, min(q, goal + 1))), eq)
-    return goal if valid else 0
-
-
-def fold_every_child(eq, n_max):
-    """exact_rado_number's tree with every child of a free x folded.
-
-    Propagation is the element-by-element reference over depth+1 .. top, top =
-    max(best + 1, goal), with two_run_goal's goal: a node is skipped iff
-    propagate finds a conflict, and propagate_runs must find one too and end in
-    the same classes. Children start from propagate's folded states. Returns
-    (nodes, checks, element_checks, unfolded): checks count one per propagated
-    run, as the search does, element_checks one per propagated element, and
-    unfolded the children the search does not fold: those whose x is in a
-    class after propagation, which count one check each and whose sibling must
-    hold a solution. A node that branches has its x blocked in neither class.
-    """
-    goal = two_run_goal(eq, n_max)
-    capmask = (1 << (eq.a * n_max + 1)) - 1
-    empty = _empty_state(eq.m, eq.a, capmask)
-    pinned = _add_element(empty, 0b10, eq.a, capmask)
-    stack = [] if pinned is None else [(1, pinned, empty)]
-    best, nodes, checks, element_checks, unfolded = len(stack), 1, 1, 1, 0
-    while stack:
-        depth, red, blue = stack.pop()
-        nodes += 1
-        best = max(best, depth)
-        if depth >= n_max:
-            break
-        lo, hi = depth + 1, max(best + 1, goal)
-        conflict, folds, red_p, blue_p = propagate(red, blue, lo, hi, eq.a, capmask)
-        run_conflict, runs, red_r, blue_r = propagate_runs(red, blue, lo, hi, eq.a, capmask)
-        assert run_conflict == conflict
-        checks += runs
-        element_checks += folds
-        if conflict:
-            continue
-        assert (red_r[0][0], blue_r[0][0]) == (red_p[0][0], blue_p[0][0])
-        x = depth + 1
-        if (red_p[0][0] | blue_p[0][0]) >> x & 1:
-            checks += 1
-            element_checks += 1
-            unfolded += 1
-            sibling = blue_p if red_p[0][0] >> x & 1 else red_p
-            assert _add_element(sibling, 1 << x, eq.a, capmask) is None, x
-            stack.append((x, red_p, blue_p))
-            continue
-        assert not (red_p[1] | blue_p[1]) >> x & 1, x
-        for to_red in (False, True):  # blue child first, as the search pushes it
-            parent = red_p if to_red else blue_p
-            checks += 1
-            element_checks += 1
-            child = _add_element(parent, 1 << x, eq.a, capmask)
-            if child is not None:
-                stack.append((x, child, blue_p) if to_red else (x, red_p, child))
-    return nodes, checks, element_checks, unfolded
-
-
 @pytest.mark.parametrize(("params", "want"), PINNED_TREES)
 def test_blocked_children_are_not_folded(monkeypatch, params, want):
     m, a, n_max = params
     folds = []
 
     def spy(state, new, a, capmask):
+        fold_kind(new)  # raises unless new is one bit or one run, as _add_element assumes
         folds.append(state[1] & new)  # the new elements' bits in the class's mask
         return _add_element(state, new, a, capmask)
 
@@ -303,17 +145,6 @@ def test_blocked_children_are_not_folded(monkeypatch, params, want):
     nodes, checks, _, unfolded = fold_every_child(RadoEquation(m, a), n_max)
     assert len(folds) + unfolded == checks == out.stats.checks
     assert nodes == out.stats.nodes
-
-
-def two_runs_reference(bits, m, a):
-    """The least t of the class with a*t a sum of m-1 of its elements, or 0.
-
-    By the bitset of those sums, built one summand at a time.
-    """
-    sums = 1  # {0}, the sum of no element
-    for _ in range(m - 1):
-        sums = reduce(or_, [sums << x for x in iter_bits(bits)], 0)
-    return next((t for t in iter_bits(bits) if sums >> a * t & 1), 0)
 
 
 @pytest.mark.parametrize(("params", "decided"), [
@@ -330,11 +161,11 @@ def test_two_run_classes_are_decided_by_the_lemma(monkeypatch, params, decided):
 
     def spy(state, new, a, capmask):
         out = _add_element(state, new, a, capmask)
-        if out is None and new & (new - 1):  # a run of two elements or more
+        if out is None and fold_kind(new) == "run":
             bits = state[0][0] | new
             solved.append(bits)
             starts = bits & ~(bits << 1)  # the first element of each run
-            assert starts.bit_count() == 2 and two_runs_reference(bits, m, a), bin(new)
+            assert starts.bit_count() == 2 and least_target(bits, m, a), bin(new)
         return out
 
     monkeypatch.setattr(search, "_add_element", spy)
@@ -354,7 +185,7 @@ def test_one_run_classes_are_written_down(monkeypatch, params, want):
 
     def spy(state, new, a, capmask):
         out = _add_element(state, new, a, capmask)
-        if out is not None and new & (new - 1):  # a live run of two elements or more
+        if out is not None and fold_kind(new) == "run":  # a live run
             bits = out[0][0]
             assert not bits & (bits + (bits & -bits)), bin(new)  # one run
             layers = state[0]
@@ -447,7 +278,7 @@ def test_the_first_descent_follows_forced_colors(monkeypatch):
     calls = []
 
     def spy(*args):
-        calls.append(args[1])
+        calls.append(fold_kind(args[1]))
         return _add_element(*args)
 
     monkeypatch.setattr(search, "_add_element", spy)
@@ -524,6 +355,7 @@ def test_the_deadline_is_polled_along_the_trail(monkeypatch):
         return 0.0
 
     def spy(*args):
+        fold_kind(args[1])  # raises unless the mask is one bit or one run
         log("fold")
         return _add_element(*args)
 
